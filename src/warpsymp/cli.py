@@ -19,9 +19,11 @@ import argparse
 import sys
 from pathlib import Path
 
+from .reports import passes
 from .suite import (
     CHECK_CATALOGUE,
     CSV_KINDS,
+    GROUP_CHECKS,
     ConfigError,
     QuadratureSpec,
     RunConfig,
@@ -156,32 +158,20 @@ def main(argv=None) -> int:
             deviation = abs(result.value - config.mass)
             print(f"integral={result.value!r} mass={config.mass!r} |difference|={deviation:.3e}")
             print(f"error_estimate={result.error_estimate:.3e} n_u={result.n_u} n_v={result.n_v}")
-            return 0 if deviation < config.tolerance("sphere_integral_mass") else 1
+            # The integrate verdict is the sphere-class check, the first of its group.
+            tolerance = config.tolerance(GROUP_CHECKS["sphere_integral"][0])
+            return 0 if passes(deviation, tolerance) else 1
 
         if args.command == "prequant":
-            selected = []
-            if args.commutators:
-                selected.extend(
-                    ["commutator_uv", "commutator_ur", "commutator_ut",
-                     "commutator_vr", "commutator_vt", "commutator_rt"]
-                )
-            if args.operators:
-                selected.extend(
-                    ["operator_chain_rule", "operator_printed_area_relation",
-                     "operator_printed_volume_relation"]
-                )
-            if args.integrality:
-                selected.append("integrality_class")
-            if not selected:
+            # Each flag is named after the check group it selects.
+            groups = [g for g in ("commutators", "operators", "integrality") if getattr(args, g)]
+            if not groups:
                 raise ConfigError(
                     "prequant needs at least one of --commutators, --integrality, --operators"
                 )
-            failed = False
-            for name in selected:
-                report = run_suite(config, only=name)
-                _print_checks(report.checks)
-                failed = failed or report.exit_code != 0
-            return 1 if failed else 0
+            report = run_suite(config, only=[name for g in groups for name in GROUP_CHECKS[g]])
+            _print_checks(report.checks)
+            return report.exit_code
 
         if args.command == "emit-csv":
             path = emit_csv(args.what, config)

@@ -487,16 +487,6 @@ M = MassParameter()
 COORDINATES = (U, V, R, T)
 
 
-def evaluate(expression: Expression, point: ChartPoint) -> float:
-    """Functional alias for Expression.evaluate."""
-    return expression.evaluate(point)
-
-
-def differentiate(expression: Expression, coordinate: str) -> Expression:
-    """Functional alias for Expression.diff."""
-    return expression.diff(coordinate)
-
-
 # ---------------------------------------------------------------------------
 # Prefix (de)serialisation
 # ---------------------------------------------------------------------------

@@ -202,9 +202,6 @@ class VectorField:
         return tuple(component.evaluate(point) for component in self.components)
 
 
-ZERO_FIELD = VectorField((ZERO, ZERO, ZERO, ZERO))
-
-
 def basis_vector(axis: int) -> VectorField:
     components = [ZERO] * DIM
     components[axis] = ONE

@@ -180,9 +180,8 @@ def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None) -> list
             if error > worst:
                 worst, worst_point = error, point
         results.append(
-            CheckResult(
+            CheckResult.judged(
                 f"hamiltonian_{name}",
-                worst < threshold,
                 threshold,
                 worst,
                 worst_point.as_dict() if worst_point else None,
@@ -233,9 +232,8 @@ def bracket_table(
             if error > worst:
                 worst, worst_point = error, point
         checks.append(
-            CheckResult(
+            CheckResult.judged(
                 f"bracket_{pair[0]}{pair[1]}",
-                worst < relative_threshold,
                 relative_threshold,
                 worst,
                 worst_point.as_dict() if worst_point else None,
@@ -251,9 +249,8 @@ def bracket_table(
             if error > worst:
                 worst, worst_point = error, point
     checks.append(
-        CheckResult(
+        CheckResult.judged(
             "bracket_cross_zeros",
-            worst < zero_threshold,
             zero_threshold,
             worst,
             worst_point.as_dict() if worst_point else None,
@@ -269,9 +266,8 @@ def bracket_table(
             if abs(anti) > worst:
                 worst, worst_point = abs(anti), point
     checks.append(
-        CheckResult(
+        CheckResult.judged(
             "bracket_antisymmetry",
-            worst < zero_threshold,
             zero_threshold,
             worst,
             worst_point.as_dict() if worst_point else None,
@@ -293,9 +289,8 @@ def bracket_table(
             if error > worst:
                 worst, worst_point = error, point
     checks.append(
-        CheckResult(
+        CheckResult.judged(
             "jacobi_identity",
-            worst < jacobi_threshold,
             jacobi_threshold,
             worst,
             worst_point.as_dict() if worst_point else None,

@@ -274,9 +274,8 @@ def verify_curvature_potential(
         magnitude = residual.max_abs_at(point)
         if magnitude > worst:
             worst, worst_point = magnitude, point
-    return CheckResult(
+    return CheckResult.judged(
         "connection_curvature_potential",
-        worst < threshold,
         threshold,
         worst,
         worst_point.as_dict() if worst_point else None,
@@ -312,9 +311,8 @@ def curvature_section_check(
                     magnitude = residual.magnitude_at(point)
                     if magnitude > worst:
                         worst, worst_point = magnitude, point
-    return CheckResult(
+    return CheckResult.judged(
         "connection_curvature_sections",
-        worst < threshold,
         threshold,
         worst,
         worst_point.as_dict() if worst_point else None,
@@ -412,9 +410,8 @@ def commutator_check(
                 display_scale = max(display_scale, display.magnitude_at(point))
         details["display_residual"] = display_worst / max(display_scale, 1e-300)
 
-    return CheckResult(
+    return CheckResult.judged(
         f"commutator_{pair_name}",
-        error < threshold,
         threshold,
         error,
         worst_point.as_dict() if worst_point else None,
@@ -485,9 +482,8 @@ def geometric_operator_report(
                 scale = max(scale, lhs.magnitude_at(point))
                 if magnitude > worst:
                     worst, worst_point = magnitude, point
-    chain = CheckResult(
+    chain = CheckResult.judged(
         "operator_chain_rule",
-        worst / max(scale, 1e-300) < chain_threshold,
         chain_threshold,
         worst / max(scale, 1e-300),
         worst_point.as_dict() if worst_point else None,

@@ -10,6 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# How a check's verdict follows from its worst value and threshold.
+BELOW = "below"  # a residual: passes when worst < threshold
+ABOVE = "above"  # a lower bound on a magnitude: passes when worst > threshold
+FIXED = "fixed"  # structural or report-only: the threshold plays no part
+
+
+def passes(worst: float, threshold: float, rule: str = BELOW) -> bool:
+    """Verdict of a BELOW or ABOVE check; NaN never passes."""
+    return worst > threshold if rule == ABOVE else worst < threshold
+
 
 @dataclass
 class CheckResult:
@@ -21,6 +31,12 @@ class CheckResult:
     seed: int | None = None
     assertable: bool = True
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def judged(cls, name, threshold, worst_error, worst_point=None, seed=None, **kwargs):
+        """A BELOW check whose verdict is ``passes(worst_error, threshold)``."""
+        verdict = passes(worst_error, threshold)
+        return cls(name, verdict, threshold, worst_error, worst_point, seed, **kwargs)
 
     def to_dict(self) -> dict:
         return {

@@ -37,7 +37,7 @@ from .exterior import (
     sharp,
     wedge,
 )
-from .reports import CheckResult, worst_expression_error, worst_form_error
+from .reports import ABOVE, CheckResult, passes, worst_expression_error, worst_form_error
 from .sampling import sample_points
 
 FOUR_PI = 4.0 * math.pi
@@ -182,7 +182,7 @@ def generalized_static(
     square_magnitudes = [square.max_abs_at(p) for p in points]
     closure_check = CheckResult(
         name="flux_closure_hypothesis",
-        passed=worst < closure_threshold,
+        passed=passes(worst, closure_threshold),
         threshold=closure_threshold,
         worst_error=worst,
         worst_point=worst_point,
@@ -216,7 +216,7 @@ def verify_gradient_relation(model, points, threshold=1e-11, seed=None) -> Check
         KForm.scalar(model.warp)
     )
     worst, worst_point = worst_form_error(residual, points)
-    return CheckResult("gradient_relation", worst < threshold, threshold, worst, worst_point, seed)
+    return CheckResult.judged("gradient_relation", threshold, worst, worst_point, seed)
 
 
 def verify_observer(model, points, threshold=1e-12, seed=None) -> list:
@@ -227,7 +227,7 @@ def verify_observer(model, points, threshold=1e-12, seed=None) -> list:
     results = []
     for name, expression in (("observer_unit_norm", unit), ("observer_orthogonality", orthogonal)):
         worst, worst_point = worst_expression_error(expression, points)
-        results.append(CheckResult(name, worst < threshold, threshold, worst, worst_point, seed))
+        results.append(CheckResult.judged(name, threshold, worst, worst_point, seed))
     return results
 
 
@@ -254,22 +254,16 @@ def verify_omega_identities(
     square = wedge(flux, flux)
     worst, worst_point = worst_form_error(square, points)
     results.append(
-        CheckResult(
-            "flux_wedge_square", worst < square_threshold, square_threshold, worst, worst_point, seed
-        )
+        CheckResult.judged("flux_wedge_square", square_threshold, worst, worst_point, seed)
     )
 
     closure = exterior_derivative(flux) + wedge(warp_differential, flux)
     worst, worst_point = worst_form_error(closure, points)
-    results.append(
-        CheckResult("flux_closure_relation", worst < threshold, threshold, worst, worst_point, seed)
-    )
+    results.append(CheckResult.judged("flux_closure_relation", threshold, worst, worst_point, seed))
 
     volume_identity = exterior_derivative(flux) - _flux_volume_reference(model)
     worst, worst_point = worst_form_error(volume_identity, points)
-    results.append(
-        CheckResult("flux_volume_identity", worst < threshold, threshold, worst, worst_point, seed)
-    )
+    results.append(CheckResult.judged("flux_volume_identity", threshold, worst, worst_point, seed))
     return results
 
 
@@ -286,29 +280,18 @@ def verify_symplectic(
 
     rescaled = exterior_derivative(model.flux_form.scaled(model.lapse))
     worst, worst_point = worst_form_error(rescaled, points)
-    results.append(
-        CheckResult("closed_rescaled_flux", worst < threshold, threshold, worst, worst_point, seed)
-    )
+    results.append(CheckResult.judged("closed_rescaled_flux", threshold, worst, worst_point, seed))
 
     potential_residual = model.dual_flux_form - exterior_derivative(dual_flux_potential(model))
     worst, worst_point = worst_form_error(potential_residual, points)
     results.append(
-        CheckResult(
-            "dual_flux_potential",
-            worst < potential_threshold,
-            potential_threshold,
-            worst,
-            worst_point,
-            seed,
-        )
+        CheckResult.judged("dual_flux_potential", potential_threshold, worst, worst_point, seed)
     )
 
     dual_square = wedge(model.dual_flux_form, model.dual_flux_form)
     worst, worst_point = worst_form_error(dual_square, points)
     results.append(
-        CheckResult(
-            "dual_flux_square", worst < potential_threshold, potential_threshold, worst, worst_point, seed
-        )
+        CheckResult.judged("dual_flux_square", potential_threshold, worst, worst_point, seed)
     )
 
     r_norm = metric_inner(model.gravitational_field, model.gravitational_field, model.metric)
@@ -316,9 +299,7 @@ def verify_symplectic(
     square_identity = wedge(model.symplectic_form, model.symplectic_form) - model.volume_form.scaled(scale)
     worst, worst_point = worst_form_error(square_identity, points)
     results.append(
-        CheckResult(
-            "symplectic_square_identity", worst < threshold, threshold, worst, worst_point, seed
-        )
+        CheckResult.judged("symplectic_square_identity", threshold, worst, worst_point, seed)
     )
 
     square = wedge(model.symplectic_form, model.symplectic_form)
@@ -418,9 +399,9 @@ def foliation_report(
         "volume3": volume_threshold,
     }
     return FoliationReport(
-        leaf_nondegenerate=pf_min > pfaffian_threshold,
+        leaf_nondegenerate=passes(pf_min, pfaffian_threshold, ABOVE),
         leaf_pfaffian_worst=pf_min if math.isfinite(pf_min) else 0.0,
-        volume3_nonvanishing=vol_min > volume_threshold,
+        volume3_nonvanishing=passes(vol_min, volume_threshold, ABOVE),
         volume3_worst=vol_min if math.isfinite(vol_min) else 0.0,
         closed_on_leaves=True,
         pole_degeneracy_is_coordinate_artifact=artifact,

@@ -10,6 +10,11 @@ report.  Checks marked non-assertable (the deliberately inconsistent
 printed operator relations and the integrality numbers) never affect the
 exit code.
 
+The catalogue is one ordered table, ``CHECK_GROUPS``: each row is a check
+group with the checks it emits, their default tolerances and how each
+verdict is judged.  ``CHECK_CATALOGUE`` and ``DEFAULT_TOLERANCES`` are views
+of it.
+
 Reports are deterministic: identical configuration gives a byte-identical
 body; wall time lives outside the body.
 """
@@ -19,8 +24,10 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +55,10 @@ from .prequantum import (
     separable_radial_residual,
     verify_curvature_potential,
 )
-from .reports import CheckResult
+from .reports import ABOVE, BELOW, FIXED, CheckResult, passes
 from .sampling import OPERATOR_WINDOW, sample_points
 from .spacetime import (
+    SpacetimeModel,
     foliation_report,
     schwarzschild,
     verify_gradient_relation,
@@ -64,85 +72,222 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad value, unknown key, unknown check)."""
 
 
-DEFAULT_TOLERANCES = {
-    "gradient_relation": 1e-11,
-    "observer_unit_norm": 1e-12,
-    "observer_orthogonality": 1e-12,
-    "flux_wedge_square": 1e-12,
-    "flux_closure_relation": 1e-11,
-    "flux_volume_identity": 1e-11,
-    "foliation_leaf_pfaffian": 1e-6,
-    "foliation_volume_form": 1e-10,
-    "foliation_leaf_closedness": 0.0,
-    "closed_rescaled_flux": 1e-11,
-    "dual_flux_potential": 1e-12,
-    "dual_flux_square": 1e-12,
-    "symplectic_square_identity": 1e-11,
-    "symplectic_nondegeneracy": 0.0,
-    "hamiltonian_u": 1e-10,
-    "hamiltonian_v": 1e-10,
-    "hamiltonian_r": 1e-10,
-    "hamiltonian_t": 1e-10,
-    "bracket_uv": 1e-10,
-    "bracket_rt": 1e-10,
-    "bracket_cross_zeros": 1e-10,
-    "bracket_antisymmetry": 1e-10,
-    "jacobi_identity": 1e-9,
-    "sphere_integral_mass": 1e-10,
-    "sphere_integral_dual_zero": 1e-12,
-    "connection_curvature_potential": 1e-11,
-    "connection_curvature_sections": 1e-9,
-    "commutator_uv": 1e-9,
-    "commutator_ur": 1e-9,
-    "commutator_ut": 1e-9,
-    "commutator_vr": 1e-9,
-    "commutator_vt": 1e-9,
-    "commutator_rt": 1e-9,
-    "operator_chain_rule": 1e-9,
-    "operator_printed_area_relation": 1e-9,
-    "operator_printed_volume_relation": 1e-9,
-    "integrality_class": 1e-10,
-}
+@dataclass(frozen=True)
+class GroupInputs:
+    """What every check group of one suite run draws on."""
 
-CHECK_CATALOGUE = (
-    "gradient_relation",
-    "observer_unit_norm",
-    "observer_orthogonality",
-    "flux_wedge_square",
-    "flux_closure_relation",
-    "flux_volume_identity",
-    "foliation_leaf_pfaffian",
-    "foliation_volume_form",
-    "foliation_leaf_closedness",
-    "closed_rescaled_flux",
-    "dual_flux_potential",
-    "dual_flux_square",
-    "symplectic_square_identity",
-    "symplectic_nondegeneracy",
-    "hamiltonian_u",
-    "hamiltonian_v",
-    "hamiltonian_r",
-    "hamiltonian_t",
-    "bracket_uv",
-    "bracket_rt",
-    "bracket_cross_zeros",
-    "bracket_antisymmetry",
-    "jacobi_identity",
-    "sphere_integral_mass",
-    "sphere_integral_dual_zero",
-    "connection_curvature_potential",
-    "connection_curvature_sections",
-    "commutator_uv",
-    "commutator_ur",
-    "commutator_ut",
-    "commutator_vr",
-    "commutator_vt",
-    "commutator_rt",
-    "operator_chain_rule",
-    "operator_printed_area_relation",
-    "operator_printed_volume_relation",
-    "integrality_class",
+    model: SpacetimeModel
+    potential: ConnectionPotential
+    identity_points: list
+    operator_points: list
+    sections: list
+    quadrature: QuadratureSpec
+    seed: int
+
+
+def _foliation_checks(g: GroupInputs) -> list:
+    report = foliation_report(g.model, g.identity_points, seed=g.seed)
+    return [
+        CheckResult(
+            "foliation_leaf_pfaffian",
+            report.leaf_nondegenerate,
+            report.thresholds["pfaffian_over_mass"],
+            report.leaf_pfaffian_worst,
+            None,
+            g.seed,
+            details={"bound": "minimum |pfaffian|/mass over samples"},
+        ),
+        CheckResult(
+            "foliation_volume_form",
+            report.volume3_nonvanishing,
+            report.thresholds["volume3"],
+            report.volume3_worst,
+            None,
+            g.seed,
+            details={"bound": "minimum |volume3 coefficient| over samples"},
+        ),
+        CheckResult(
+            "foliation_leaf_closedness",
+            report.closed_on_leaves,
+            0.0,
+            0.0,
+            None,
+            g.seed,
+            details={
+                "structural": "2-forms on 2-dimensional leaves are closed",
+                "pole_degeneracy_is_coordinate_artifact": report.pole_degeneracy_is_coordinate_artifact,
+            },
+        ),
+    ]
+
+
+def _sphere_integral_checks(g: GroupInputs) -> list:
+    mass_integral = surface_integral(g.model.symplectic_form, g.quadrature, g.model)
+    dual_integral = surface_integral(g.model.dual_flux_form, g.quadrature, g.model)
+
+    def judged(name, worst, details):
+        tolerance = DEFAULT_TOLERANCES[name]
+        return CheckResult.judged(name, tolerance, worst, None, g.seed, details=details)
+
+    return [
+        judged(
+            "sphere_integral_mass",
+            abs(mass_integral.value - g.model.mass),
+            {
+                "value": mass_integral.value,
+                "error_estimate": mass_integral.error_estimate,
+                "r0": g.quadrature.r0,
+            },
+        ),
+        judged(
+            "sphere_integral_dual_zero", abs(dual_integral.value), {"value": dual_integral.value}
+        ),
+    ]
+
+
+class Check(NamedTuple):
+    name: str
+    tolerance: float
+    rule: str = BELOW
+
+
+@dataclass(frozen=True)
+class CheckGroup:
+    """One row of the catalogue: a group, the runner that computes it, and
+    the checks it emits in report order.
+
+    Each runner calls its group function through this module's global name
+    at call time, so a rebinding of that name (a test double, a tracer) is
+    what the suite runs.  Runners leave thresholds at the group functions'
+    defaults: ``run_suite`` gives each result its own configured threshold
+    and re-judges it afterwards.
+    """
+
+    key: str
+    run: Callable[[GroupInputs], list]
+    checks: tuple[Check, ...]
+
+
+CHECK_GROUPS = (
+    CheckGroup(
+        "gradient",
+        lambda g: [verify_gradient_relation(g.model, g.identity_points, seed=g.seed)],
+        (Check("gradient_relation", 1e-11),),
+    ),
+    CheckGroup(
+        "observer",
+        lambda g: verify_observer(g.model, g.identity_points, seed=g.seed),
+        (Check("observer_unit_norm", 1e-12), Check("observer_orthogonality", 1e-12)),
+    ),
+    CheckGroup(
+        "omega",
+        lambda g: verify_omega_identities(g.model, g.identity_points, seed=g.seed),
+        (
+            Check("flux_wedge_square", 1e-12),
+            Check("flux_closure_relation", 1e-11),
+            Check("flux_volume_identity", 1e-11),
+        ),
+    ),
+    CheckGroup(
+        "foliation",
+        _foliation_checks,
+        (
+            Check("foliation_leaf_pfaffian", 1e-6, ABOVE),
+            Check("foliation_volume_form", 1e-10, ABOVE),
+            Check("foliation_leaf_closedness", 0.0, FIXED),
+        ),
+    ),
+    CheckGroup(
+        "symplectic",
+        lambda g: verify_symplectic(g.model, g.identity_points, seed=g.seed),
+        (
+            Check("closed_rescaled_flux", 1e-11),
+            Check("dual_flux_potential", 1e-12),
+            Check("dual_flux_square", 1e-12),
+            Check("symplectic_square_identity", 1e-11),
+            Check("symplectic_nondegeneracy", 0.0, FIXED),
+        ),
+    ),
+    CheckGroup(
+        "hamiltonian",
+        lambda g: verify_hamiltonian_fields(g.model, g.identity_points, seed=g.seed),
+        (
+            Check("hamiltonian_u", 1e-10),
+            Check("hamiltonian_v", 1e-10),
+            Check("hamiltonian_r", 1e-10),
+            Check("hamiltonian_t", 1e-10),
+        ),
+    ),
+    CheckGroup(
+        "bracket",
+        lambda g: bracket_table(
+            g.model, g.identity_points, seed=g.seed, jacobi_points=g.operator_points
+        )[0],
+        (
+            Check("bracket_uv", 1e-10),
+            Check("bracket_rt", 1e-10),
+            Check("bracket_cross_zeros", 1e-10),
+            Check("bracket_antisymmetry", 1e-10),
+            Check("jacobi_identity", 1e-9),
+        ),
+    ),
+    CheckGroup(
+        "sphere_integral",
+        _sphere_integral_checks,
+        (Check("sphere_integral_mass", 1e-10), Check("sphere_integral_dual_zero", 1e-12)),
+    ),
+    CheckGroup(
+        "curvature_potential",
+        lambda g: [
+            verify_curvature_potential(g.model, g.potential, g.identity_points, seed=g.seed)
+        ],
+        (Check("connection_curvature_potential", 1e-11),),
+    ),
+    CheckGroup(
+        "curvature_sections",
+        lambda g: [
+            curvature_section_check(
+                g.model, g.potential, g.sections, g.operator_points, seed=g.seed
+            )
+        ],
+        (Check("connection_curvature_sections", 1e-9),),
+    ),
+    CheckGroup(
+        "commutators",
+        lambda g: commutator_suite(
+            g.model, g.potential, g.sections, g.operator_points, seed=g.seed
+        ),
+        (
+            Check("commutator_uv", 1e-9),
+            Check("commutator_ur", 1e-9),
+            Check("commutator_ut", 1e-9),
+            Check("commutator_vr", 1e-9),
+            Check("commutator_vt", 1e-9),
+            Check("commutator_rt", 1e-9),
+        ),
+    ),
+    CheckGroup(
+        "operators",
+        lambda g: geometric_operator_report(
+            g.model, g.potential, g.sections, g.operator_points, seed=g.seed
+        ),
+        (
+            Check("operator_chain_rule", 1e-9),
+            Check("operator_printed_area_relation", 1e-9, FIXED),
+            Check("operator_printed_volume_relation", 1e-9, FIXED),
+        ),
+    ),
+    CheckGroup(
+        "integrality",
+        lambda g: [integrality_report(g.model, g.quadrature, seed=g.seed)],
+        (Check("integrality_class", 1e-10, FIXED),),
+    ),
 )
+
+_CHECKS = {check.name: check for group in CHECK_GROUPS for check in group.checks}
+CHECK_CATALOGUE = tuple(_CHECKS)
+DEFAULT_TOLERANCES = {name: check.tolerance for name, check in _CHECKS.items()}
+GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHECK_GROUPS}
 
 
 @dataclass
@@ -150,7 +295,8 @@ class RunConfig:
     """Configuration of a verification run.
 
     ``r0`` and ``box`` default to mass-scaled values when left unset;
-    ``tolerances`` overrides individual catalogue thresholds by name.
+    ``tolerances`` overrides individual catalogue thresholds by name, except
+    those of checks whose verdict is fixed.
     """
 
     mass: float = 1.0
@@ -178,6 +324,11 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown check name in tolerances: {name!r}")
+            if _CHECKS[name].rule == FIXED:
+                raise ConfigError(
+                    f"the threshold of {name!r} is fixed (structural or report-only) "
+                    "and cannot be overridden"
+                )
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ConfigError(f"tolerance for {name!r} must be positive")
         if self.scale_mode not in ("plain", "weil"):
@@ -227,22 +378,21 @@ class RunConfig:
 # Configuration files: flat "key = value" lines, '#' comments.
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "mass",
-    "seed",
-    "samples",
-    "sections",
-    "nu",
-    "nv",
-    "r0",
-    "t0",
-    "scale_mode",
-    "out",
-    "box_u",
-    "box_v",
-    "box_r",
-    "box_t",
-)
+# Config key -> (RunConfig field, parser).  ``tolerance.NAME`` and the box
+# intervals are gathered apart and applied after every key is read.
+_CONFIG_KEYS = {
+    "mass": ("mass", float),
+    "seed": ("seed", int),
+    "samples": ("n_samples", int),
+    "sections": ("n_sections", int),
+    "nu": ("n_u", int),
+    "nv": ("n_v", int),
+    "r0": ("r0", float),
+    "t0": ("t0", float),
+    "scale_mode": ("scale_mode", str),
+    "out": ("output_dir", str),
+}
+_BOX_KEYS = ("box_u", "box_v", "box_r", "box_t")
 
 
 def load_config_file(path) -> dict:
@@ -256,7 +406,7 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not (key in _CONFIG_KEYS or key.startswith("tolerance.")):
+        if not (key in _CONFIG_KEYS or key in _BOX_KEYS or key.startswith("tolerance.")):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value
     return raw
@@ -282,29 +432,12 @@ def config_from_sources(file_values: dict | None = None, overrides: dict | None 
     box_parts = {}
     try:
         for key, value in merged.items():
-            if key == "mass":
-                config.mass = float(value)
-            elif key == "seed":
-                config.seed = int(value)
-            elif key == "samples":
-                config.n_samples = int(value)
-            elif key == "sections":
-                config.n_sections = int(value)
-            elif key == "nu":
-                config.n_u = int(value)
-            elif key == "nv":
-                config.n_v = int(value)
-            elif key == "r0":
-                config.r0 = float(value)
-            elif key == "t0":
-                config.t0 = float(value)
-            elif key == "scale_mode":
-                config.scale_mode = str(value)
-            elif key == "out":
-                config.output_dir = str(value)
+            if key in _CONFIG_KEYS:
+                name, parse = _CONFIG_KEYS[key]
+                setattr(config, name, parse(value))
             elif key.startswith("tolerance."):
                 tolerances[key.split(".", 1)[1]] = float(value)
-            elif key in ("box_u", "box_v", "box_r", "box_t"):
+            elif key in _BOX_KEYS:
                 box_parts[key[-1]] = _parse_interval(str(value), key)
             else:
                 raise ConfigError(f"unknown configuration key {key!r}")
@@ -358,226 +491,51 @@ class SuiteReport:
         )
 
 
-def run_suite(config: RunConfig, only: str | None = None) -> SuiteReport:
-    """Execute the check catalogue (or a single named check) and assemble
-    the deterministic report."""
+def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> SuiteReport:
+    """Execute the check catalogue, or only the named checks (one name or a
+    collection), and assemble the deterministic report.
+
+    Each group runs at most once per call.  Every result is then given its
+    own configured threshold and, unless its verdict is fixed, re-judged
+    against it; no group's worst error depends on its threshold.
+    """
     config.validate()
-    if only is not None and only not in CHECK_CATALOGUE:
-        raise ConfigError(f"unknown check {only!r}")
+    selected = None
+    if only is not None:
+        selected = {only} if isinstance(only, str) else set(only)
+        unknown = sorted(selected.difference(_CHECKS))
+        if unknown:
+            raise ConfigError(f"unknown check {', '.join(map(repr, unknown))}")
     started = time.perf_counter()
 
     model = schwarzschild(config.mass)
     scale = CurvatureScale.PLAIN if config.scale_mode == "plain" else CurvatureScale.WEIL
-    potential = ConnectionPotential.monopole(model, scale)
-    identity_points = sample_points(config.mass, config.n_samples, config.seed)
-    operator_points = sample_points(
-        config.mass, max(10, config.n_samples // 5), config.seed + 1, OPERATOR_WINDOW
+    inputs = GroupInputs(
+        model=model,
+        potential=ConnectionPotential.monopole(model, scale),
+        identity_points=sample_points(config.mass, config.n_samples, config.seed),
+        operator_points=sample_points(
+            config.mass, max(10, config.n_samples // 5), config.seed + 1, OPERATOR_WINDOW
+        ),
+        sections=random_sections(config.mass, config.n_sections, config.seed + 2),
+        quadrature=QuadratureSpec(
+            n_u=config.n_u, n_v=config.n_v, r0=config.resolved_r0(), t0=config.t0
+        ),
+        seed=config.seed,
     )
-    sections = random_sections(config.mass, config.n_sections, config.seed + 2)
-    quadrature = QuadratureSpec(
-        n_u=config.n_u, n_v=config.n_v, r0=config.resolved_r0(), t0=config.t0
-    )
-    tol = config.tolerance
-    seed = config.seed
 
-    results: dict[str, CheckResult] = {}
-
-    def record(items):
-        for item in items if isinstance(items, list) else [items]:
-            results[item.name] = item
-
-    def wanted(*names) -> bool:
-        return only is None or only in names
-
-    if wanted("gradient_relation"):
-        record(
-            verify_gradient_relation(
-                model, identity_points, threshold=tol("gradient_relation"), seed=seed
-            )
-        )
-    if wanted("observer_unit_norm", "observer_orthogonality"):
-        record(
-            verify_observer(
-                model, identity_points, threshold=tol("observer_unit_norm"), seed=seed
-            )
-        )
-    if wanted("flux_wedge_square", "flux_closure_relation", "flux_volume_identity"):
-        record(
-            verify_omega_identities(
-                model,
-                identity_points,
-                threshold=tol("flux_closure_relation"),
-                square_threshold=tol("flux_wedge_square"),
-                seed=seed,
-            )
-        )
-    if wanted("foliation_leaf_pfaffian", "foliation_volume_form", "foliation_leaf_closedness"):
-        report = foliation_report(
-            model,
-            identity_points,
-            pfaffian_threshold=tol("foliation_leaf_pfaffian"),
-            volume_threshold=tol("foliation_volume_form"),
-            seed=seed,
-        )
-        record(
-            [
-                CheckResult(
-                    "foliation_leaf_pfaffian",
-                    report.leaf_nondegenerate,
-                    tol("foliation_leaf_pfaffian"),
-                    report.leaf_pfaffian_worst,
-                    None,
-                    seed,
-                    details={"bound": "minimum |pfaffian|/mass over samples"},
-                ),
-                CheckResult(
-                    "foliation_volume_form",
-                    report.volume3_nonvanishing,
-                    tol("foliation_volume_form"),
-                    report.volume3_worst,
-                    None,
-                    seed,
-                    details={"bound": "minimum |volume3 coefficient| over samples"},
-                ),
-                CheckResult(
-                    "foliation_leaf_closedness",
-                    report.closed_on_leaves,
-                    tol("foliation_leaf_closedness"),
-                    0.0,
-                    None,
-                    seed,
-                    details={
-                        "structural": "2-forms on 2-dimensional leaves are closed",
-                        "pole_degeneracy_is_coordinate_artifact": report.pole_degeneracy_is_coordinate_artifact,
-                    },
-                ),
-            ]
-        )
-    if wanted(
-        "closed_rescaled_flux",
-        "dual_flux_potential",
-        "dual_flux_square",
-        "symplectic_square_identity",
-        "symplectic_nondegeneracy",
-    ):
-        record(
-            verify_symplectic(
-                model,
-                identity_points,
-                threshold=tol("symplectic_square_identity"),
-                potential_threshold=tol("dual_flux_potential"),
-                seed=seed,
-            )
-        )
-    if wanted("hamiltonian_u", "hamiltonian_v", "hamiltonian_r", "hamiltonian_t"):
-        record(
-            verify_hamiltonian_fields(
-                model, identity_points, threshold=tol("hamiltonian_u"), seed=seed
-            )
-        )
-    if wanted(
-        "bracket_uv", "bracket_rt", "bracket_cross_zeros", "bracket_antisymmetry", "jacobi_identity"
-    ):
-        checks, _ = bracket_table(
-            model,
-            identity_points,
-            relative_threshold=tol("bracket_uv"),
-            zero_threshold=tol("bracket_cross_zeros"),
-            jacobi_threshold=tol("jacobi_identity"),
-            seed=seed,
-            jacobi_points=operator_points,
-        )
-        record(checks)
-    if wanted("sphere_integral_mass", "sphere_integral_dual_zero"):
-        mass_integral = surface_integral(model.symplectic_form, quadrature, model)
-        record(
-            CheckResult(
-                "sphere_integral_mass",
-                abs(mass_integral.value - config.mass) < tol("sphere_integral_mass"),
-                tol("sphere_integral_mass"),
-                abs(mass_integral.value - config.mass),
-                None,
-                seed,
-                details={
-                    "value": mass_integral.value,
-                    "error_estimate": mass_integral.error_estimate,
-                    "r0": quadrature.r0,
-                },
-            )
-        )
-        dual_integral = surface_integral(model.dual_flux_form, quadrature, model)
-        record(
-            CheckResult(
-                "sphere_integral_dual_zero",
-                abs(dual_integral.value) < tol("sphere_integral_dual_zero"),
-                tol("sphere_integral_dual_zero"),
-                abs(dual_integral.value),
-                None,
-                seed,
-                details={"value": dual_integral.value},
-            )
-        )
-    if wanted("connection_curvature_potential"):
-        record(
-            verify_curvature_potential(
-                model,
-                potential,
-                identity_points,
-                threshold=tol("connection_curvature_potential"),
-                seed=seed,
-            )
-        )
-    if wanted("connection_curvature_sections"):
-        record(
-            curvature_section_check(
-                model,
-                potential,
-                sections,
-                operator_points,
-                threshold=tol("connection_curvature_sections"),
-                seed=seed,
-            )
-        )
-    commutator_names = (
-        "commutator_uv",
-        "commutator_ur",
-        "commutator_ut",
-        "commutator_vr",
-        "commutator_vt",
-        "commutator_rt",
-    )
-    if wanted(*commutator_names):
-        checks = commutator_suite(
-            model,
-            potential,
-            sections,
-            operator_points,
-            relative_threshold=tol("commutator_uv"),
-            absolute_threshold=tol("commutator_ur"),
-            seed=seed,
-        )
-        record(checks)
-    if wanted(
-        "operator_chain_rule", "operator_printed_area_relation", "operator_printed_volume_relation"
-    ):
-        record(
-            geometric_operator_report(
-                model,
-                potential,
-                sections,
-                operator_points,
-                chain_threshold=tol("operator_chain_rule"),
-                seed=seed,
-            )
-        )
-    if wanted("integrality_class"):
-        record(integrality_report(model, quadrature, seed=seed))
-
-    ordered = [
-        results[name].to_dict()
-        for name in CHECK_CATALOGUE
-        if name in results and (only is None or name == only)
-    ]
+    ordered = []
+    for group in CHECK_GROUPS:
+        wanted = [c for c in group.checks if selected is None or c.name in selected]
+        if not wanted:
+            continue
+        results = {result.name: result for result in group.run(inputs)}
+        for check in wanted:
+            result = results[check.name]
+            result.threshold = config.tolerance(check.name)
+            if check.rule != FIXED:
+                result.passed = passes(result.worst_error, result.threshold, check.rule)
+            ordered.append(result.to_dict())
     body = {
         "version": __version__,
         "seed": config.seed,

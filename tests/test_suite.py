@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from warpsymp import suite
 from warpsymp.cli import main
 from warpsymp.prequantum import Box
 from warpsymp.suite import (
@@ -20,6 +21,16 @@ from warpsymp.suite import (
 
 # a reduced but complete configuration so suite-level tests stay quick
 FAST = dict(n_samples=20, n_sections=3)
+
+
+# checks whose verdict is structural or report-only: no tolerance override
+FIXED_CHECKS = (
+    "foliation_leaf_closedness",
+    "symplectic_nondegeneracy",
+    "operator_printed_area_relation",
+    "operator_printed_volume_relation",
+    "integrality_class",
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +154,25 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             run_suite(RunConfig(**FAST), only="nonsense")
 
+    def test_each_override_sets_only_its_own_threshold(self):
+        overridable = [name for name in CHECK_CATALOGUE if name not in FIXED_CHECKS]
+        overrides = {name: (index + 1) * 1e-3 for index, name in enumerate(overridable)}
+        report = run_suite(RunConfig(tolerances=overrides, **FAST))
+        for check in report.checks:
+            name = check["check_name"]
+            threshold = overrides.get(name, DEFAULT_TOLERANCES[name])
+            assert check["threshold"] == threshold, name
+            if name in overrides:
+                worst = check["worst_error"]
+                lower_bound = name in ("foliation_leaf_pfaffian", "foliation_volume_form")
+                assert check["pass"] == (worst > threshold if lower_bound else worst < threshold)
+
+    def test_hamiltonian_override_does_not_spill(self):
+        config = RunConfig(tolerances={"hamiltonian_u": 1e-300}, **FAST)
+        report = run_suite(config, only=("hamiltonian_u", "hamiltonian_t"))
+        verdicts = {check["check_name"]: check["pass"] for check in report.checks}
+        assert verdicts == {"hamiltonian_u": False, "hamiltonian_t": True}
+
 
 class TestRunConfig:
     def test_validation(self):
@@ -160,6 +190,11 @@ class TestRunConfig:
             RunConfig(r0=1.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(box=Box(u=(0.5, 4.0), v=(1, 2), r=(3, 5), t=(0, 1))).validate()
+
+    def test_fixed_checks_refuse_overrides(self):
+        for name in FIXED_CHECKS:
+            with pytest.raises(ConfigError, match="fixed"):
+                RunConfig(tolerances={name: 1.0}).validate()
 
     def test_mass_scaled_defaults(self):
         config = RunConfig(mass=4.0)
@@ -183,6 +218,12 @@ class TestConfigFile:
             "scale_mode = weil\n"
             "tolerance.jacobi_identity = 1e-8\n"
             "box_r = 6.5,12.5\n"
+            "sections = 4\n"
+            "nu = 8\n"
+            "nv = 16\n"
+            "r0 = 7.5\n"
+            "t0 = 0.25\n"
+            "out = results\n"
         )
         raw = load_config_file(config_file)
         config = config_from_sources(raw, {"mass": 3.0})
@@ -192,6 +233,8 @@ class TestConfigFile:
         assert config.scale_mode == "weil"
         assert config.tolerances == {"jacobi_identity": 1e-8}
         assert config.box.r == (6.5, 12.5)
+        assert (config.n_sections, config.n_u, config.n_v) == (4, 8, 16)
+        assert (config.r0, config.t0, config.output_dir) == (7.5, 0.25, "results")
 
     def test_unknown_key_rejected(self, tmp_path):
         config_file = tmp_path / "run.cfg"
@@ -299,6 +342,25 @@ class TestCli:
         code = main(["prequant", "--integrality", "--samples", "15", "--sections", "2"])
         assert code == 0
         assert "integrality_class" in capsys.readouterr().out
+
+    def test_prequant_runs_each_group_once(self, monkeypatch, capsys):
+        calls = []
+        commutator_suite = suite.commutator_suite
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return commutator_suite(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "commutator_suite", counting)
+        code = main(["prequant", "--commutators", "--samples", "10", "--sections", "1"])
+        assert code == 0
+        assert len(calls) == 1
+        printed = [line.split("] ")[1].split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [name for name in CHECK_CATALOGUE if name.startswith("commutator_")]
+
+    def test_fixed_check_override_exit_code(self, capsys):
+        assert main(["verify", "--tolerance", "symplectic_nondegeneracy=1"]) == 2
+        assert "fixed" in capsys.readouterr().err
 
     def test_emit_csv_subcommand(self, tmp_path, capsys):
         code = main(["emit-csv", "integral_convergence", "--out", str(tmp_path)])
