@@ -8,14 +8,24 @@ Identities between expressions are established numerically at sampled
 chart points, never by tree canonicalisation.
 
 All nodes are frozen dataclasses, so expressions are hashable, comparable
-structurally, and safe to share between threads.
+structurally, and safe to share between threads.  Each node caches its
+partial derivatives (outside the dataclass fields), so differentiating the
+same node twice returns the same tree and derivative DAGs stay shared.
+
+Evaluation has one path, ``evaluate_many``: it orders the DAG under several
+roots topologically and computes each node once, as a numpy array over all
+sample points at once.  ``Expression.evaluate`` is its one-point call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 COORDINATE_NAMES = ("u", "v", "r", "t")
 
@@ -67,26 +77,20 @@ class ChartPoint:
 
 
 class Expression:
-    """Base class of all expression-tree nodes."""
+    """Base class of all expression-tree nodes.
+
+    ``children`` are the operand nodes; ``_apply`` computes the node from
+    their values (numbers or arrays that broadcast together) and the chart
+    inputs, and ``_rule`` is the node's differentiation rule.
+    """
+
+    children = ()
 
     def evaluate(self, point: ChartPoint) -> float:
-        """Evaluate at a chart point.
+        """Evaluate at one chart point (a one-point ``evaluate_many``)."""
+        return float(evaluate_many([self], point.as_dict())[0])
 
-        Shared subtrees (common after differentiation) are evaluated once
-        per call through an identity memo, so evaluation cost is linear in
-        the size of the expression DAG rather than the unfolded tree.
-        """
-        return self._eval(point, {})
-
-    def _eval(self, point: ChartPoint, memo: dict) -> float:
-        key = id(self)
-        value = memo.get(key)
-        if value is None:
-            value = self._compute(point, memo)
-            memo[key] = value
-        return value
-
-    def _compute(self, point: ChartPoint, memo: dict) -> float:
+    def _apply(self, values: list, inputs: dict):
         raise NotImplementedError
 
     def diff(self, coordinate: str) -> "Expression":
@@ -96,6 +100,15 @@ class Expression:
         return self._diff(coordinate)
 
     def _diff(self, coordinate: str) -> "Expression":
+        """``_rule`` memoised per coordinate in the instance dict, which the
+        dataclass fields, equality and hash do not see."""
+        cache = self.__dict__.setdefault("_derivatives", {})
+        derivative = cache.get(coordinate)
+        if derivative is None:
+            derivative = cache[coordinate] = self._rule(coordinate)
+        return derivative
+
+    def _rule(self, coordinate: str) -> "Expression":
         raise NotImplementedError
 
     def to_prefix(self) -> str:
@@ -142,10 +155,10 @@ class Expression:
 class Constant(Expression):
     value: float
 
-    def _compute(self, point, memo):
+    def _apply(self, values, inputs):
         return self.value
 
-    def _diff(self, coordinate):
+    def _rule(self, coordinate):
         return ZERO
 
     def to_prefix(self):
@@ -156,10 +169,10 @@ class Constant(Expression):
 class Coordinate(Expression):
     name: str
 
-    def _compute(self, point, memo):
-        return getattr(point, self.name)
+    def _apply(self, values, inputs):
+        return inputs[self.name]
 
-    def _diff(self, coordinate):
+    def _rule(self, coordinate):
         return ONE if coordinate == self.name else ZERO
 
     def to_prefix(self):
@@ -170,10 +183,10 @@ class Coordinate(Expression):
 class MassParameter(Expression):
     """The mass parameter of the ambient model; constant on the chart."""
 
-    def _compute(self, point, memo):
-        return point.m
+    def _apply(self, values, inputs):
+        return inputs["m"]
 
-    def _diff(self, coordinate):
+    def _rule(self, coordinate):
         return ZERO
 
     def to_prefix(self):
@@ -184,10 +197,24 @@ class MassParameter(Expression):
 class Sum(Expression):
     terms: tuple
 
-    def _compute(self, point, memo):
-        return math.fsum(term._eval(point, memo) for term in self.terms)
+    @property
+    def children(self):
+        return self.terms
 
-    def _diff(self, coordinate):
+    def _apply(self, values, inputs):
+        # TwoSum cascade (Sum2 of Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+        # 2005): the rounding error of each partial sum is recovered exactly
+        # and added back at the end, as accurate as summing in twice the
+        # working precision.
+        total, error = values[0], 0.0
+        for value in values[1:]:
+            partial = total + value
+            excess = partial - total
+            error = error + ((total - (partial - excess)) + (value - excess))
+            total = partial
+        return total + error
+
+    def _rule(self, coordinate):
         return add(*[term._diff(coordinate) for term in self.terms])
 
     def to_prefix(self):
@@ -198,13 +225,17 @@ class Sum(Expression):
 class Product(Expression):
     factors: tuple
 
-    def _compute(self, point, memo):
-        out = 1.0
-        for factor in self.factors:
-            out *= factor._eval(point, memo)
+    @property
+    def children(self):
+        return self.factors
+
+    def _apply(self, values, inputs):
+        out = values[0]
+        for value in values[1:]:
+            out = out * value
         return out
 
-    def _diff(self, coordinate):
+    def _rule(self, coordinate):
         pieces = []
         for i, factor in enumerate(self.factors):
             pieces.append(
@@ -221,19 +252,27 @@ class Quotient(Expression):
     numerator: Expression
     denominator: Expression
 
-    def _compute(self, point, memo):
-        den = self.denominator._eval(point, memo)
-        if den == 0.0:
-            raise EvaluationError(f"zero denominator in {self.to_prefix()}")
-        return self.numerator._eval(point, memo) / den
+    @property
+    def children(self):
+        return (self.numerator, self.denominator)
 
-    def _diff(self, coordinate):
+    def _apply(self, values, inputs):
+        numerator, denominator = values
+        if np.any(denominator == 0.0):
+            raise EvaluationError(f"zero denominator in {self.to_prefix()}")
+        return numerator / denominator
+
+    def _rule(self, coordinate):
         a, b = self.numerator, self.denominator
         da, db = a._diff(coordinate), b._diff(coordinate)
         return quotient(add(mul(da, b), mul(NEG_ONE, a, db)), power(b, 2))
 
     def to_prefix(self):
         return f"(/ {self.numerator.to_prefix()} {self.denominator.to_prefix()})"
+
+
+# Exponents with a correctly rounded numpy kernel; the rest go through np.power.
+_POWER_KERNELS = {Fraction(2): np.square, Fraction(-1): np.reciprocal, Fraction(1, 2): np.sqrt}
 
 
 @dataclass(frozen=True)
@@ -243,20 +282,21 @@ class Power(Expression):
     base: Expression
     exponent: Fraction
 
-    def _compute(self, point, memo):
-        base = self.base._eval(point, memo)
-        q = self.exponent
-        if q.denominator == 1:
-            if base == 0.0 and q < 0:
-                raise EvaluationError("zero base with negative exponent")
-            return base ** q.numerator
-        if base < 0.0:
-            raise EvaluationError("fractional power of a negative base")
-        if base == 0.0 and q < 0:
-            raise EvaluationError("zero base with negative exponent")
-        return base ** float(q)
+    @property
+    def children(self):
+        return (self.base,)
 
-    def _diff(self, coordinate):
+    def _apply(self, values, inputs):
+        (base,) = values
+        q = self.exponent
+        if q.denominator != 1 and np.any(base < 0.0):
+            raise EvaluationError("fractional power of a negative base")
+        if q < 0 and np.any(base == 0.0):
+            raise EvaluationError("zero base with negative exponent")
+        kernel = _POWER_KERNELS.get(q)
+        return kernel(base) if kernel is not None else np.power(base, float(q))
+
+    def _rule(self, coordinate):
         db = self.base._diff(coordinate)
         return mul(
             Constant(float(self.exponent)), power(self.base, self.exponent - 1), db
@@ -272,13 +312,18 @@ class Power(Expression):
 class Exp(Expression):
     arg: Expression
 
-    def _compute(self, point, memo):
-        try:
-            return math.exp(self.arg._eval(point, memo))
-        except OverflowError as err:
-            raise EvaluationError("exp overflow") from err
+    @property
+    def children(self):
+        return (self.arg,)
 
-    def _diff(self, coordinate):
+    def _apply(self, values, inputs):
+        (arg,) = values
+        out = np.exp(arg)
+        if np.any(np.isinf(out) & np.isfinite(arg)):
+            raise EvaluationError("exp overflow")
+        return out
+
+    def _rule(self, coordinate):
         return mul(exp(self.arg), self.arg._diff(coordinate))
 
     def to_prefix(self):
@@ -289,13 +334,17 @@ class Exp(Expression):
 class Log(Expression):
     arg: Expression
 
-    def _compute(self, point, memo):
-        value = self.arg._eval(point, memo)
-        if value <= 0.0:
-            raise EvaluationError(f"log of non-positive value {value}")
-        return math.log(value)
+    @property
+    def children(self):
+        return (self.arg,)
 
-    def _diff(self, coordinate):
+    def _apply(self, values, inputs):
+        (arg,) = values
+        if np.any(arg <= 0.0):
+            raise EvaluationError(f"log of non-positive value {np.min(arg)}")
+        return np.log(arg)
+
+    def _rule(self, coordinate):
         return quotient(self.arg._diff(coordinate), self.arg)
 
     def to_prefix(self):
@@ -306,10 +355,14 @@ class Log(Expression):
 class Sin(Expression):
     arg: Expression
 
-    def _compute(self, point, memo):
-        return math.sin(self.arg._eval(point, memo))
+    @property
+    def children(self):
+        return (self.arg,)
 
-    def _diff(self, coordinate):
+    def _apply(self, values, inputs):
+        return np.sin(values[0])
+
+    def _rule(self, coordinate):
         return mul(cos(self.arg), self.arg._diff(coordinate))
 
     def to_prefix(self):
@@ -320,14 +373,92 @@ class Sin(Expression):
 class Cos(Expression):
     arg: Expression
 
-    def _compute(self, point, memo):
-        return math.cos(self.arg._eval(point, memo))
+    @property
+    def children(self):
+        return (self.arg,)
 
-    def _diff(self, coordinate):
+    def _apply(self, values, inputs):
+        return np.cos(values[0])
+
+    def _rule(self, coordinate):
         return mul(NEG_ONE, sin(self.arg), self.arg._diff(coordinate))
 
     def to_prefix(self):
         return f"(cos {self.arg.to_prefix()})"
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+_INPUT_NAMES = COORDINATE_NAMES + ("m",)
+
+
+def _chart_inputs(at) -> dict:
+    """Input values by name from coordinate arrays or a list of ChartPoints.
+
+    A point list becomes one array per coordinate; a mass shared by all the
+    points stays a scalar.
+    """
+    if isinstance(at, Mapping):
+        return {name: at[name] for name in _INPUT_NAMES}
+    inputs = {
+        name: np.array([getattr(p, name) for p in at], dtype=float) for name in COORDINATE_NAMES
+    }
+    masses = {p.m for p in at}
+    inputs["m"] = masses.pop() if len(masses) == 1 else np.array([p.m for p in at], dtype=float)
+    return inputs
+
+
+def _schedule(roots):
+    """Post-order of the DAG under ``roots``, each node once (by identity)
+    with the ids of its children, and the number of consumers of each
+    node; roots count one extra so their values outlive the walk."""
+    order = []
+    uses = Counter(map(id, roots))
+    seen = set()
+    stack = [(root, None) for root in reversed(roots)]
+    while stack:
+        node, keys = stack.pop()
+        if keys is not None:
+            order.append((node, keys))
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        children = node.children
+        keys = tuple(map(id, children))
+        uses.update(keys)
+        stack.append((node, keys))
+        stack.extend((child, None) for child in children if id(child) not in seen)
+    return order, uses
+
+
+def evaluate_many(roots, at) -> list:
+    """Values of several expressions over a batch of chart points.
+
+    ``at`` is a sequence of ChartPoints or a mapping of the names u, v, r, t
+    and m to numbers or arrays that broadcast together (a sphere grid is a
+    colatitude column times an azimuth row, with r, t and m scalars).  Each
+    node of the shared DAG is computed once, constants stay scalars, and an
+    intermediate value is dropped after its last consumer.  Returns one
+    read-only array per root, shaped like the broadcast inputs.  Raises
+    EvaluationError if any point hits a guard: a zero denominator, the log
+    of a non-positive value, a fractional power of a negative base, a zero
+    base with a negative exponent, or an overflowing exp.
+    """
+    inputs = _chart_inputs(at)
+    shape = np.broadcast_shapes(*(np.shape(value) for value in inputs.values()))
+    order, uses = _schedule(roots)
+    values = {}
+    with np.errstate(all="ignore"):
+        for node, keys in order:
+            values[id(node)] = node._apply([values[key] for key in keys], inputs)
+            for key in keys:
+                uses[key] -= 1
+                if not uses[key]:
+                    del values[key]
+    return [np.broadcast_to(values[id(root)], shape) for root in roots]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .expressions import (
     COORDINATE_NAMES,
     ChartPoint,
@@ -33,6 +35,7 @@ from .expressions import (
     ZERO,
     add,
     const,
+    evaluate_many,
     is_zero,
     mul,
     power,
@@ -155,14 +158,19 @@ class KForm:
         return self.scaled(NEG_ONE)
 
     def evaluate_at(self, point: ChartPoint) -> dict:
-        return {index: coefficient.evaluate(point) for index, coefficient in self.terms}
+        values = evaluate_many([coefficient for _, coefficient in self.terms], point.as_dict())
+        return {index: float(value) for (index, _), value in zip(self.terms, values)}
+
+    def max_abs(self, at) -> np.ndarray:
+        """Largest coefficient magnitude at each point of ``at`` (a point list
+        or coordinate arrays, as for ``evaluate_many``); 0 for the empty form.
+        A NaN coefficient is passed over."""
+        values = evaluate_many([ZERO, *(coefficient for _, coefficient in self.terms)], at)
+        return np.fmax.reduce(np.abs(values), axis=0)
 
     def max_abs_at(self, point: ChartPoint) -> float:
         """Largest coefficient magnitude at a point (0 for the empty form)."""
-        worst = 0.0
-        for _, coefficient in self.terms:
-            worst = max(worst, abs(coefficient.evaluate(point)))
-        return worst
+        return float(self.max_abs(point.as_dict()))
 
 
 @dataclass(frozen=True)
@@ -199,7 +207,7 @@ class VectorField:
         return self.scaled(NEG_ONE)
 
     def evaluate_at(self, point: ChartPoint) -> tuple:
-        return tuple(component.evaluate(point) for component in self.components)
+        return tuple(map(float, evaluate_many(self.components, point.as_dict())))
 
 
 def basis_vector(axis: int) -> VectorField:
@@ -246,7 +254,8 @@ class MetricTensor:
         return tuple(tuple(self.entry(i, j) for j in range(DIM)) for i in range(DIM))
 
     def evaluate_at(self, point: ChartPoint) -> list:
-        return [[self.entry(i, j).evaluate(point) for j in range(DIM)] for i in range(DIM)]
+        entries = [self.entry(i, j) for i in range(DIM) for j in range(DIM)]
+        return np.reshape(evaluate_many(entries, point.as_dict()), (DIM, DIM)).tolist()
 
 
 def _det3(m) -> Expression:

@@ -26,10 +26,8 @@ import numpy as np
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
 from .exterior import DIM, KForm, VectorField
-from .reports import CheckResult
+from .reports import CheckResult, worst_point
 from .spacetime import FOUR_PI, SpacetimeModel, schwarzschild_factor
-
-_COORD_AXES = {"u": 0, "v": 1, "r": 2, "t": 3}
 
 
 class SingularSymplecticError(ValueError):
@@ -94,17 +92,26 @@ def hamiltonian_field(f: Expression, model: SpacetimeModel) -> HamiltonianField:
     return HamiltonianField(f, VectorField(components), closed_form)
 
 
+def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> np.ndarray:
+    """Numeric route over a batch of points: LU-solve the 4x4 system at each
+    one, giving an array of shape (points, 4)."""
+    matrix = symplectic_matrix(model)
+    # rows of the transposed matrix: components satisfy sum_i H^i P[i][j] = -df_j
+    entries = [matrix[j][i] for i in range(DIM) for j in range(DIM)]
+    gradient = [f.diff(name) for name in ex.COORDINATE_NAMES]
+    values = np.stack(ex.evaluate_many(entries + gradient, points), axis=-1)
+    system = values[:, : DIM * DIM].reshape(-1, DIM, DIM)
+    try:
+        return np.linalg.solve(system, -values[:, DIM * DIM :, None])[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise SingularSymplecticError("symplectic matrix singular at a sample point") from err
+
+
 def hamiltonian_at(f: Expression, model: SpacetimeModel, point: ChartPoint) -> np.ndarray:
     """Numeric route: LU-solve the 4x4 system at one point."""
-    matrix = symplectic_matrix(model)
-    numeric = np.array(
-        [[matrix[i][j].evaluate(point) for j in range(DIM)] for i in range(DIM)]
-    )
-    gradient = np.array([f.diff(name).evaluate(point) for name in ex.COORDINATE_NAMES])
     try:
-        # components satisfy sum_i H^i P[i][j] = -df_j
-        return np.linalg.solve(numeric.T, -gradient)
-    except np.linalg.LinAlgError as err:
+        return hamiltonian_values(f, model, [point])[0]
+    except SingularSymplecticError as err:
         raise SingularSymplecticError(f"symplectic matrix singular at {point}") from err
 
 
@@ -167,27 +174,13 @@ def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None) -> list
     """Numeric LU solve against the displayed closed forms, relative error."""
     references = coordinate_field_references(model)
     results = []
-    for name, axis in _COORD_AXES.items():
-        coordinate = ex.Coordinate(name)
-        reference = references[name]
-        worst = 0.0
-        worst_point = None
-        for point in points:
-            numeric = hamiltonian_at(coordinate, model, point)
-            expected = np.array(reference.evaluate_at(point))
-            scale = max(np.max(np.abs(expected)), 1e-300)
-            error = float(np.max(np.abs(numeric - expected)) / scale)
-            if error > worst:
-                worst, worst_point = error, point
-        results.append(
-            CheckResult.judged(
-                f"hamiltonian_{name}",
-                threshold,
-                worst,
-                worst_point.as_dict() if worst_point else None,
-                seed,
-            )
-        )
+    for name in ex.COORDINATE_NAMES:
+        numeric = hamiltonian_values(ex.Coordinate(name), model, points)
+        expected = np.stack(ex.evaluate_many(references[name].components, points), axis=-1)
+        scale = np.maximum(np.max(np.abs(expected), axis=-1), 1e-300)
+        errors = np.max(np.abs(numeric - expected), axis=-1) / scale
+        worst, at = worst_point(errors, points)
+        results.append(CheckResult.judged(f"hamiltonian_{name}", threshold, worst, at, seed))
     return results
 
 
@@ -211,92 +204,47 @@ def bracket_table(
     """
     if jacobi_points is None:
         jacobi_points = points
-    names = list(_COORD_AXES)
+    names = ex.COORDINATE_NAMES
     coordinates = {name: ex.Coordinate(name) for name in names}
     references = coordinate_bracket_references(model)
-    brackets = {}
-    for a in names:
-        for b in names:
-            brackets[(a, b)] = poisson_bracket(coordinates[a], coordinates[b], model)
-    table = {f"{a},{b}": brackets[(a, b)].to_prefix() for a in names for b in names}
+    pairs = [(a, b) for a in names for b in names]
+    brackets = {(a, b): poisson_bracket(coordinates[a], coordinates[b], model) for a, b in pairs}
+    table = {f"{a},{b}": brackets[(a, b)].to_prefix() for a, b in pairs}
+    nonzero = (("u", "v"), ("r", "t"))
+    computed = ex.evaluate_many(
+        [brackets[pair] for pair in pairs] + [references[pair] for pair in nonzero], points
+    )
+    values = dict(zip(pairs, computed))
 
     checks = []
-    for pair in (("u", "v"), ("r", "t")):
-        reference = references[pair]
-        worst = 0.0
-        worst_point = None
-        for point in points:
-            expected = reference.evaluate(point)
-            got = brackets[pair].evaluate(point)
-            error = abs(got - expected) / max(abs(expected), 1e-300)
-            if error > worst:
-                worst, worst_point = error, point
+    for pair, expected in zip(nonzero, computed[len(pairs) :]):
+        errors = np.abs(values[pair] - expected) / np.maximum(np.abs(expected), 1e-300)
+        worst, at = worst_point(errors, points)
         checks.append(
-            CheckResult.judged(
-                f"bracket_{pair[0]}{pair[1]}",
-                relative_threshold,
-                worst,
-                worst_point.as_dict() if worst_point else None,
-                seed,
-            )
+            CheckResult.judged(f"bracket_{pair[0]}{pair[1]}", relative_threshold, worst, at, seed)
         )
 
-    worst = 0.0
-    worst_point = None
-    for pair in (("u", "r"), ("u", "t"), ("v", "r"), ("v", "t")):
-        for point in points:
-            error = abs(brackets[pair].evaluate(point))
-            if error > worst:
-                worst, worst_point = error, point
-    checks.append(
-        CheckResult.judged(
-            "bracket_cross_zeros",
-            zero_threshold,
-            worst,
-            worst_point.as_dict() if worst_point else None,
-            seed,
-        )
-    )
+    cross = np.abs([values[pair] for pair in (("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"))])
+    worst, at = worst_point(cross, points)
+    checks.append(CheckResult.judged("bracket_cross_zeros", zero_threshold, worst, at, seed))
 
-    worst = 0.0
-    worst_point = None
-    for point in points:
-        for pair in [(a, b) for a in names for b in names]:
-            anti = brackets[pair].evaluate(point) + brackets[(pair[1], pair[0])].evaluate(point)
-            if abs(anti) > worst:
-                worst, worst_point = abs(anti), point
-    checks.append(
-        CheckResult.judged(
-            "bracket_antisymmetry",
-            zero_threshold,
-            worst,
-            worst_point.as_dict() if worst_point else None,
-            seed,
-        )
-    )
+    # scanned point by point, each point over all pairs
+    anti = np.abs(np.stack([values[(a, b)] + values[(b, a)] for a, b in pairs], axis=-1))
+    worst, at = worst_point(anti, points, axis=0)
+    checks.append(CheckResult.judged("bracket_antisymmetry", zero_threshold, worst, at, seed))
 
-    worst = 0.0
-    worst_point = None
+    cyclic = []
     for triple in (("u", "v", "r"), ("u", "v", "t"), ("u", "r", "t"), ("v", "r", "t")):
         f, g, h = (coordinates[n] for n in triple)
-        cyclic = ex.add(
-            poisson_bracket(f, poisson_bracket(g, h, model), model),
-            poisson_bracket(g, poisson_bracket(h, f, model), model),
-            poisson_bracket(h, poisson_bracket(f, g, model), model),
+        cyclic.append(
+            ex.add(
+                poisson_bracket(f, poisson_bracket(g, h, model), model),
+                poisson_bracket(g, poisson_bracket(h, f, model), model),
+                poisson_bracket(h, poisson_bracket(f, g, model), model),
+            )
         )
-        for point in jacobi_points:
-            error = abs(cyclic.evaluate(point))
-            if error > worst:
-                worst, worst_point = error, point
-    checks.append(
-        CheckResult.judged(
-            "jacobi_identity",
-            jacobi_threshold,
-            worst,
-            worst_point.as_dict() if worst_point else None,
-            seed,
-        )
-    )
+    worst, at = worst_point(np.abs(ex.evaluate_many(cyclic, jacobi_points)), jacobi_points)
+    checks.append(CheckResult.judged("jacobi_identity", jacobi_threshold, worst, at, seed))
     return checks, table
 
 
@@ -346,12 +294,9 @@ def sphere_sum(form: KForm, model: SpacetimeModel, n_u: int, n_v: int, r0: float
     u_weights = 0.5 * math.pi * weights
     azimuths = (np.arange(n_v) + 0.5) * (2.0 * math.pi / n_v)
     v_weight = 2.0 * math.pi / n_v
-    total = np.empty((n_u, n_v))
-    for i, (colatitude, u_weight) in enumerate(zip(colatitudes, u_weights)):
-        for j, azimuth in enumerate(azimuths):
-            point = ChartPoint(u=float(colatitude), v=float(azimuth), r=r0, t=t0, m=model.mass)
-            total[i, j] = u_weight * v_weight * coefficient.evaluate(point)
-    return float(np.sum(total))
+    grid = {"u": colatitudes[:, None], "v": azimuths[None, :], "r": r0, "t": t0, "m": model.mass}
+    (values,) = ex.evaluate_many([coefficient], grid)
+    return float(np.sum(u_weights[:, None] * v_weight * values))
 
 
 def surface_integral(form: KForm, spec: QuadratureSpec, model: SpacetimeModel) -> IntegralResult:

@@ -52,7 +52,7 @@ from .hamiltonian import (
     poisson_bracket,
     surface_integral,
 )
-from .reports import CheckResult
+from .reports import CheckResult, peak, worst_point
 from .spacetime import FOUR_PI, SpacetimeModel
 
 
@@ -153,7 +153,8 @@ class Section:
         )
 
     def evaluate_at(self, point: ChartPoint) -> complex:
-        return complex(self.re.evaluate(point), self.im.evaluate(point))
+        re, im = ex.evaluate_many([self.re, self.im], point.as_dict())
+        return complex(float(re), float(im))
 
     def magnitude_at(self, point: ChartPoint) -> float:
         return abs(self.evaluate_at(point))
@@ -161,6 +162,16 @@ class Section:
 
 ZERO_SECTION = Section(ex.ZERO, ex.ZERO)
 ONE_SECTION = Section(ex.ONE, ex.ZERO)
+
+
+def _scan(parts, sections, points) -> np.ndarray:
+    """Magnitudes of the sections ``parts(psi)`` builds, with one evaluation
+    per test section; shape (part, section, point)."""
+    magnitudes = []
+    for psi in sections:
+        values = ex.evaluate_many([x for built in parts(psi) for x in (built.re, built.im)], points)
+        magnitudes.append(np.hypot(values[0::2], values[1::2]))
+    return np.stack(magnitudes, axis=1)
 
 
 def covariant_derivative(
@@ -268,17 +279,12 @@ def verify_curvature_potential(
 ) -> CheckResult:
     """Check d(theta) equals the scaled symplectic form at sampled points."""
     residual = potential.curvature_residual(model)
-    worst = 0.0
-    worst_point = None
-    for point in points:
-        magnitude = residual.max_abs_at(point)
-        if magnitude > worst:
-            worst, worst_point = magnitude, point
+    worst, at = worst_point(residual.max_abs(points), points)
     return CheckResult.judged(
         "connection_curvature_potential",
         threshold,
         worst,
-        worst_point.as_dict() if worst_point else None,
+        at,
         seed,
         details={"scale_mode": potential.scale.value},
     )
@@ -293,31 +299,23 @@ def curvature_section_check(
     out and the identity is a direct statement about second covariant
     derivatives.
     """
-    worst = 0.0
-    worst_point = None
-    for a in range(4):
-        for b in range(a + 1, 4):
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+    def parts(psi):
+        residuals = []
+        for a, b in pairs:
             field_a, field_b = basis_vector(a), basis_vector(b)
-            coefficient = model.symplectic_form.coefficient((a, b))
-            factor = ex.quotient(coefficient, ex.M)
-            for psi in sections:
-                commutator = covariant_derivative(
-                    field_a, covariant_derivative(field_b, psi, potential), potential
-                ) - covariant_derivative(
-                    field_b, covariant_derivative(field_a, psi, potential), potential
-                )
-                residual = commutator + psi.times_i_scaled(factor)
-                for point in points:
-                    magnitude = residual.magnitude_at(point)
-                    if magnitude > worst:
-                        worst, worst_point = magnitude, point
-    return CheckResult.judged(
-        "connection_curvature_sections",
-        threshold,
-        worst,
-        worst_point.as_dict() if worst_point else None,
-        seed,
-    )
+            factor = ex.quotient(model.symplectic_form.coefficient((a, b)), ex.M)
+            commutator = covariant_derivative(
+                field_a, covariant_derivative(field_b, psi, potential), potential
+            ) - covariant_derivative(
+                field_b, covariant_derivative(field_a, psi, potential), potential
+            )
+            residuals.append(commutator + psi.times_i_scaled(factor))
+        return residuals
+
+    worst, at = worst_point(_scan(parts, sections, points), points)
+    return CheckResult.judged("connection_curvature_sections", threshold, worst, at, seed)
 
 
 def _commutator_displays(model) -> dict:
@@ -358,26 +356,32 @@ def commutator_check(
     bracket = poisson_bracket(f, h, model)
     zero_bracket = ex.is_zero(bracket)
     measured = {}
+    display_residual = None
     for hermitian in (True, False):
-        op_f = prequantum_operator(f, model, potential, hermitian)
-        op_h = prequantum_operator(h, model, potential, hermitian)
-        op_bracket = prequantum_operator(bracket, model, potential, hermitian)
-        worst = 0.0
-        worst_point = None
-        scale = 0.0
-        for psi in sections:
+        op_f, op_h, op_bracket = (
+            prequantum_operator(g, model, potential, hermitian) for g in (f, h, bracket)
+        )
+        op_display = None
+        if hermitian and display_reference is not None:
+            op_display = prequantum_operator(display_reference, model, potential, True)
+
+        def parts(psi):
             lhs = op_bracket.apply(psi)
             commutator = op_f.apply(op_h.apply(psi)) - op_h.apply(op_f.apply(psi))
             rhs = commutator.times_i_scaled(ex.const(-1.0 / model.mass))
-            residual = lhs - rhs
-            for point in points:
-                magnitude = residual.magnitude_at(point)
-                scale = max(scale, lhs.magnitude_at(point), rhs.magnitude_at(point))
-                if magnitude > worst:
-                    worst, worst_point = magnitude, point
-        measured[hermitian] = (worst, worst_point, scale)
+            built = [lhs - rhs, lhs, rhs]
+            if op_display is not None:
+                display = op_display.apply(psi).times_i_scaled(ex.const(FOUR_PI))
+                built += [commutator - display, display]
+            return built
 
-    worst, worst_point, scale = measured[True]
+        magnitudes = _scan(parts, sections, points)
+        worst, at = worst_point(magnitudes[0], points)
+        measured[hermitian] = (worst, at, peak(magnitudes[1:3]))
+        if op_display is not None:
+            display_residual = peak(magnitudes[3]) / max(peak(magnitudes[4]), 1e-300)
+
+    worst, at, scale = measured[True]
     if zero_bracket:
         error = worst
         threshold = absolute_threshold
@@ -394,29 +398,11 @@ def commutator_check(
         if zero_bracket
         else plain_worst / max(plain_scale, 1e-300),
     }
-
-    if display_reference is not None:
-        op_f = prequantum_operator(f, model, potential, True)
-        op_h = prequantum_operator(h, model, potential, True)
-        op_display = prequantum_operator(display_reference, model, potential, True)
-        display_worst = 0.0
-        display_scale = 0.0
-        for psi in sections:
-            commutator = op_f.apply(op_h.apply(psi)) - op_h.apply(op_f.apply(psi))
-            display = op_display.apply(psi).times_i_scaled(ex.const(FOUR_PI))
-            residual = commutator - display
-            for point in points:
-                display_worst = max(display_worst, residual.magnitude_at(point))
-                display_scale = max(display_scale, display.magnitude_at(point))
-        details["display_residual"] = display_worst / max(display_scale, 1e-300)
+    if display_residual is not None:
+        details["display_residual"] = display_residual
 
     return CheckResult.judged(
-        f"commutator_{pair_name}",
-        threshold,
-        error,
-        worst_point.as_dict() if worst_point else None,
-        seed,
-        details=details,
+        f"commutator_{pair_name}", threshold, error, at, seed, details=details
     )
 
 
@@ -468,30 +454,29 @@ def geometric_operator_report(
     area_slope = ex.mul(ex.const(2.0 * FOUR_PI), ex.R)
     volume_slope = ex.mul(ex.const(FOUR_PI), ex.power(ex.R, 2))
 
-    worst = 0.0
-    worst_point = None
-    scale = 0.0
+    chain = []
     for g, slope in ((ex.R, ex.ONE), (area, area_slope), (volume, volume_slope)):
         op_g = prequantum_operator(g, model, potential, hermitian)
-        for psi in sections:
+
+        def parts(psi):
             lhs = op_g.apply(psi)
             rhs = radius_op.derivative_part(psi).scaled_real(slope) - psi.scaled_real(g)
-            residual = lhs - rhs
-            for point in points:
-                magnitude = residual.magnitude_at(point)
-                scale = max(scale, lhs.magnitude_at(point))
-                if magnitude > worst:
-                    worst, worst_point = magnitude, point
-    chain = CheckResult.judged(
-        "operator_chain_rule",
-        chain_threshold,
-        worst / max(scale, 1e-300),
-        worst_point.as_dict() if worst_point else None,
-        seed,
-        details={"scale": scale},
-    )
+            return [lhs - rhs, lhs]
 
-    reports = [chain]
+        chain.append(_scan(parts, sections, points))
+    chain = np.stack(chain, axis=1)  # (part, function, section, point)
+    worst, at = worst_point(chain[0], points)
+    scale = peak(chain[1])
+    reports = [
+        CheckResult.judged(
+            "operator_chain_rule",
+            chain_threshold,
+            worst / max(scale, 1e-300),
+            at,
+            seed,
+            details={"scale": scale},
+        )
+    ]
     for name, g, prefactor, multiplier in (
         ("operator_printed_area_relation", area, ex.mul(ex.const(FOUR_PI), ex.R), 1.0),
         (
@@ -502,17 +487,16 @@ def geometric_operator_report(
         ),
     ):
         op_g = prequantum_operator(g, model, potential, hermitian)
-        worst = 0.0
-        scale = 0.0
-        for psi in sections:
+
+        def parts(psi):
             lhs = op_g.apply(psi)
             rhs = radius_op.apply(psi).scaled_real(prefactor) + radius_op.derivative_part(
                 psi
             ).scaled_real(ex.const(multiplier))
-            residual = lhs - rhs
-            for point in points:
-                worst = max(worst, residual.magnitude_at(point))
-                scale = max(scale, lhs.magnitude_at(point))
+            return [lhs - rhs, lhs]
+
+        residual, lhs = _scan(parts, sections, points)
+        worst, scale = peak(residual), peak(lhs)
         reports.append(
             CheckResult(
                 name,
@@ -561,21 +545,15 @@ def box_l2_norm(section: Section, model, box: Box, nodes: int = 6) -> float:
         x, w = np.polynomial.legendre.leggauss(nodes)
         grids.append(0.5 * (high - low) * (x + 1.0) + low)
         weights.append(0.5 * (high - low) * w)
-    total = 0.0
-    for iu, uu in enumerate(grids[0]):
-        for iv, vv in enumerate(grids[1]):
-            for ir, rr in enumerate(grids[2]):
-                for it, tt in enumerate(grids[3]):
-                    point = ChartPoint(u=float(uu), v=float(vv), r=float(rr), t=float(tt), m=model.mass)
-                    weight = (
-                        weights[0][iu] * weights[1][iv] * weights[2][ir] * weights[3][it]
-                    )
-                    total += (
-                        weight
-                        * 0.5
-                        * density.evaluate(point)
-                        * abs(section.evaluate_at(point)) ** 2
-                    )
+    # one axis per coordinate, so the grids broadcast to the full box
+    axes = [
+        np.reshape(grid, [-1 if k == axis else 1 for k in range(4)])
+        for axis, grid in enumerate(grids)
+    ]
+    weight = math.prod(np.reshape(w, np.shape(a)) for w, a in zip(weights, axes))
+    inputs = dict(zip(ex.COORDINATE_NAMES, axes), m=model.mass)
+    volume, re, im = ex.evaluate_many([density, section.re, section.im], inputs)
+    total = float(np.sum(weight * 0.5 * volume * np.hypot(re, im) ** 2))
     return math.sqrt(max(total, 0.0))
 
 

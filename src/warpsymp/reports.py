@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .expressions import evaluate_many
+
 # How a check's verdict follows from its worst value and threshold.
 BELOW = "below"  # a residual: passes when worst < threshold
 ABOVE = "above"  # a lower bound on a magnitude: passes when worst > threshold
@@ -51,25 +55,38 @@ class CheckResult:
         }
 
 
+def worst_point(magnitudes, points, start=0.0, axis=-1):
+    """The first strict maximum of ``magnitudes`` above ``start`` and the
+    point where it occurs.
+
+    Elements are scanned in C order, so an array shaped (section, point)
+    is read section by section; ``axis`` is the axis that indexes
+    ``points``.  NaN is never selected.  With nothing above ``start`` the
+    result is (start, None).
+    """
+    magnitudes = np.asarray(magnitudes, dtype=float)
+    above = magnitudes > start
+    if not above.any():
+        return start, None
+    worst = magnitudes[above].max()
+    flat_index = int(np.argmax(magnitudes == worst))
+    index = np.unravel_index(flat_index, magnitudes.shape)[axis]
+    return float(worst), points[index].as_dict()
+
+
+def peak(magnitudes) -> float:
+    """The largest of ``magnitudes`` and 0; NaN is passed over."""
+    return float(np.fmax.reduce(np.ravel(magnitudes), initial=0.0))
+
+
 def worst_expression_error(expression, points):
     """Max |expression| over points and the point achieving it."""
-    worst = -1.0
-    worst_point = None
-    for point in points:
-        magnitude = abs(expression.evaluate(point))
-        if magnitude > worst:
-            worst = magnitude
-            worst_point = point
-    return max(worst, 0.0), (worst_point.as_dict() if worst_point is not None else None)
+    (values,) = evaluate_many([expression], points)
+    worst, at = worst_point(np.abs(values), points, start=-1.0)
+    return max(worst, 0.0), at
 
 
 def worst_form_error(form, points):
     """Max coefficient magnitude of a form over points, with the point."""
-    worst = -1.0
-    worst_point = None
-    for point in points:
-        magnitude = form.max_abs_at(point)
-        if magnitude > worst:
-            worst = magnitude
-            worst_point = point
-    return max(worst, 0.0), (worst_point.as_dict() if worst_point is not None else None)
+    worst, at = worst_point(form.max_abs(points), points, start=-1.0)
+    return max(worst, 0.0), at

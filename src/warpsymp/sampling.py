@@ -52,16 +52,23 @@ OPERATOR_WINDOW = SampleWindow(
 def sample_points(
     mass: float, count: int, seed: int, window: SampleWindow = SampleWindow()
 ) -> list:
-    """Draw chart points reproducibly; identical arguments give identical points."""
+    """Draw chart points reproducibly; identical arguments give identical points.
+
+    One ``rng.random((count, 4))`` draw gives each point its log-radius,
+    colatitude, azimuth and time in that order, each as low + (high - low)
+    times a unit draw: the same stream and arithmetic as one
+    ``rng.uniform(low, high)`` call per coordinate and point.
+    """
     rng = np.random.default_rng(seed)
     r_low = 2.0 * mass * (1.0 + window.r_margin)
     r_high = window.r_max_factor * mass
     t_half = window.t_half_width_factor * mass
-    points = []
-    for _ in range(count):
-        radius = math.exp(rng.uniform(math.log(r_low), math.log(r_high)))
-        colatitude = rng.uniform(window.u_margin, math.pi - window.u_margin)
-        azimuth = rng.uniform(window.v_margin, 2.0 * math.pi - window.v_margin)
-        time = rng.uniform(-t_half, t_half)
-        points.append(ChartPoint(u=colatitude, v=azimuth, r=radius, t=time, m=mass))
-    return points
+    low = np.array([math.log(r_low), window.u_margin, window.v_margin, -t_half])
+    high = np.array(
+        [math.log(r_high), math.pi - window.u_margin, 2.0 * math.pi - window.v_margin, t_half]
+    )
+    draws = low + (high - low) * rng.random((count, 4))
+    return [
+        ChartPoint(u=colatitude, v=azimuth, r=math.exp(log_radius), t=time, m=mass)
+        for log_radius, colatitude, azimuth, time in draws.tolist()
+    ]

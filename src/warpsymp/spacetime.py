@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
 from .exterior import (
@@ -178,8 +180,7 @@ def generalized_static(
     residual = exterior_derivative(flux) + wedge(warp_differential, flux)
     points = sample_points(mass, check_samples, check_seed)
     worst, worst_point = worst_form_error(residual, points)
-    square = wedge(symplectic, symplectic)
-    square_magnitudes = [square.max_abs_at(p) for p in points]
+    square_magnitudes = wedge(symplectic, symplectic).max_abs(points)
     closure_check = CheckResult(
         name="flux_closure_hypothesis",
         passed=passes(worst, closure_threshold),
@@ -188,7 +189,7 @@ def generalized_static(
         worst_point=worst_point,
         seed=check_seed,
         assertable=False,
-        details={"symplectic_square_min": min(square_magnitudes, default=0.0)},
+        details={"symplectic_square_min": float(min(square_magnitudes, default=0.0))},
     )
     return SpacetimeModel(
         mass=mass,
@@ -296,20 +297,20 @@ def verify_symplectic(
 
     r_norm = metric_inner(model.gravitational_field, model.gravitational_field, model.metric)
     scale = ex.mul(ex.const(2.0 / FOUR_PI**2), model.lapse, r_norm)
-    square_identity = wedge(model.symplectic_form, model.symplectic_form) - model.volume_form.scaled(scale)
+    square = wedge(model.symplectic_form, model.symplectic_form)
+    square_identity = square - model.volume_form.scaled(scale)
     worst, worst_point = worst_form_error(square_identity, points)
     results.append(
         CheckResult.judged("symplectic_square_identity", threshold, worst, worst_point, seed)
     )
 
-    square = wedge(model.symplectic_form, model.symplectic_form)
-    values = [square.coefficient((0, 1, 2, 3)).evaluate(p) for p in points]
-    minimum = min(abs(value) for value in values) if values else 0.0
-    same_sign = all(value > 0 for value in values) or all(value < 0 for value in values)
+    (values,) = ex.evaluate_many([square.coefficient((0, 1, 2, 3))], points)
+    minimum = float(np.min(np.abs(values))) if values.size else 0.0
+    same_sign = bool(np.all(values > 0) or np.all(values < 0))
     results.append(
         CheckResult(
             "symplectic_nondegeneracy",
-            bool(values) and same_sign and minimum > 0.0,
+            values.size > 0 and same_sign and minimum > 0.0,
             0.0,
             minimum,
             None,
@@ -375,23 +376,23 @@ def foliation_report(
     volume3 = wedge(warp_differential.scaled(ex.NEG_ONE), model.flux_form)
     volume3_coefficient = volume3.coefficient((0, 1, 2))
 
-    sampled = []
-    pf_min = math.inf
-    vol_min = math.inf
-    for point in points:
-        pf = pfaffian.evaluate(point)
-        vol = volume3_coefficient.evaluate(point)
-        sampled.append({"point": point.as_dict(), "pfaffian": pf, "volume3": vol})
-        pf_min = min(pf_min, abs(pf) / model.mass)
-        vol_min = min(vol_min, abs(vol))
+    pfaffians, volumes = ex.evaluate_many([pfaffian, volume3_coefficient], points)
+    sampled = [
+        {"point": point.as_dict(), "pfaffian": float(pf), "volume3": float(vol)}
+        for point, pf, vol in zip(points, pfaffians, volumes)
+    ]
+    # fmin passes over NaN samples
+    pf_min = float(np.fmin.reduce(np.abs(pfaffians) / model.mass, initial=math.inf))
+    vol_min = float(np.fmin.reduce(np.abs(volumes), initial=math.inf))
 
     # Pfaffian / sin(u) must not depend on u if the pole degeneracy is a
     # pure coordinate effect; compare at two colatitudes, same radius.
-    reference_radius = 3.0 * model.mass
-    probe = []
-    for colatitude in (1e-3, math.pi / 2):
-        point = ChartPoint(u=colatitude, v=math.pi, r=reference_radius, t=0.0, m=model.mass)
-        probe.append(pfaffian.evaluate(point) / math.sin(colatitude))
+    probe_points = [
+        ChartPoint(u=colatitude, v=math.pi, r=3.0 * model.mass, t=0.0, m=model.mass)
+        for colatitude in (1e-3, math.pi / 2)
+    ]
+    (values,) = ex.evaluate_many([pfaffian], probe_points)
+    probe = [float(value) / math.sin(point.u) for value, point in zip(values, probe_points)]
     artifact = abs(probe[0] - probe[1]) <= 1e-9 * max(abs(probe[0]), abs(probe[1]))
 
     thresholds = {

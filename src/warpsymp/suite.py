@@ -26,6 +26,7 @@ import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from . import expressions as ex
-from .expressions import ChartPoint
 from .hamiltonian import (
     QuadratureSpec,
     bracket_table,
@@ -74,15 +74,33 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GroupInputs:
-    """What every check group of one suite run draws on."""
+    """What every check group of one suite run draws on.
+
+    The sample points and test sections are drawn on first use, so a run
+    draws only what its selected groups read.
+    """
 
     model: SpacetimeModel
     potential: ConnectionPotential
-    identity_points: list
-    operator_points: list
-    sections: list
     quadrature: QuadratureSpec
-    seed: int
+    config: RunConfig
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @cached_property
+    def identity_points(self) -> list:
+        return sample_points(self.config.mass, self.config.n_samples, self.seed)
+
+    @cached_property
+    def operator_points(self) -> list:
+        count = max(10, self.config.n_samples // 5)
+        return sample_points(self.config.mass, count, self.seed + 1, OPERATOR_WINDOW)
+
+    @cached_property
+    def sections(self) -> list:
+        return random_sections(self.config.mass, self.config.n_sections, self.seed + 2)
 
 
 def _foliation_checks(g: GroupInputs) -> list:
@@ -513,15 +531,10 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
     inputs = GroupInputs(
         model=model,
         potential=ConnectionPotential.monopole(model, scale),
-        identity_points=sample_points(config.mass, config.n_samples, config.seed),
-        operator_points=sample_points(
-            config.mass, max(10, config.n_samples // 5), config.seed + 1, OPERATOR_WINDOW
-        ),
-        sections=random_sections(config.mass, config.n_sections, config.seed + 2),
         quadrature=QuadratureSpec(
             n_u=config.n_u, n_v=config.n_v, r0=config.resolved_r0(), t0=config.t0
         ),
-        seed=config.seed,
+        config=config,
     )
 
     ordered = []
@@ -569,26 +582,20 @@ def emit_csv(what: str, config: RunConfig, path=None) -> Path:
         for n_u in (4, 8, 16, 32, 64):
             value = sphere_sum(model.symplectic_form, model, n_u, 2 * n_u, r0, config.t0)
             rows.append(f"{n_u},{abs(value - mass)!r}")
-    elif what == "bracket_grid":
-        rows.append("u,r,bracket_uv,bracket_rt")
-        bracket_uv = poisson_bracket(ex.U, ex.V, model)
-        bracket_rt = poisson_bracket(ex.R, ex.T, model)
-        for colatitude in np.linspace(0.3, math.pi - 0.3, 24):
-            for radius in np.geomspace(2.2 * mass, 50.0 * mass, 24):
-                point = ChartPoint(u=float(colatitude), v=1.0, r=float(radius), t=0.0, m=mass)
-                rows.append(
-                    f"{float(colatitude)!r},{float(radius)!r},"
-                    f"{bracket_uv.evaluate(point)!r},{bracket_rt.evaluate(point)!r}"
-                )
-    elif what == "omega_coefficient":
-        rows.append("u,r,coefficient")
-        coefficient = model.flux_form.coefficient((0, 1))
-        for colatitude in np.linspace(0.3, math.pi - 0.3, 24):
-            for radius in np.geomspace(2.2 * mass, 50.0 * mass, 24):
-                point = ChartPoint(u=float(colatitude), v=1.0, r=float(radius), t=0.0, m=mass)
-                rows.append(
-                    f"{float(colatitude)!r},{float(radius)!r},{coefficient.evaluate(point)!r}"
-                )
+    elif what in ("bracket_grid", "omega_coefficient"):
+        if what == "bracket_grid":
+            rows.append("u,r,bracket_uv,bracket_rt")
+            roots = [poisson_bracket(ex.U, ex.V, model), poisson_bracket(ex.R, ex.T, model)]
+        else:
+            rows.append("u,r,coefficient")
+            roots = [model.flux_form.coefficient((0, 1))]
+        colatitudes, radii = np.meshgrid(
+            np.linspace(0.3, math.pi - 0.3, 24), np.geomspace(2.2 * mass, 50.0 * mass, 24),
+            indexing="ij",
+        )
+        grid = {"u": colatitudes, "v": 1.0, "r": radii, "t": 0.0, "m": mass}
+        columns = [colatitudes, radii, *ex.evaluate_many(roots, grid)]
+        rows.extend(",".join(map(repr, row)) for row in zip(*(c.ravel().tolist() for c in columns)))
     elif what == "eigen_residual":
         rows.append("r,residual_abs")
         scale = CurvatureScale.PLAIN if config.scale_mode == "plain" else CurvatureScale.WEIL
@@ -596,10 +603,13 @@ def emit_csv(what: str, config: RunConfig, path=None) -> Path:
         kappa = 0.1 / mass
         re_f, im_f = separable_radial_residual(kappa, ex.ONE, 0.0, model, potential)
         psi = phase_section(kappa)
-        for radius in np.geomspace(2.2 * mass, 20.0 * mass, 60):
-            point = ChartPoint(u=math.pi / 2, v=math.pi, r=float(radius), t=0.0, m=mass)
-            factor = complex(re_f.evaluate(point), im_f.evaluate(point))
-            rows.append(f"{float(radius)!r},{abs(factor * psi.evaluate_at(point))!r}")
+        radii = np.geomspace(2.2 * mass, 20.0 * mass, 60)
+        line = {"u": math.pi / 2, "v": math.pi, "r": radii, "t": 0.0, "m": mass}
+        a, b, c, d = ex.evaluate_many([re_f, im_f, psi.re, psi.im], line)
+        # |(a + ib)(c + id)| multiplied out by hand: numpy's complex product may
+        # fuse multiply-adds and round differently from Python's complex type
+        residual = np.hypot(a * c - b * d, a * d + b * c)
+        rows.extend(f"{r!r},{value!r}" for r, value in zip(radii.tolist(), residual.tolist()))
 
     target.write_text("\n".join(rows) + "\n")
     return target

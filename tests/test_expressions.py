@@ -4,17 +4,20 @@ The differentiation oracle throughout is a central finite difference with
 Richardson extrapolation, kept independent of the symbolic rules it checks.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from warpsymp import expressions as ex
 from warpsymp.expressions import (
     ChartDomainError,
     ChartPoint,
     EvaluationError,
+    evaluate_many,
     parse_prefix,
 )
 
@@ -57,8 +60,8 @@ class TestEvaluate:
         assert ex.sin(ex.U).evaluate(point) == 1.0
 
     def test_shared_subtree_evaluated_once(self):
-        # evaluation memoises by node identity, so a heavily shared tree
-        # stays cheap; just confirm correctness on one
+        # evaluation visits each node of the DAG once, so a heavily shared
+        # tree stays cheap; just confirm correctness on one
         shared = ex.sin(ex.U) * ex.R
         tree = shared
         for _ in range(12):
@@ -81,6 +84,159 @@ class TestEvaluate:
         point = ChartPoint(u=1.0, v=1.0, r=3.0, t=-2.0, m=1.0)
         with pytest.raises(EvaluationError):
             ex.power(ex.T, Fraction(1, 2)).evaluate(point)
+
+
+def points_with_time(times):
+    return [ChartPoint(u=1.0, v=1.0, r=3.0, t=t, m=1.0) for t in times]
+
+
+class TestBatchedGuards:
+    """Each guard fires when a single point of a batch is bad."""
+
+    @pytest.mark.parametrize(
+        "expression, times",
+        [
+            (ex.quotient(ex.ONE, ex.T), (1.0, 0.0, 2.0)),
+            (ex.log(ex.T), (1.0, -2.0, 3.0)),
+            (ex.log(ex.T), (1.0, 0.0, 3.0)),
+            (ex.power(ex.T, Fraction(1, 2)), (1.0, -2.0, 3.0)),
+            (ex.power(ex.T, -1), (1.0, 0.0, 2.0)),
+            (ex.power(ex.T, Fraction(-1, 2)), (1.0, 0.0, 2.0)),
+            (ex.exp(ex.mul(ex.const(100.0), ex.T)), (1.0, 8.0, 2.0)),
+        ],
+        ids=["zero-denominator", "log-negative", "log-zero", "fractional-power-negative",
+             "zero-base-integer-exponent", "zero-base-fractional-exponent", "exp-overflow"],
+    )
+    def test_one_bad_point_raises(self, expression, times):
+        with pytest.raises(EvaluationError):
+            evaluate_many([ex.ONE, expression], points_with_time(times))
+        good = [t for t in times if t > 0 and t < 5.0]
+        (values,) = evaluate_many([expression], points_with_time(good))
+        assert np.all(np.isfinite(values))
+
+    def test_exp_overflow_at_one_point(self):
+        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=800.0, m=1.0)
+        with pytest.raises(EvaluationError):
+            ex.exp(ex.T).evaluate(point)
+
+
+class TestBatchedEvaluation:
+    def test_compensated_sum_recovers_the_small_term(self):
+        # the products keep the large constants out of add()'s constant fold
+        tree = ex.add(ex.mul(1e16, ex.M), ex.U, ex.mul(-1e16, ex.M))
+        assert isinstance(tree, ex.Sum) and len(tree.terms) == 3
+        points = [ChartPoint(u=u, v=1.0, r=3.0, t=0.0, m=1.0) for u in (0.1, 0.7, 1.3, 3.0)]
+        (values,) = evaluate_many([tree], points)
+        assert values.tolist() == [p.u for p in points]
+        assert [tree.evaluate(p) for p in points] == [p.u for p in points]
+
+    def test_one_point_matches_batch_bit_for_bit(self, model, points):
+        trees = [
+            model.symplectic_form.coefficient((0, 1)),
+            model.symplectic_form.coefficient((2, 3)).diff("r").diff("r"),
+            model.volume_form.coefficient((0, 1, 2, 3)),
+            ex.exp(ex.quotient(ex.T, ex.R)) + warp_expression().diff("r"),
+        ]
+        batched = evaluate_many(trees, points)
+        for tree, values in zip(trees, batched):
+            assert [tree.evaluate(p) for p in points] == values.tolist()
+
+    def test_grid_inputs_broadcast(self):
+        tree = ex.mul(ex.sin(ex.U), ex.cos(ex.V), ex.R)
+        u = np.array([0.5, 1.0, 1.5])[:, None]
+        v = np.array([1.0, 2.0])[None, :]
+        (values,) = evaluate_many([tree], {"u": u, "v": v, "r": 4.0, "t": 0.0, "m": 1.0})
+        assert values.shape == (3, 2)
+        assert values[2, 1] == tree.evaluate(ChartPoint(u=1.5, v=2.0, r=4.0, t=0.0, m=1.0))
+
+    def test_constant_root_has_the_batch_shape(self, points):
+        assert evaluate_many([ex.const(2.5)], points)[0].tolist() == [2.5] * len(points)
+
+    def test_derivative_is_cached_outside_the_fields(self):
+        tree = warp_expression()
+        first = tree.diff("r")
+        assert tree.diff("r") is first
+        assert [f.name for f in dataclasses.fields(tree)] == ["arg"]
+        assert tree == warp_expression() and hash(tree) == hash(warp_expression())
+
+
+def scalar_reference(node, point):
+    """Plain math-module value of a tree at one point, kept apart from the
+    package's evaluator."""
+    if isinstance(node, ex.Constant):
+        return node.value
+    if isinstance(node, ex.Coordinate):
+        return getattr(point, node.name)
+    if isinstance(node, ex.MassParameter):
+        return point.m
+    if isinstance(node, ex.Sum):
+        return math.fsum(scalar_reference(term, point) for term in node.terms)
+    if isinstance(node, ex.Product):
+        return math.prod(scalar_reference(factor, point) for factor in node.factors)
+    if isinstance(node, ex.Quotient):
+        return scalar_reference(node.numerator, point) / scalar_reference(node.denominator, point)
+    if isinstance(node, ex.Power):
+        return scalar_reference(node.base, point) ** float(node.exponent)
+    unary = {ex.Exp: math.exp, ex.Log: math.log, ex.Sin: math.sin, ex.Cos: math.cos}
+    return unary[type(node)](scalar_reference(node.arg, point))
+
+
+# Trees whose every node is positive, so no step cancels and the relative
+# error stays a few ulps per level: positive leaves, sums, products,
+# quotients and powers of positives, and the transcendental functions
+# shifted or squeezed to stay positive and bounded.
+_positive_leaf = st.one_of(
+    st.floats(min_value=0.1, max_value=10.0).map(ex.const),
+    st.sampled_from([ex.U, ex.V, ex.R, ex.T, ex.M]),
+)
+
+
+def _positive_combine(children):
+    pairs = st.tuples(children, children)
+    exponents = st.sampled_from(
+        [Fraction(q) for q in ("-2", "-1", "-1/2", "1/3", "1/2", "3/2", "2")]
+    )
+    return st.one_of(
+        pairs.map(lambda ab: ex.add(*ab)),
+        pairs.map(lambda ab: ex.mul(*ab)),
+        pairs.map(lambda ab: ex.quotient(*ab)),
+        st.tuples(children, exponents).map(lambda bq: ex.power(*bq)),
+        children.map(lambda e: ex.exp(ex.quotient(e, ex.ONE + e))),
+        children.map(lambda e: ex.log(ex.const(2.0) + e)),
+        children.map(lambda e: ex.const(2.0) + ex.sin(e)),
+        children.map(lambda e: ex.const(2.0) + ex.cos(e)),
+    )
+
+
+positive_trees = st.recursive(_positive_leaf, _positive_combine, max_leaves=10)
+
+positive_points = st.lists(
+    st.builds(
+        ChartPoint,
+        u=st.floats(min_value=0.1, max_value=math.pi - 0.1),
+        v=st.floats(min_value=0.1, max_value=2 * math.pi - 0.1),
+        r=st.floats(min_value=3.5, max_value=40.0),
+        t=st.floats(min_value=0.1, max_value=5.0),
+        m=st.sampled_from([0.5, 1.0, 1.5]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestEvaluatorProperty:
+    @given(trees=st.lists(positive_trees, min_size=1, max_size=3), points=positive_points)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, trees, points):
+        try:
+            expected = [[scalar_reference(tree, p) for p in points] for tree in trees]
+        except OverflowError:
+            assume(False)
+        assume(all(1e-250 < abs(x) < 1e250 for row in expected for x in row))
+        batched = evaluate_many(trees, points)
+        for tree, values, row in zip(trees, batched, expected):
+            np.testing.assert_allclose(values, row, rtol=1e-12, atol=0.0)
+            assert [tree.evaluate(p) for p in points] == values.tolist()
 
 
 class TestChartPoint:

@@ -17,9 +17,11 @@ from warpsymp.hamiltonian import (
     coordinate_field_references,
     hamiltonian_at,
     hamiltonian_field,
+    hamiltonian_values,
     poisson_bracket,
     sphere_sum,
     surface_integral,
+    symplectic_matrix,
     verify_hamiltonian_fields,
 )
 from warpsymp.spacetime import schwarzschild
@@ -89,6 +91,16 @@ class TestHamiltonianField:
                 expected = np.array(symbolic.evaluate_at(point))
                 scale = max(1.0, float(np.max(np.abs(expected))))
                 assert float(np.max(np.abs(numeric - expected))) < 1e-10 * scale
+
+    def test_batched_solve_matches_pointwise_solves(self, model, points):
+        matrix = symplectic_matrix(model)
+        for f in random_functions(3, seed=305):
+            batched = hamiltonian_values(f, model, points)
+            for point, got in zip(points, batched):
+                numeric = np.array([[entry.evaluate(point) for entry in row] for row in matrix])
+                gradient = np.array([f.diff(name).evaluate(point) for name in "uvrt"])
+                assert got.tolist() == np.linalg.solve(numeric.T, -gradient).tolist()
+                assert got.tolist() == hamiltonian_at(f, model, point).tolist()
 
     def test_numeric_solve_matches_displays(self, model, points):
         results = verify_hamiltonian_fields(model, points, seed=901)
@@ -257,6 +269,19 @@ class TestSurfaceIntegral:
         for previous, current in zip(errors, errors[1:]):
             assert current <= max(0.5 * previous, floor)
         assert errors[-1] < 1e-10
+
+    def test_grid_sum_matches_pointwise_loop(self, model):
+        coefficient = model.symplectic_form.coefficient((0, 1))
+        n_u, n_v = 6, 12
+        nodes, weights = np.polynomial.legendre.leggauss(n_u)
+        total = np.empty((n_u, n_v))
+        for i, (x, w) in enumerate(zip(nodes, weights)):
+            for j in range(n_v):
+                u, v = 0.5 * math.pi * (x + 1.0), (j + 0.5) * (2.0 * math.pi / n_v)
+                point = ChartPoint(u=float(u), v=float(v), r=3.5, t=0.2, m=model.mass)
+                weight = 0.5 * math.pi * w * (2.0 * math.pi / n_v)
+                total[i, j] = weight * coefficient.evaluate(point)
+        assert sphere_sum(model.symplectic_form, model, n_u, n_v, 3.5, 0.2) == float(np.sum(total))
 
     def test_spec_validation(self, model):
         with pytest.raises(ValueError):

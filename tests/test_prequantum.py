@@ -1,12 +1,14 @@
 """Connection, operator algebra, radial residuals, integrality."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from warpsymp import expressions as ex
 from warpsymp.expressions import ChartPoint
-from warpsymp.exterior import basis_vector
+from warpsymp.exterior import basis_vector, wedge
 from warpsymp.hamiltonian import QuadratureSpec
 from warpsymp.prequantum import (
     Box,
@@ -345,6 +347,28 @@ class TestRadialResiduals:
         # difference of rho^2 over the equispaced ells equals 2 d^2 ||psi||^2
         second_difference = norms[2.0] ** 2 - 2.0 * norms[2.5] ** 2 + norms[3.0] ** 2
         assert second_difference == pytest.approx(2.0 * 0.5**2 * psi_norm**2, rel=1e-9)
+
+    def test_norm_matches_pointwise_loop(self, model):
+        """A sequential sum of 6^4 positive terms, so the batched (pairwise)
+        sum agrees to within 6^4 ulp of the squared norm."""
+        box = Box(u=(0.8, 2.2), v=(1.0, 5.0), r=(2.6, 6.0), t=(-0.8, 0.8))
+        psi = random_sections(model.mass, 1, seed=77)[0]
+        density = wedge(model.symplectic_form, model.symplectic_form).coefficient((0, 1, 2, 3))
+        rules = [
+            (0.5 * (high - low) * (x + 1.0) + low, 0.5 * (high - low) * w)
+            for (low, high), (x, w) in zip(
+                box.intervals(), [np.polynomial.legendre.leggauss(6)] * 4
+            )
+        ]
+        total = 0.0
+        for (u, wu), (v, wv), (r, wr), (t, wt) in itertools.product(
+            *[list(zip(*rule)) for rule in rules]
+        ):
+            point = ChartPoint(u=float(u), v=float(v), r=float(r), t=float(t), m=model.mass)
+            weight = wu * wv * wr * wt
+            total += weight * 0.5 * density.evaluate(point) * psi.magnitude_at(point) ** 2
+        got = box_l2_norm(psi, model, box)
+        assert abs(got**2 - total) <= 6**4 * 2.220446049250313e-16 * total
 
     def test_norm_positive_for_nonminimal_shift(self, model, potential):
         box = Box.default(model.mass)

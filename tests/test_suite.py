@@ -174,6 +174,13 @@ class TestRunSuite:
         assert verdicts == {"hamiltonian_u": False, "hamiltonian_t": True}
 
 
+    def test_bracket_cross_zeros_has_no_worst_point_at_defaults(self):
+        # every cross bracket folds to the zero constant, so no point exceeds 0
+        (check,) = run_suite(RunConfig(), only="bracket_cross_zeros").checks
+        assert check["worst_error"] == 0.0
+        assert check["worst_point"] is None
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -357,6 +364,20 @@ class TestCli:
         assert len(calls) == 1
         printed = [line.split("] ")[1].split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert printed == [name for name in CHECK_CATALOGUE if name.startswith("commutator_")]
+
+    def test_prequant_commutators_draws_no_identity_points(self, monkeypatch, capsys):
+        drawn = []
+        sample_points = suite.sample_points
+
+        def recording(mass, count, seed, *args, **kwargs):
+            drawn.append((count, seed))
+            return sample_points(mass, count, seed, *args, **kwargs)
+
+        monkeypatch.setattr(suite, "sample_points", recording)
+        code = main(["prequant", "--commutators", "--sections", "1"])
+        assert code == 0
+        # only the 20 operator points (seed + 1) of the default 100-sample run
+        assert drawn == [(20, RunConfig().seed + 1)]
 
     def test_fixed_check_override_exit_code(self, capsys):
         assert main(["verify", "--tolerance", "symplectic_nondegeneracy=1"]) == 2
