@@ -22,6 +22,7 @@ from pathlib import Path
 from .reports import passes
 from .suite import (
     CHECK_CATALOGUE,
+    CONFIG_KEYS,
     CSV_KINDS,
     GROUP_CHECKS,
     ConfigError,
@@ -87,21 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "mass": args.mass,
-        "seed": args.seed,
-        "samples": args.samples,
-        "sections": args.sections,
-        "scale_mode": args.scale_mode,
-        "out": args.out,
-    }
-    if getattr(args, "r0", None) is not None:
-        overrides["r0"] = args.r0
-    if getattr(args, "nu", None) is not None:
-        overrides["nu"] = args.nu
-    if getattr(args, "nv", None) is not None:
-        overrides["nv"] = args.nv
-    overrides = {key: value for key, value in overrides.items() if value is not None}
+    # each flag's dest is its config key; unset or absent flags read None,
+    # which config_from_sources skips
+    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     for item in args.tolerance or ():
         if "=" not in item:
             raise ConfigError(f"--tolerance expects NAME=VALUE, got {item!r}")

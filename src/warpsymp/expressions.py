@@ -22,12 +22,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 COORDINATE_NAMES = ("u", "v", "r", "t")
+
+# Relative margin by which a radius must clear the horizon r = 2m.
+HORIZON_MARGIN = 1e-6
 
 
 class ChartDomainError(ValueError):
@@ -44,7 +47,7 @@ class ChartPoint:
     static time t, and the mass parameter m of the ambient model.
 
     The guard keeps r away from the horizon by the relative margin
-    ``horizon_margin``; the warp factor and its inverse powers blow up at
+    ``HORIZON_MARGIN``; the warp factor and its inverse powers blow up at
     r = 2m, so points closer than 2m(1 + margin) are rejected outright
     rather than silently producing garbage.
     """
@@ -54,7 +57,6 @@ class ChartPoint:
     r: float
     t: float
     m: float
-    horizon_margin: float = field(default=1e-6, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("u", "v", "r", "t", "m"):
@@ -66,10 +68,10 @@ class ChartPoint:
             raise ChartDomainError(f"colatitude u={self.u} outside (0, pi)")
         if not 0.0 < self.v < 2.0 * math.pi:
             raise ChartDomainError(f"azimuth v={self.v} outside (0, 2*pi)")
-        if self.r < 2.0 * self.m * (1.0 + self.horizon_margin):
+        if self.r < 2.0 * self.m * (1.0 + HORIZON_MARGIN):
             raise ChartDomainError(
                 f"radius r={self.r} violates the horizon guard "
-                f"r >= 2m(1+{self.horizon_margin}) for m={self.m}"
+                f"r >= 2m(1+{HORIZON_MARGIN}) for m={self.m}"
             )
 
     def as_dict(self) -> dict:

@@ -179,13 +179,6 @@ class VectorField:
 
     components: tuple  # 4 Expressions ordered (u, v, r, t)
 
-    @staticmethod
-    def from_components(components) -> "VectorField":
-        components = tuple(components)
-        if len(components) != DIM:
-            raise ValueError(f"need {DIM} components, got {len(components)}")
-        return VectorField(components)
-
     def apply(self, scalar: Expression) -> Expression:
         """Directional derivative of a scalar along the field."""
         return add(

@@ -38,17 +38,6 @@ class BlockStructureError(ValueError):
     """The symplectic form lacks the du^dv + dr^dt block layout."""
 
 
-@dataclass(frozen=True)
-class HamiltonianField:
-    """The Hamiltonian field of ``source``: symbolic solution plus, for the
-    four coordinate functions, the displayed closed form used as an
-    independent reference."""
-
-    source: Expression
-    field: VectorField
-    closed_form: VectorField | None = None
-
-
 def symplectic_matrix(model: SpacetimeModel):
     """Matrix P[i][j] = sympl(e_i, e_j) of coefficient expressions."""
     matrix = [[ex.ZERO for _ in range(DIM)] for _ in range(DIM)]
@@ -73,7 +62,7 @@ def _block_coefficients(model: SpacetimeModel):
     return angular, radial
 
 
-def hamiltonian_field(f: Expression, model: SpacetimeModel) -> HamiltonianField:
+def hamiltonian_field(f: Expression, model: SpacetimeModel) -> VectorField:
     """Solve i_H sympl = -df symbolically through the block structure.
 
     With sympl = a du^dv + b dr^dt the unique solution is
@@ -86,10 +75,7 @@ def hamiltonian_field(f: Expression, model: SpacetimeModel) -> HamiltonianField:
         ex.quotient(ex.mul(ex.NEG_ONE, f.diff("t")), radial),
         ex.quotient(f.diff("r"), radial),
     )
-    closed_form = None
-    if isinstance(f, ex.Coordinate):
-        closed_form = coordinate_field_references(model)[f.name]
-    return HamiltonianField(f, VectorField(components), closed_form)
+    return VectorField(components)
 
 
 def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> np.ndarray:
@@ -117,8 +103,8 @@ def hamiltonian_at(f: Expression, model: SpacetimeModel, point: ChartPoint) -> n
 
 def poisson_bracket(f: Expression, h: Expression, model: SpacetimeModel) -> Expression:
     """The bracket sympl(H_f, H_h) as an expression, evaluable anywhere."""
-    field_f = hamiltonian_field(f, model).field
-    field_h = hamiltonian_field(h, model).field
+    field_f = hamiltonian_field(f, model)
+    field_h = hamiltonian_field(h, model)
     pieces = []
     for (i, j), coefficient in model.symplectic_form.terms:
         pieces.append(
@@ -150,18 +136,24 @@ def coordinate_field_references(model: SpacetimeModel) -> dict:
 
 
 def coordinate_bracket_references(model: SpacetimeModel) -> dict:
-    """Displayed closed forms of the coordinate Poisson brackets."""
-    factor = schwarzschild_factor()
+    """Displayed closed forms of the coordinate Poisson brackets, read off
+    the field references: {a, b} = sympl(H_a, H_b) = -da(H_b) = -(H_b)^a."""
+    fields = coordinate_field_references(model)
+    names = ex.COORDINATE_NAMES
     return {
-        ("u", "v"): ex.quotient(ex.const(FOUR_PI), ex.mul(ex.M, ex.sin(ex.U))),
-        ("r", "t"): ex.mul(
-            ex.quotient(ex.mul(ex.const(FOUR_PI), ex.power(ex.R, 2)), ex.M),
-            ex.power(factor, Fraction(1, 2)),
-        ),
-        ("u", "r"): ex.ZERO,
-        ("u", "t"): ex.ZERO,
-        ("v", "r"): ex.ZERO,
-        ("v", "t"): ex.ZERO,
+        (a, b): ex.mul(ex.NEG_ONE, fields[b].components[i])
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
+
+
+def coordinate_commutator_displays(model: SpacetimeModel) -> dict:
+    """Closed forms whose hats the two nonzero commutators must reproduce:
+    [u-hat, v-hat] = 4 pi i (1/sin u)-hat and
+    [r-hat, t-hat] = 4 pi i (r^2 lapse)-hat."""
+    return {
+        ("u", "v"): ex.power(ex.sin(ex.U), -1),
+        ("r", "t"): ex.mul(ex.power(ex.R, 2), ex.power(schwarzschild_factor(), Fraction(1, 2))),
     }
 
 
@@ -308,7 +300,7 @@ def surface_integral(form: KForm, spec: QuadratureSpec, model: SpacetimeModel) -
     """
     if form.degree != 2:
         raise ValueError("surface integrals take 2-forms")
-    if spec.r0 < 2.0 * model.mass * (1.0 + 1e-6):
+    if spec.r0 < 2.0 * model.mass * (1.0 + ex.HORIZON_MARGIN):
         raise ValueError(
             f"sphere radius {spec.r0} is not outside the horizon of mass {model.mass}"
         )

@@ -46,8 +46,8 @@ from .exterior import (
     wedge,
 )
 from .hamiltonian import (
-    HamiltonianField,
     QuadratureSpec,
+    coordinate_commutator_displays,
     hamiltonian_field,
     poisson_bracket,
     surface_integral,
@@ -117,10 +117,6 @@ class Section:
 
     re: Expression
     im: Expression
-
-    @staticmethod
-    def constant(value: complex) -> "Section":
-        return Section(ex.const(value.real), ex.const(value.imag))
 
     def __add__(self, other):
         if not isinstance(other, Section):
@@ -196,14 +192,14 @@ class PrequantumOperator:
     """
 
     source: Expression
-    hamiltonian: HamiltonianField
+    field: VectorField
     potential: ConnectionPotential
     mass: float
     hermitian: bool = True
 
     def derivative_part(self, psi: Section) -> Section:
         """The (i) m nabla_{H_f} piece of the operator alone."""
-        gradient = covariant_derivative(self.hamiltonian.field, psi, self.potential)
+        gradient = covariant_derivative(self.field, psi, self.potential)
         if self.hermitian:
             return gradient.times_i_scaled(ex.const(self.mass))
         return gradient.scaled_real(ex.const(self.mass))
@@ -318,21 +314,6 @@ def curvature_section_check(
     return CheckResult.judged("connection_curvature_sections", threshold, worst, at, seed)
 
 
-def _commutator_displays(model) -> dict:
-    """Closed forms whose hats the two nonzero commutators must reproduce:
-    [u-hat, v-hat] = 4 pi i (1/sin u)-hat and
-    [r-hat, t-hat] = 4 pi i (r^2 lapse)-hat."""
-    from .spacetime import schwarzschild_factor
-    from fractions import Fraction
-
-    return {
-        ("u", "v"): ex.power(ex.sin(ex.U), -1),
-        ("r", "t"): ex.mul(
-            ex.power(ex.R, 2), ex.power(schwarzschild_factor(), Fraction(1, 2))
-        ),
-    }
-
-
 def commutator_check(
     f: Expression,
     h: Expression,
@@ -411,7 +392,7 @@ def commutator_suite(
 ) -> list:
     """All six coordinate-pair commutator checks, in a fixed order."""
     coordinates = {name: ex.Coordinate(name) for name in ("u", "v", "r", "t")}
-    displays = _commutator_displays(model)
+    displays = coordinate_commutator_displays(model)
     results = []
     for a, b in (("u", "v"), ("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"), ("r", "t")):
         results.append(
@@ -584,8 +565,8 @@ def separable_radial_residual(
         if not ex.is_zero(chi.diff(name)):
             raise ValueError("the radial profile chi must depend on r only")
     radial = hamiltonian_field(ex.R, model)
-    h = radial.field.components[3]
-    paired = pairing(potential.theta, radial.field)
+    h = radial.components[3]
+    paired = pairing(potential.theta, radial)
     if hermitian:
         re = ex.add(
             ex.mul(ex.const(-kappa), ex.M, h),

@@ -321,55 +321,24 @@ def verify_symplectic(
     return results
 
 
-@dataclass
-class FoliationReport:
-    """Sampled nondegeneracy data for the spatial foliation by spheres.
-
-    The leaf Pfaffian is the du^dv coefficient of the flux form restricted
-    to a sphere; the 3-form -d(warp)^flux is the induced volume on the
-    spatial slice.  Restricted to the 2-dimensional leaves every 2-form is
-    closed, so ``closed_on_leaves`` is recorded as structurally true.  The
-    Pfaffian vanishes like sin(u) toward the poles; the report checks that
-    this is a pure coordinate artifact (the ratio Pfaffian/sin(u) does not
-    depend on u) and flags it as such.
-    """
-
-    leaf_nondegenerate: bool
-    leaf_pfaffian_worst: float
-    volume3_nonvanishing: bool
-    volume3_worst: float
-    closed_on_leaves: bool
-    pole_degeneracy_is_coordinate_artifact: bool
-    thresholds: dict
-    seed: int | None
-    sampled_points: list
-
-    def to_dict(self) -> dict:
-        return {
-            "leaf_nondegenerate": self.leaf_nondegenerate,
-            "leaf_pfaffian_worst": self.leaf_pfaffian_worst,
-            "volume3_nonvanishing": self.volume3_nonvanishing,
-            "volume3_worst": self.volume3_worst,
-            "closed_on_leaves": self.closed_on_leaves,
-            "pole_degeneracy_is_coordinate_artifact": self.pole_degeneracy_is_coordinate_artifact,
-            "thresholds": self.thresholds,
-            "seed": self.seed,
-            "sampled_points": self.sampled_points,
-        }
-
-
 def foliation_report(
     model,
     points,
     pfaffian_threshold=1e-6,
     volume_threshold=1e-10,
     seed=None,
-) -> FoliationReport:
-    """Sample the leaf Pfaffian and the slice volume 3-form over chart points.
+) -> list:
+    """Sampled nondegeneracy checks for the spatial foliation by spheres.
 
-    ``pfaffian_threshold`` is compared against |Pfaffian|/m, which is
-    dimensionless; ``volume_threshold`` against the (already dimensionless)
-    coefficient of -d(warp)^flux.
+    The leaf Pfaffian is the du^dv coefficient of the flux form restricted
+    to a sphere; its minimum |Pfaffian|/m (dimensionless) must stay above
+    ``pfaffian_threshold``.  The 3-form -d(warp)^flux is the induced volume
+    on the spatial slice; the minimum magnitude of its (already
+    dimensionless) coefficient must stay above ``volume_threshold``.
+    Restricted to the 2-dimensional leaves every 2-form is closed, so leaf
+    closedness is structurally true.  The Pfaffian vanishes like sin(u)
+    toward the poles; the closedness details record whether this is a pure
+    coordinate artifact (the ratio Pfaffian/sin(u) does not depend on u).
     """
     pfaffian = model.flux_form.coefficient((0, 1))
     warp_differential = exterior_derivative(KForm.scalar(model.warp))
@@ -377,10 +346,6 @@ def foliation_report(
     volume3_coefficient = volume3.coefficient((0, 1, 2))
 
     pfaffians, volumes = ex.evaluate_many([pfaffian, volume3_coefficient], points)
-    sampled = [
-        {"point": point.as_dict(), "pfaffian": float(pf), "volume3": float(vol)}
-        for point, pf, vol in zip(points, pfaffians, volumes)
-    ]
     # fmin passes over NaN samples
     pf_min = float(np.fmin.reduce(np.abs(pfaffians) / model.mass, initial=math.inf))
     vol_min = float(np.fmin.reduce(np.abs(volumes), initial=math.inf))
@@ -395,18 +360,40 @@ def foliation_report(
     probe = [float(value) / math.sin(point.u) for value, point in zip(values, probe_points)]
     artifact = abs(probe[0] - probe[1]) <= 1e-9 * max(abs(probe[0]), abs(probe[1]))
 
-    thresholds = {
-        "pfaffian_over_mass": pfaffian_threshold,
-        "volume3": volume_threshold,
-    }
-    return FoliationReport(
-        leaf_nondegenerate=passes(pf_min, pfaffian_threshold, ABOVE),
-        leaf_pfaffian_worst=pf_min if math.isfinite(pf_min) else 0.0,
-        volume3_nonvanishing=passes(vol_min, volume_threshold, ABOVE),
-        volume3_worst=vol_min if math.isfinite(vol_min) else 0.0,
-        closed_on_leaves=True,
-        pole_degeneracy_is_coordinate_artifact=artifact,
-        thresholds=thresholds,
-        seed=seed,
-        sampled_points=sampled,
-    )
+    def lower_bound(name, minimum, threshold, bound):
+        return CheckResult(
+            name,
+            passes(minimum, threshold, ABOVE),
+            threshold,
+            minimum if math.isfinite(minimum) else 0.0,
+            None,
+            seed,
+            details={"bound": bound},
+        )
+
+    return [
+        lower_bound(
+            "foliation_leaf_pfaffian",
+            pf_min,
+            pfaffian_threshold,
+            "minimum |pfaffian|/mass over samples",
+        ),
+        lower_bound(
+            "foliation_volume_form",
+            vol_min,
+            volume_threshold,
+            "minimum |volume3 coefficient| over samples",
+        ),
+        CheckResult(
+            "foliation_leaf_closedness",
+            True,
+            0.0,
+            0.0,
+            None,
+            seed,
+            details={
+                "structural": "2-forms on 2-dimensional leaves are closed",
+                "pole_degeneracy_is_coordinate_artifact": artifact,
+            },
+        ),
+    ]

@@ -43,7 +43,6 @@ from .hamiltonian import (
     verify_hamiltonian_fields,
 )
 from .prequantum import (
-    Box,
     ConnectionPotential,
     CurvatureScale,
     commutator_suite,
@@ -101,42 +100,6 @@ class GroupInputs:
     @cached_property
     def sections(self) -> list:
         return random_sections(self.config.mass, self.config.n_sections, self.seed + 2)
-
-
-def _foliation_checks(g: GroupInputs) -> list:
-    report = foliation_report(g.model, g.identity_points, seed=g.seed)
-    return [
-        CheckResult(
-            "foliation_leaf_pfaffian",
-            report.leaf_nondegenerate,
-            report.thresholds["pfaffian_over_mass"],
-            report.leaf_pfaffian_worst,
-            None,
-            g.seed,
-            details={"bound": "minimum |pfaffian|/mass over samples"},
-        ),
-        CheckResult(
-            "foliation_volume_form",
-            report.volume3_nonvanishing,
-            report.thresholds["volume3"],
-            report.volume3_worst,
-            None,
-            g.seed,
-            details={"bound": "minimum |volume3 coefficient| over samples"},
-        ),
-        CheckResult(
-            "foliation_leaf_closedness",
-            report.closed_on_leaves,
-            0.0,
-            0.0,
-            None,
-            g.seed,
-            details={
-                "structural": "2-forms on 2-dimensional leaves are closed",
-                "pole_degeneracy_is_coordinate_artifact": report.pole_degeneracy_is_coordinate_artifact,
-            },
-        ),
-    ]
 
 
 def _sphere_integral_checks(g: GroupInputs) -> list:
@@ -208,7 +171,7 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "foliation",
-        _foliation_checks,
+        lambda g: foliation_report(g.model, g.identity_points, seed=g.seed),
         (
             Check("foliation_leaf_pfaffian", 1e-6, ABOVE),
             Check("foliation_volume_form", 1e-10, ABOVE),
@@ -312,7 +275,7 @@ GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHEC
 class RunConfig:
     """Configuration of a verification run.
 
-    ``r0`` and ``box`` default to mass-scaled values when left unset;
+    ``r0`` defaults to a mass-scaled value when left unset;
     ``tolerances`` overrides individual catalogue thresholds by name, except
     those of checks whose verdict is fixed.
     """
@@ -326,7 +289,6 @@ class RunConfig:
     n_v: int = 64
     r0: float | None = None
     t0: float = 0.0
-    box: Box | None = None
     scale_mode: str = "plain"
     output_dir: str = "."
 
@@ -351,31 +313,17 @@ class RunConfig:
                 raise ConfigError(f"tolerance for {name!r} must be positive")
         if self.scale_mode not in ("plain", "weil"):
             raise ConfigError(f"scale_mode must be 'plain' or 'weil', got {self.scale_mode!r}")
-        horizon = 2.0 * self.mass * (1.0 + 1e-6)
+        horizon = 2.0 * self.mass * (1.0 + ex.HORIZON_MARGIN)
         if self.r0 is not None and not self.r0 > horizon:
             raise ConfigError(f"sphere radius r0={self.r0} must exceed {horizon}")
-        if self.box is not None:
-            for name, (low, high) in zip("uvrt", self.box.intervals()):
-                if not low < high:
-                    raise ConfigError(f"box interval {name} must be increasing")
-            if not (0.0 < self.box.u[0] and self.box.u[1] < math.pi):
-                raise ConfigError("box colatitude interval must sit inside (0, pi)")
-            if not (0.0 < self.box.v[0] and self.box.v[1] < 2.0 * math.pi):
-                raise ConfigError("box azimuth interval must sit inside (0, 2 pi)")
-            if not self.box.r[0] > horizon:
-                raise ConfigError("box radial interval must sit outside the horizon")
 
     def resolved_r0(self) -> float:
         return 3.0 * self.mass if self.r0 is None else self.r0
-
-    def resolved_box(self) -> Box:
-        return Box.default(self.mass) if self.box is None else self.box
 
     def tolerance(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def echo(self) -> dict:
-        box = self.resolved_box()
         return {
             "mass": self.mass,
             "seed": self.seed,
@@ -386,7 +334,6 @@ class RunConfig:
             "n_v": self.n_v,
             "r0": self.resolved_r0(),
             "t0": self.t0,
-            "box": {"u": list(box.u), "v": list(box.v), "r": list(box.r), "t": list(box.t)},
             "scale_mode": self.scale_mode,
             "output_dir": self.output_dir,
         }
@@ -396,9 +343,10 @@ class RunConfig:
 # Configuration files: flat "key = value" lines, '#' comments.
 # ---------------------------------------------------------------------------
 
-# Config key -> (RunConfig field, parser).  ``tolerance.NAME`` and the box
-# intervals are gathered apart and applied after every key is read.
-_CONFIG_KEYS = {
+# Config key -> (RunConfig field, parser); the CLI flags carry the same names.
+# ``tolerance.NAME`` keys are gathered apart and applied after every key is
+# read.
+CONFIG_KEYS = {
     "mass": ("mass", float),
     "seed": ("seed", int),
     "samples": ("n_samples", int),
@@ -410,7 +358,6 @@ _CONFIG_KEYS = {
     "scale_mode": ("scale_mode", str),
     "out": ("output_dir", str),
 }
-_BOX_KEYS = ("box_u", "box_v", "box_r", "box_t")
 
 
 def load_config_file(path) -> dict:
@@ -424,20 +371,10 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not (key in _CONFIG_KEYS or key in _BOX_KEYS or key.startswith("tolerance.")):
+        if not (key in CONFIG_KEYS or key.startswith("tolerance.")):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value
     return raw
-
-
-def _parse_interval(text: str, key: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{key} must be 'low,high'")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as err:
-        raise ConfigError(f"{key} must be numeric: {text!r}") from err
 
 
 def config_from_sources(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
@@ -447,16 +384,13 @@ def config_from_sources(file_values: dict | None = None, overrides: dict | None 
 
     config = RunConfig()
     tolerances = {}
-    box_parts = {}
     try:
         for key, value in merged.items():
-            if key in _CONFIG_KEYS:
-                name, parse = _CONFIG_KEYS[key]
+            if key in CONFIG_KEYS:
+                name, parse = CONFIG_KEYS[key]
                 setattr(config, name, parse(value))
             elif key.startswith("tolerance."):
                 tolerances[key.split(".", 1)[1]] = float(value)
-            elif key in _BOX_KEYS:
-                box_parts[key[-1]] = _parse_interval(str(value), key)
             else:
                 raise ConfigError(f"unknown configuration key {key!r}")
     except (TypeError, ValueError) as err:
@@ -464,14 +398,6 @@ def config_from_sources(file_values: dict | None = None, overrides: dict | None 
             raise
         raise ConfigError(f"bad configuration value: {err}") from err
     config.tolerances = tolerances
-    if box_parts:
-        default = Box.default(config.mass)
-        config.box = Box(
-            u=box_parts.get("u", default.u),
-            v=box_parts.get("v", default.v),
-            r=box_parts.get("r", default.r),
-            t=box_parts.get("t", default.t),
-        )
     config.validate()
     return config
 

@@ -179,17 +179,17 @@ class TestSymplecticTheorem:
 
 class TestFoliation:
     def test_leaf_pfaffian_closed_form(self, model, points):
-        report = foliation_report(model, points, seed=901)
-        assert report.leaf_nondegenerate
-        assert report.volume3_nonvanishing
-        assert report.closed_on_leaves
+        pfaffian_check, volume_check, closedness = foliation_report(model, points, seed=901)
+        assert pfaffian_check.passed
+        assert volume_check.passed
+        assert closedness.passed
         point = ChartPoint(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
         pfaffian = model.flux_form.coefficient((0, 1)).evaluate(point)
         assert pfaffian == pytest.approx(0.13783222385544802, rel=1e-12)
 
     def test_pole_degeneracy_flagged_as_coordinate_artifact(self, model, points):
-        report = foliation_report(model, points)
-        assert report.pole_degeneracy_is_coordinate_artifact
+        *_, closedness = foliation_report(model, points)
+        assert closedness.details["pole_degeneracy_is_coordinate_artifact"]
         # the Pfaffian itself does vanish like sin(u) toward the pole
         near_pole = ChartPoint(u=1e-3, v=1.0, r=3.0, t=0.0, m=1.0)
         equator = ChartPoint(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
@@ -209,10 +209,13 @@ class TestFoliation:
             )
 
     def test_report_serialises(self, model, points):
-        report = foliation_report(model, points, seed=901)
-        payload = report.to_dict()
-        assert payload["thresholds"]["pfaffian_over_mass"] > 0
-        assert len(payload["sampled_points"]) == len(points)
+        payloads = [result.to_dict() for result in foliation_report(model, points, seed=901)]
+        assert [p["check_name"] for p in payloads] == [
+            "foliation_leaf_pfaffian",
+            "foliation_volume_form",
+            "foliation_leaf_closedness",
+        ]
+        assert payloads[0]["threshold"] > 0
 
 
 class TestGeneralizedConstructor:

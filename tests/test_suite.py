@@ -6,8 +6,7 @@ import math
 import pytest
 
 from warpsymp import suite
-from warpsymp.cli import main
-from warpsymp.prequantum import Box
+from warpsymp.cli import _config_from_args, build_parser, main
 from warpsymp.suite import (
     CHECK_CATALOGUE,
     DEFAULT_TOLERANCES,
@@ -195,8 +194,6 @@ class TestRunConfig:
             RunConfig(tolerances={"gradient_relation": -1.0}).validate()
         with pytest.raises(ConfigError):
             RunConfig(r0=1.0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(box=Box(u=(0.5, 4.0), v=(1, 2), r=(3, 5), t=(0, 1))).validate()
 
     def test_fixed_checks_refuse_overrides(self):
         for name in FIXED_CHECKS:
@@ -206,7 +203,6 @@ class TestRunConfig:
     def test_mass_scaled_defaults(self):
         config = RunConfig(mass=4.0)
         assert config.resolved_r0() == 12.0
-        assert config.resolved_box().r == (10.0, 32.0)
 
     def test_echo_is_json_ready(self):
         echo = RunConfig().echo()
@@ -224,7 +220,6 @@ class TestConfigFile:
             "samples = 25\n"
             "scale_mode = weil\n"
             "tolerance.jacobi_identity = 1e-8\n"
-            "box_r = 6.5,12.5\n"
             "sections = 4\n"
             "nu = 8\n"
             "nv = 16\n"
@@ -239,15 +234,15 @@ class TestConfigFile:
         assert config.n_samples == 25
         assert config.scale_mode == "weil"
         assert config.tolerances == {"jacobi_identity": 1e-8}
-        assert config.box.r == (6.5, 12.5)
         assert (config.n_sections, config.n_u, config.n_v) == (4, 8, 16)
         assert (config.r0, config.t0, config.output_dir) == (7.5, 0.25, "results")
 
     def test_unknown_key_rejected(self, tmp_path):
         config_file = tmp_path / "run.cfg"
-        config_file.write_text("masss = 2.0\n")
-        with pytest.raises(ConfigError):
-            load_config_file(config_file)
+        for line in ("masss = 2.0\n", "box_r = 5.0,16.0\n"):
+            config_file.write_text(line)
+            with pytest.raises(ConfigError):
+                load_config_file(config_file)
 
     def test_malformed_line_rejected(self, tmp_path):
         config_file = tmp_path / "run.cfg"
@@ -396,6 +391,25 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["check", "not_a_check"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, field, expected",
+        [
+            ("--mass", "2.5", "mass", 2.5),
+            ("--seed", "7", "seed", 7),
+            ("--samples", "25", "n_samples", 25),
+            ("--sections", "4", "n_sections", 4),
+            ("--scale-mode", "weil", "scale_mode", "weil"),
+            ("--out", "results", "output_dir", "results"),
+            ("--r0", "7.5", "r0", 7.5),
+            ("--nu", "8", "n_u", 8),
+            ("--nv", "16", "n_v", 16),
+        ],
+    )
+    def test_flag_reaches_its_config_field(self, flag, value, field, expected):
+        config = _config_from_args(build_parser().parse_args(["integrate", flag, value]))
+        assert getattr(config, field) == expected
+        assert getattr(RunConfig(), field) != expected
 
     def test_config_file_flow(self, tmp_path, capsys):
         config_file = tmp_path / "run.cfg"
