@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -160,14 +161,37 @@ ZERO_SECTION = Section(ex.ZERO, ex.ZERO)
 ONE_SECTION = Section(ex.ONE, ex.ZERO)
 
 
+# The section every operator tree is built over: its leaves are the jets
+# of psi, so one tree serves all test sections.
+_SYMBOLIC_SECTION = Section(ex.SectionJet("re"), ex.SectionJet("im"))
+
+
 def _scan(parts, sections, points) -> np.ndarray:
-    """Magnitudes of the sections ``parts(psi)`` builds, with one evaluation
-    per test section; shape (part, section, point)."""
-    magnitudes = []
-    for psi in sections:
-        values = ex.evaluate_many([x for built in parts(psi) for x in (built.re, built.im)], points)
-        magnitudes.append(np.hypot(values[0::2], values[1::2]))
-    return np.stack(magnitudes, axis=1)
+    """Magnitudes of the sections ``parts(psi)`` builds for every test
+    section psi; shape (part, section, point).
+
+    The operators are linear differential operators in psi, so ``parts``
+    builds its trees once, over the symbolic section.  The jets those trees
+    read are evaluated for every test section in one batch and stacked to
+    (section, point); the trees are then evaluated once, with the point
+    coordinates broadcast against the jets.
+    """
+    roots = [x for built in parts(_SYMBOLIC_SECTION) for x in (built.re, built.im)]
+    jets = ex.section_jets(roots)
+    inputs = ex.chart_inputs(points)
+    count = len(sections)
+    derivatives = ex.evaluate_many(
+        [
+            reduce(Expression.diff, jet.index, getattr(psi, jet.part))
+            for jet in jets
+            for psi in sections
+        ],
+        inputs,
+    )
+    for k, jet in enumerate(jets):
+        inputs[jet] = np.stack(derivatives[k * count : (k + 1) * count])
+    values = ex.evaluate_many(roots, inputs)
+    return np.hypot(values[0::2], values[1::2])
 
 
 def covariant_derivative(

@@ -17,6 +17,7 @@ from warpsymp.expressions import (
     ChartDomainError,
     ChartPoint,
     EvaluationError,
+    SectionJet,
     evaluate_many,
     parse_prefix,
 )
@@ -383,6 +384,37 @@ class TestPrefixForm:
             parse_prefix("(bogus 1.0)")
         with pytest.raises(ValueError):
             parse_prefix("")
+
+
+class TestSectionJet:
+    def test_mixed_partials_are_one_jet(self):
+        jet = SectionJet("re")
+        assert jet.diff("r").diff("t") == jet.diff("t").diff("r") == SectionJet("re", ("r", "t"))
+        assert hash(jet.diff("r").diff("t")) == hash(jet.diff("t").diff("r"))
+
+    def test_extra_mapping_key_reaches_the_jet(self):
+        jet = SectionJet("im", ("u",))
+        tree = ex.add(ex.mul(ex.R, jet), ex.U)
+        r = np.array([3.0, 4.0, 5.0])
+        u = np.array([0.5, 1.0, 1.5])
+        jets = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 0.25]])  # (section, point)
+        inputs = {"u": u, "v": 1.0, "r": r, "t": 0.0, "m": 1.0, jet: jets}
+        (values,) = evaluate_many([tree], inputs)
+        assert values.shape == (2, 3)
+        assert values.tolist() == (r * jets + u).tolist()
+
+    def test_prefix_round_trip(self):
+        jet = SectionJet("re", ("r", "t"))
+        assert jet.to_prefix() == "(jet re r t)"
+        assert parse_prefix("(jet re r t)") == jet
+        tree = ex.mul(ex.R, SectionJet("im"), ex.cos(ex.V))
+        assert tree.to_prefix() == "(* r (jet im) (cos v))"
+        assert parse_prefix(tree.to_prefix()) == tree
+
+    @pytest.mark.parametrize("text", ["(jet)", "(jet phase)", "(jet re t r)", "(jet re x)"])
+    def test_rejects_malformed_jet(self, text):
+        with pytest.raises(ValueError):
+            parse_prefix(text)
 
 
 class TestFoldingRules:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from warpsymp import expressions as ex
-from warpsymp.expressions import ChartPoint
+from warpsymp import prequantum
+from warpsymp.expressions import ChartPoint, EvaluationError
 from warpsymp.exterior import basis_vector, wedge
 from warpsymp.hamiltonian import QuadratureSpec
 from warpsymp.prequantum import (
@@ -32,6 +33,7 @@ from warpsymp.prequantum import (
     separable_radial_residual,
     verify_curvature_potential,
 )
+from warpsymp.reports import peak
 from warpsymp.spacetime import schwarzschild
 
 FOUR_PI = 4.0 * math.pi
@@ -291,6 +293,107 @@ class TestGeometricOperators:
         rhs = operator.derivative_part(psi) - psi.scaled_real(ex.R)
         for point in points[:4]:
             assert lhs.evaluate_at(point) == rhs.evaluate_at(point)
+
+
+def per_section_scan(parts, sections, points):
+    """``_scan`` without jets: the concrete trees of each test section,
+    built and evaluated one section at a time; shape (part, section, point)."""
+    magnitudes = []
+    for psi in sections:
+        values = ex.evaluate_many([x for built in parts(psi) for x in (built.re, built.im)], points)
+        magnitudes.append(np.hypot(values[0::2], values[1::2]))
+    return np.stack(magnitudes, axis=1)
+
+
+def assert_scan_matches(jets, concrete, residuals=(0,), residual_tol=1e-12):
+    """Parts agree to relative 1e-12 of the scan's largest magnitude, and
+    the residual parts, which cancel larger terms, to ``residual_tol`` of
+    it.  Test sections are of order one, so the scale is at least 1 for
+    scans made of residuals alone."""
+    assert jets.shape == concrete.shape
+    scale = max(1.0, peak(concrete))
+    for k, (jet_part, concrete_part) in enumerate(zip(jets, concrete)):
+        if k in residuals:
+            np.testing.assert_allclose(jet_part, concrete_part, rtol=0, atol=residual_tol * scale)
+        else:
+            np.testing.assert_allclose(jet_part, concrete_part, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestJetScan:
+    """``_scan`` builds its trees once over section jets and must agree with
+    the concrete trees of every test section."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        recorded = []
+        jet_scan = prequantum._scan
+
+        def recording(parts, sections, points):
+            jets = jet_scan(parts, sections, points)
+            # the checks rebind the operators their parts use in a loop, so
+            # the concrete trees are built now, before the next iteration
+            recorded.append((jets, per_section_scan(parts, sections, points)))
+            return jets
+
+        monkeypatch.setattr(prequantum, "_scan", recording)
+        return recorded
+
+    @pytest.mark.parametrize("seed", [414, 7, 2024])
+    def test_matches_per_section_trees(self, model, potential, operator_points, scans, seed):
+        sections = random_sections(model.mass, 3, seed)
+        curvature_section_check(model, potential, sections, operator_points)
+        ((jets, concrete),) = scans
+        assert jets.shape == (6, 3, len(operator_points))
+        assert_scan_matches(jets, concrete, residuals=range(6))
+
+        scans.clear()
+        commutator_suite(model, potential, sections, operator_points)
+        # hermitian then nonhermitian for each pair; uv and rt carry the
+        # two display parts in their hermitian pass
+        assert [len(jets) for jets, _ in scans] == [5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 5, 3]
+        for jets, concrete in scans:
+            # parts: residual, bracket side, commutator side, and for uv and
+            # rt the display residual and display.  A residual cancels two
+            # operator products larger than the bracket side, so its
+            # roundoff relative to the scan's peak is larger too (the checks
+            # report up to 7e-12 at defaults).  Where the bracket folds to
+            # zero, the commutator side is a residual as well.
+            residuals = {0, 3} | ({2} if peak(concrete[1]) == 0.0 else set())
+            assert_scan_matches(jets, concrete, residuals, residual_tol=1e-11)
+
+        scans.clear()
+        geometric_operator_report(model, potential, sections, operator_points)
+        assert [len(jets) for jets, _ in scans] == [2] * 5
+        for jets, concrete in scans:
+            assert_scan_matches(jets, concrete)
+
+    def test_second_order_parts(self, potential, sections, operator_points):
+        # the check parts are first order in psi once the commutators cancel,
+        # so second-order jets are compared here on parts that keep them
+        def parts(psi):
+            return [
+                covariant_derivative(
+                    basis_vector(a), covariant_derivative(basis_vector(b), psi, potential), potential
+                )
+                for a, b in ((2, 3), (3, 2), (0, 0), (1, 2))
+            ]
+
+        jets = prequantum._scan(parts, sections, operator_points)
+        assert_scan_matches(jets, per_section_scan(parts, sections, operator_points), residuals=())
+
+    def test_guard_at_one_point_raises(self, potential, operator_points):
+        # 1/(t - t0) has a zero denominator at the one sample point with t = t0
+        pole = ex.quotient(ex.ONE, ex.T - ex.const(operator_points[4].t))
+        sections = [ONE_SECTION, Section(pole, ex.ZERO)]
+
+        def parts(psi):
+            return [covariant_derivative(basis_vector(3), psi, potential)]
+
+        assert prequantum._scan(parts, sections[:1], operator_points).shape == (
+            1, 1, len(operator_points)
+        )
+        with pytest.raises(EvaluationError):
+            prequantum._scan(parts, sections, operator_points)
 
 
 class TestRadialResiduals:

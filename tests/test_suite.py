@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from warpsymp import suite
+from warpsymp import prequantum, suite
 from warpsymp.cli import _config_from_args, build_parser, main
 from warpsymp.suite import (
     CHECK_CATALOGUE,
@@ -172,6 +172,28 @@ class TestRunSuite:
         verdicts = {check["check_name"]: check["pass"] for check in report.checks}
         assert verdicts == {"hamiltonian_u": False, "hamiltonian_t": True}
 
+
+    def test_operator_trees_do_not_scale_with_sections(self, monkeypatch):
+        """The commutator trees are built once over the symbolic section, so
+        the number of covariant derivatives taken does not grow with the
+        number of test sections."""
+        calls = []
+        covariant_derivative = prequantum.covariant_derivative
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return covariant_derivative(*args, **kwargs)
+
+        monkeypatch.setattr(prequantum, "covariant_derivative", counting)
+        counts = []
+        for n_sections in (1, 10):
+            calls.clear()
+            report = run_suite(
+                RunConfig(n_samples=10, n_sections=n_sections), only=suite.GROUP_CHECKS["commutators"]
+            )
+            assert report.all_passed
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_bracket_cross_zeros_has_no_worst_point_at_defaults(self):
         # every cross bracket folds to the zero constant, so no point exceeds 0
