@@ -246,10 +246,6 @@ class MetricTensor:
     def matrix(self) -> tuple:
         return tuple(tuple(self.entry(i, j) for j in range(DIM)) for i in range(DIM))
 
-    def evaluate_at(self, point: ChartPoint) -> list:
-        entries = [self.entry(i, j) for i in range(DIM) for j in range(DIM)]
-        return np.reshape(evaluate_many(entries, point.as_dict()), (DIM, DIM)).tolist()
-
 
 def _det3(m) -> Expression:
     return add(

@@ -2,19 +2,19 @@
 
 The line bundle is realised on the single cut chart (poles and azimuth cut
 removed) through an explicit monopole-type potential theta with
-d(theta) = sympl / m (or sympl / (2 pi m) in Weil scaling), so the
-covariant derivative is
+d(theta) = sympl / hbar, where the normalisation hbar is m (plain scaling)
+or 2 pi m (Weil scaling).  The covariant derivative is
 
     nabla_X psi = X(psi) - i theta(X) psi,
 
-whose curvature is -(i/m) sympl.  To a smooth function f one associates the
-operator built from its Hamiltonian field; two variants are provided:
+whose curvature is -(i/hbar) sympl.  To a smooth function f one associates
+the operator built from its Hamiltonian field; two variants are provided:
 
-* hermitian (default):   f-hat = i m nabla_{H_f} - f
-* nonhermitian variant:  f-hat =   m nabla_{H_f} - f
+* hermitian (default):   f-hat = i hbar nabla_{H_f} - f
+* nonhermitian variant:  f-hat =   hbar nabla_{H_f} - f
 
 Only the hermitian variant turns Poisson brackets into commutators,
-satisfying  bracket(f,h)-hat = -(i/m) [f-hat, h-hat]  identically; the
+satisfying  bracket(f,h)-hat = -(i/hbar) [f-hat, h-hat]  identically; the
 variant without the imaginary unit breaks that correspondence (by a term
 proportional to the bracket plus a skewed derivative term) and is kept so
 reports can quantify the difference.  For real f the hermitian operator is
@@ -29,6 +29,7 @@ not hidden but quantified by ``integrality_report``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -58,16 +59,23 @@ from .spacetime import FOUR_PI, SpacetimeModel
 
 
 class CurvatureScale(str, Enum):
-    """Normalisation of the connection: which multiple of the symplectic
-    form the curvature potential must reproduce."""
+    """Normalisation of the connection: d(theta) = sympl / hbar.  The same
+    hbar scales the operators and their commutator relation."""
 
-    PLAIN = "plain"  # d(theta) = sympl / m
-    WEIL = "weil"  # d(theta) = sympl / (2 pi m)
+    PLAIN = "plain"  # hbar = m
+    WEIL = "weil"  # hbar = 2 pi m
+
+    @property
+    def ratio(self) -> float:
+        """hbar / m."""
+        return 1.0 if self is CurvatureScale.PLAIN else 2.0 * math.pi
+
+    def hbar(self) -> Expression:
+        """hbar as an expression in the mass parameter."""
+        return ex.mul(ex.const(self.ratio), ex.M)
 
     def factor(self) -> Expression:
-        if self is CurvatureScale.PLAIN:
-            return ex.quotient(ex.ONE, ex.M)
-        return ex.quotient(ex.ONE, ex.mul(ex.const(2.0 * math.pi), ex.M))
+        return ex.quotient(ex.ONE, self.hbar())
 
 
 @dataclass(frozen=True)
@@ -209,24 +217,25 @@ def covariant_derivative(
 class PrequantumOperator:
     """The operator assigned to a smooth function.
 
-    ``hermitian=True`` gives  i m nabla_{H_f} - f, the assignment under
+    ``hermitian=True`` gives  i hbar nabla_{H_f} - f, the assignment under
     which brackets become commutators; ``hermitian=False`` drops the
-    imaginary unit (m nabla_{H_f} - f), breaking that correspondence, and
-    exists so the reports can show the breakage explicitly.
+    imaginary unit (hbar nabla_{H_f} - f), breaking that correspondence, and
+    exists so the reports can show the breakage explicitly.  ``hbar`` is
+    the potential's, at the model's mass.
     """
 
     source: Expression
     field: VectorField
     potential: ConnectionPotential
-    mass: float
+    hbar: float
     hermitian: bool = True
 
     def derivative_part(self, psi: Section) -> Section:
-        """The (i) m nabla_{H_f} piece of the operator alone."""
+        """The (i) hbar nabla_{H_f} piece of the operator alone."""
         gradient = covariant_derivative(self.field, psi, self.potential)
         if self.hermitian:
-            return gradient.times_i_scaled(ex.const(self.mass))
-        return gradient.scaled_real(ex.const(self.mass))
+            return gradient.times_i_scaled(ex.const(self.hbar))
+        return gradient.scaled_real(ex.const(self.hbar))
 
     def apply(self, psi: Section) -> Section:
         return self.derivative_part(psi) - psi.scaled_real(self.source)
@@ -238,9 +247,8 @@ def prequantum_operator(
     potential: ConnectionPotential,
     hermitian: bool = True,
 ) -> PrequantumOperator:
-    return PrequantumOperator(
-        f, hamiltonian_field(f, model), potential, model.mass, hermitian
-    )
+    hbar = potential.scale.ratio * model.mass
+    return PrequantumOperator(f, hamiltonian_field(f, model), potential, hbar, hermitian)
 
 
 def apply_operator(
@@ -313,24 +321,23 @@ def verify_curvature_potential(
 def curvature_section_check(
     model, potential, sections, points, threshold=1e-9, seed=None
 ) -> CheckResult:
-    """Check ([nabla_a, nabla_b] + (i/m) sympl(a,b)) psi = 0 on sections.
+    """Check ([nabla_a, nabla_b] + (i/hbar) sympl(a,b)) psi = 0 on sections.
 
     Coordinate fields commute, so the bracket term of the curvature drops
     out and the identity is a direct statement about second covariant
     derivatives.
     """
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    fields = [basis_vector(a) for a in range(4)]
+    hbar = potential.scale.hbar()
 
     def parts(psi):
+        first = [covariant_derivative(x, psi, potential) for x in fields]
         residuals = []
-        for a, b in pairs:
-            field_a, field_b = basis_vector(a), basis_vector(b)
-            factor = ex.quotient(model.symplectic_form.coefficient((a, b)), ex.M)
+        for a, b in itertools.combinations(range(4), 2):
+            factor = ex.quotient(model.symplectic_form.coefficient((a, b)), hbar)
             commutator = covariant_derivative(
-                field_a, covariant_derivative(field_b, psi, potential), potential
-            ) - covariant_derivative(
-                field_b, covariant_derivative(field_a, psi, potential), potential
-            )
+                fields[a], first[b], potential
+            ) - covariant_derivative(fields[b], first[a], potential)
             residuals.append(commutator + psi.times_i_scaled(factor))
         return residuals
 
@@ -338,107 +345,86 @@ def curvature_section_check(
     return CheckResult.judged("connection_curvature_sections", threshold, worst, at, seed)
 
 
-def commutator_check(
-    f: Expression,
-    h: Expression,
-    pair_name: str,
-    model,
-    potential,
-    sections,
-    points,
-    relative_threshold=1e-9,
-    absolute_threshold=1e-9,
-    seed=None,
-    display_reference: Expression | None = None,
-) -> CheckResult:
-    """Check bracket(f,h)-hat = -(i/m) [f-hat, h-hat] on test sections.
+def commutator_suite(
+    model, potential, sections, points, relative_threshold=1e-9, absolute_threshold=1e-9, seed=None
+) -> list:
+    """Check bracket(f,h)-hat = -(i/hbar) [f-hat, h-hat] for the six
+    coordinate pairs, in a fixed order.
 
     Pairs whose bracket folds to zero are measured absolutely, the others
     relative to the largest left-hand magnitude over the sample.  The
     residual of the nonhermitian operator variant is recorded in the
-    details; it does not satisfy the relation and is never asserted.
+    details; it does not satisfy the relation and is never asserted.  The
+    two nonzero commutators are also compared with their closed forms,
+    4 pi (hbar/m) i times the hat of a display function.
     """
-    bracket = poisson_bracket(f, h, model)
-    zero_bracket = ex.is_zero(bracket)
-    measured = {}
-    display_residual = None
-    for hermitian in (True, False):
-        op_f, op_h, op_bracket = (
-            prequantum_operator(g, model, potential, hermitian) for g in (f, h, bracket)
-        )
-        op_display = None
-        if hermitian and display_reference is not None:
-            op_display = prequantum_operator(display_reference, model, potential, True)
-
-        def parts(psi):
-            lhs = op_bracket.apply(psi)
-            commutator = op_f.apply(op_h.apply(psi)) - op_h.apply(op_f.apply(psi))
-            rhs = commutator.times_i_scaled(ex.const(-1.0 / model.mass))
-            built = [lhs - rhs, lhs, rhs]
-            if op_display is not None:
-                display = op_display.apply(psi).times_i_scaled(ex.const(FOUR_PI))
-                built += [commutator - display, display]
-            return built
-
-        magnitudes = _scan(parts, sections, points)
-        worst, at = worst_point(magnitudes[0], points)
-        measured[hermitian] = (worst, at, peak(magnitudes[1:3]))
-        if op_display is not None:
-            display_residual = peak(magnitudes[3]) / max(peak(magnitudes[4]), 1e-300)
-
-    worst, at, scale = measured[True]
-    if zero_bracket:
-        error = worst
-        threshold = absolute_threshold
-        mode = "absolute"
-    else:
-        error = worst / max(scale, 1e-300)
-        threshold = relative_threshold
-        mode = "relative"
-    plain_worst, _, plain_scale = measured[False]
-    details = {
-        "mode": mode,
-        "scale": scale,
-        "nonhermitian_residual": plain_worst
-        if zero_bracket
-        else plain_worst / max(plain_scale, 1e-300),
+    coordinates = dict(zip(ex.COORDINATE_NAMES, ex.COORDINATES))
+    pairs = list(itertools.combinations(coordinates, 2))
+    brackets = {(a, b): poisson_bracket(coordinates[a], coordinates[b], model) for a, b in pairs}
+    displays = {
+        pair: prequantum_operator(g, model, potential)
+        for pair, g in coordinate_commutator_displays(model).items()
     }
-    if display_residual is not None:
-        details["display_residual"] = display_residual
+    # per variant: the operators of the coordinates (keyed by name) and of
+    # their brackets (keyed by pair)
+    variants = {
+        hermitian: {
+            key: prequantum_operator(g, model, potential, hermitian)
+            for key, g in {**coordinates, **brackets}.items()
+        }
+        for hermitian in (True, False)
+    }
+    relation = ex.const(-1.0 / variants[True]["u"].hbar)
+    display_factor = ex.const(FOUR_PI * potential.scale.ratio)
 
-    return CheckResult.judged(
-        f"commutator_{pair_name}", threshold, error, at, seed, details=details
-    )
+    def parts(psi):
+        built = []
+        for hermitian, ops in variants.items():
+            applied = {name: ops[name].apply(psi) for name in coordinates}
+            for a, b in pairs:
+                lhs = ops[a, b].apply(psi)
+                commutator = ops[a].apply(applied[b]) - ops[b].apply(applied[a])
+                rhs = commutator.times_i_scaled(relation)
+                built += [lhs - rhs, lhs, rhs]
+                if hermitian and (a, b) in displays:
+                    display = displays[a, b].apply(psi).times_i_scaled(display_factor)
+                    built += [commutator - display, display]
+        return built
 
+    # the parts in the order they were built, one (section, point) array each
+    magnitudes = iter(_scan(parts, sections, points))
+    measured, display_residuals = {}, {}
+    for hermitian in variants:
+        for pair in pairs:
+            residual, lhs, rhs = itertools.islice(magnitudes, 3)
+            worst, at = worst_point(residual, points)
+            scale = peak([lhs, rhs])
+            if not ex.is_zero(brackets[pair]):
+                worst /= max(scale, 1e-300)
+            measured[hermitian, pair] = (worst, at, scale)
+            if hermitian and pair in displays:
+                display_residual, display = itertools.islice(magnitudes, 2)
+                display_residuals[pair] = peak(display_residual) / max(peak(display), 1e-300)
 
-def commutator_suite(
-    model, potential, sections, points, relative_threshold=1e-9, absolute_threshold=1e-9, seed=None
-) -> list:
-    """All six coordinate-pair commutator checks, in a fixed order."""
-    coordinates = {name: ex.Coordinate(name) for name in ("u", "v", "r", "t")}
-    displays = coordinate_commutator_displays(model)
     results = []
-    for a, b in (("u", "v"), ("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"), ("r", "t")):
-        results.append(
-            commutator_check(
-                coordinates[a],
-                coordinates[b],
-                f"{a}{b}",
-                model,
-                potential,
-                sections,
-                points,
-                relative_threshold,
-                absolute_threshold,
-                seed,
-                display_reference=displays.get((a, b)),
-            )
-        )
+    for pair in pairs:
+        error, at, scale = measured[True, pair]
+        zero = ex.is_zero(brackets[pair])
+        details = {
+            "mode": "absolute" if zero else "relative",
+            "scale": scale,
+            "nonhermitian_residual": measured[False, pair][0],
+        }
+        if pair in display_residuals:
+            details["display_residual"] = display_residuals[pair]
+        threshold = absolute_threshold if zero else relative_threshold
+        name = f"commutator_{''.join(pair)}"
+        results.append(CheckResult.judged(name, threshold, error, at, seed, details=details))
     return results
 
 
 def geometric_operator_report(
-    model, potential, sections, points, chain_threshold=1e-9, seed=None, hermitian=True
+    model, potential, sections, points, chain_threshold=1e-9, seed=None
 ) -> list:
     """Operator identities for the radius, sphere-area and ball-volume functions.
 
@@ -453,25 +439,38 @@ def geometric_operator_report(
     do not follow from it (they differ by derivative terms); their
     residuals are emitted for inspection and never asserted.
     """
-    radius_op = prequantum_operator(ex.R, model, potential, hermitian)
-    area = ex.mul(ex.const(FOUR_PI), ex.power(ex.R, 2))
-    volume = ex.mul(ex.const(FOUR_PI / 3.0), ex.power(ex.R, 3))
-    area_slope = ex.mul(ex.const(2.0 * FOUR_PI), ex.R)
-    volume_slope = ex.mul(ex.const(FOUR_PI), ex.power(ex.R, 2))
+    r_squared = ex.power(ex.R, 2)
+    functions = (
+        ex.R,
+        ex.mul(ex.const(FOUR_PI), r_squared),
+        ex.mul(ex.const(FOUR_PI / 3.0), ex.power(ex.R, 3)),
+    )
+    slopes = (ex.ONE, ex.mul(ex.const(2.0 * FOUR_PI), ex.R), ex.mul(ex.const(FOUR_PI), r_squared))
+    ops = [prequantum_operator(g, model, potential) for g in functions]
+    # name, index of the function, prefactor of r-hat, multiplier of D_r
+    printed = (
+        ("operator_printed_area_relation", 1, ex.mul(ex.const(FOUR_PI), ex.R), 1.0),
+        ("operator_printed_volume_relation", 2, ex.mul(ex.const(FOUR_PI / 3.0), r_squared), 2.0),
+    )
 
-    chain = []
-    for g, slope in ((ex.R, ex.ONE), (area, area_slope), (volume, volume_slope)):
-        op_g = prequantum_operator(g, model, potential, hermitian)
+    def parts(psi):
+        derivative = ops[0].derivative_part(psi)
+        applied = [op.apply(psi) for op in ops]
+        built = []
+        for g, slope, lhs in zip(functions, slopes, applied):
+            rhs = derivative.scaled_real(slope) - psi.scaled_real(g)
+            built += [lhs - rhs, lhs]
+        for _, k, prefactor, multiplier in printed:
+            rhs = applied[0].scaled_real(prefactor) + derivative.scaled_real(
+                ex.const(multiplier)
+            )
+            built += [applied[k] - rhs, applied[k]]
+        return built
 
-        def parts(psi):
-            lhs = op_g.apply(psi)
-            rhs = radius_op.derivative_part(psi).scaled_real(slope) - psi.scaled_real(g)
-            return [lhs - rhs, lhs]
-
-        chain.append(_scan(parts, sections, points))
-    chain = np.stack(chain, axis=1)  # (part, function, section, point)
-    worst, at = worst_point(chain[0], points)
-    scale = peak(chain[1])
+    magnitudes = _scan(parts, sections, points)
+    # chain-rule parts: residual and left side of each function in turn
+    worst, at = worst_point(magnitudes[0:6:2], points)
+    scale = peak(magnitudes[1:6:2])
     reports = [
         CheckResult.judged(
             "operator_chain_rule",
@@ -482,25 +481,7 @@ def geometric_operator_report(
             details={"scale": scale},
         )
     ]
-    for name, g, prefactor, multiplier in (
-        ("operator_printed_area_relation", area, ex.mul(ex.const(FOUR_PI), ex.R), 1.0),
-        (
-            "operator_printed_volume_relation",
-            volume,
-            ex.mul(ex.const(FOUR_PI / 3.0), ex.power(ex.R, 2)),
-            2.0,
-        ),
-    ):
-        op_g = prequantum_operator(g, model, potential, hermitian)
-
-        def parts(psi):
-            lhs = op_g.apply(psi)
-            rhs = radius_op.apply(psi).scaled_real(prefactor) + radius_op.derivative_part(
-                psi
-            ).scaled_real(ex.const(multiplier))
-            return [lhs - rhs, lhs]
-
-        residual, lhs = _scan(parts, sections, points)
+    for (name, *_), residual, lhs in zip(printed, magnitudes[6::2], magnitudes[7::2]):
         worst, scale = peak(residual), peak(lhs)
         reports.append(
             CheckResult(
@@ -539,15 +520,16 @@ class Box:
         return Box(u=(0.6, 2.5), v=(0.5, 5.5), r=(2.5 * mass, 8.0 * mass), t=(-mass, mass))
 
 
-def box_l2_norm(section: Section, model, box: Box, nodes: int = 6) -> float:
-    """L2 norm of a section over the box with the sympl^2/2 volume."""
+def box_l2_norm(section: Section, model, box: Box) -> float:
+    """L2 norm of a section over the box with the sympl^2/2 volume, by a
+    6-node Gauss-Legendre rule on each axis."""
     density = wedge(model.symplectic_form, model.symplectic_form).coefficient((0, 1, 2, 3))
     grids = []
     weights = []
     for low, high in box.intervals():
         if not low < high:
             raise ValueError("box intervals must be increasing")
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = np.polynomial.legendre.leggauss(6)
         grids.append(0.5 * (high - low) * (x + 1.0) + low)
         weights.append(0.5 * (high - low) * w)
     # one axis per coordinate, so the grids broadcast to the full box
@@ -562,13 +544,10 @@ def box_l2_norm(section: Section, model, box: Box, nodes: int = 6) -> float:
     return math.sqrt(max(total, 0.0))
 
 
-def radial_eigen_residual(
-    psi: Section, eigenvalue: float, model, potential, box: Box, nodes: int = 6, hermitian: bool = True
-):
+def radial_eigen_residual(psi: Section, eigenvalue: float, model, potential, box: Box):
     """Residual section (r-hat - eigenvalue) psi and its L2 norm over the box."""
-    radius_op = prequantum_operator(ex.R, model, potential, hermitian)
-    residual = radius_op.apply(psi) - psi.scaled_real(ex.const(eigenvalue))
-    return residual, box_l2_norm(residual, model, box, nodes)
+    residual = apply_operator(ex.R, psi, model, potential) - psi.scaled_real(ex.const(eigenvalue))
+    return residual, box_l2_norm(residual, model, box)
 
 
 def separable_radial_residual(
@@ -580,8 +559,8 @@ def separable_radial_residual(
     residual is factor * psi with factor returned as an (re, im) expression
     pair:
 
-        hermitian:     (-m h kappa + m theta(H_r) - r - eigenvalue,  0)
-        nonhermitian:  (-r - eigenvalue,  m h kappa - m theta(H_r))
+        hermitian:     (-hbar h kappa + hbar theta(H_r) - r - eigenvalue,  0)
+        nonhermitian:  (-r - eigenvalue,  hbar h kappa - hbar theta(H_r))
 
     where h is the single component of H_r.
     """
@@ -591,16 +570,17 @@ def separable_radial_residual(
     radial = hamiltonian_field(ex.R, model)
     h = radial.components[3]
     paired = pairing(potential.theta, radial)
+    hbar = potential.scale.hbar()
     if hermitian:
         re = ex.add(
-            ex.mul(ex.const(-kappa), ex.M, h),
-            ex.mul(ex.M, paired),
+            ex.mul(ex.const(-kappa), hbar, h),
+            ex.mul(hbar, paired),
             ex.mul(ex.NEG_ONE, ex.R),
             ex.const(-eigenvalue),
         )
         return re, ex.ZERO
     re = ex.add(ex.mul(ex.NEG_ONE, ex.R), ex.const(-eigenvalue))
-    im = ex.add(ex.mul(ex.const(kappa), ex.M, h), ex.mul(ex.NEG_ONE, ex.M, paired))
+    im = ex.add(ex.mul(ex.const(kappa), hbar, h), ex.mul(ex.NEG_ONE, hbar, paired))
     return re, im
 
 

@@ -295,6 +295,8 @@ class RunConfig:
     def validate(self):
         if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass > 0):
             raise ConfigError(f"mass must be positive and finite, got {self.mass!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_samples < 10:
             raise ConfigError("n_samples must be at least 10")
         if self.n_sections < 1:
@@ -453,10 +455,9 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
     started = time.perf_counter()
 
     model = schwarzschild(config.mass)
-    scale = CurvatureScale.PLAIN if config.scale_mode == "plain" else CurvatureScale.WEIL
     inputs = GroupInputs(
         model=model,
-        potential=ConnectionPotential.monopole(model, scale),
+        potential=ConnectionPotential.monopole(model, CurvatureScale(config.scale_mode)),
         quadrature=QuadratureSpec(
             n_u=config.n_u, n_v=config.n_v, r0=config.resolved_r0(), t0=config.t0
         ),
@@ -524,8 +525,7 @@ def emit_csv(what: str, config: RunConfig, path=None) -> Path:
         rows.extend(",".join(map(repr, row)) for row in zip(*(c.ravel().tolist() for c in columns)))
     elif what == "eigen_residual":
         rows.append("r,residual_abs")
-        scale = CurvatureScale.PLAIN if config.scale_mode == "plain" else CurvatureScale.WEIL
-        potential = ConnectionPotential.monopole(model, scale)
+        potential = ConnectionPotential.monopole(model, CurvatureScale(config.scale_mode))
         kappa = 0.1 / mass
         re_f, im_f = separable_radial_residual(kappa, ex.ONE, 0.0, model, potential)
         psi = phase_section(kappa)

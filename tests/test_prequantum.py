@@ -10,7 +10,7 @@ from warpsymp import expressions as ex
 from warpsymp import prequantum
 from warpsymp.expressions import ChartPoint, EvaluationError
 from warpsymp.exterior import basis_vector, wedge
-from warpsymp.hamiltonian import QuadratureSpec
+from warpsymp.hamiltonian import QuadratureSpec, hamiltonian_field
 from warpsymp.prequantum import (
     Box,
     ConnectionPotential,
@@ -20,7 +20,6 @@ from warpsymp.prequantum import (
     ZERO_SECTION,
     apply_operator,
     box_l2_norm,
-    commutator_check,
     commutator_suite,
     covariant_derivative,
     curvature_section_check,
@@ -220,16 +219,8 @@ class TestCommutators:
     def test_nonhermitian_variant_breaks_relation(self, model, potential, sections, operator_points):
         """Dropping the imaginary unit destroys the bracket-commutator
         correspondence by an order-one relative error."""
-        result = commutator_check(
-            ex.U,
-            ex.V,
-            "uv",
-            model,
-            potential,
-            sections[:2],
-            operator_points[:5],
-            seed=902,
-        )
+        results = commutator_suite(model, potential, sections[:2], operator_points[:5], seed=902)
+        result = {r.name: r for r in results}["commutator_uv"]
         assert result.passed
         assert result.details["nonhermitian_residual"] > 1e-2
 
@@ -270,6 +261,46 @@ class TestCommutators:
             assert moved.magnitude_at(point) == pytest.approx(
                 base.magnitude_at(point), abs=1e-11
             )
+
+
+class TestScaleModes:
+    """The connection, the operators and their relations share one hbar:
+    m in plain scaling, 2 pi m in Weil scaling."""
+
+    @pytest.mark.parametrize("scale", list(CurvatureScale))
+    def test_operator_checks_pass(self, model, sections, operator_points, scale):
+        potential = ConnectionPotential.monopole(model, scale)
+        commutators = commutator_suite(model, potential, sections, operator_points)
+        chain = geometric_operator_report(model, potential, sections, operator_points)[0]
+        curvature = curvature_section_check(model, potential, sections, operator_points)
+        for result in (curvature, *commutators, chain):
+            assert result.passed, (result.name, result.worst_error)
+        for result in commutators:
+            assert result.details.get("display_residual", 0.0) < 1e-11, result.name
+
+    def test_separable_residual_follows_hbar(self, model, potential, operator_points):
+        """In Weil scaling theta shrinks by 2 pi as hbar grows by 2 pi, so
+        hbar theta(H_r) is unchanged and only the -hbar h kappa term of the
+        factor grows; the factor still matches the operator's action."""
+        kappa, ell = 0.1, 1.5
+        h = hamiltonian_field(ex.R, model).components[3]
+        psi = phase_section(kappa)
+        plain, _ = separable_radial_residual(kappa, ex.ONE, ell, model, potential)
+        weil = ConnectionPotential.monopole(model, CurvatureScale.WEIL)
+        for hermitian in (True, False):
+            re_f, im_f = separable_radial_residual(kappa, ex.ONE, ell, model, weil, hermitian)
+            direct = apply_operator(ex.R, psi, model, weil, hermitian) - psi.scaled_real(
+                ex.const(ell)
+            )
+            for point in operator_points:
+                factor = complex(re_f.evaluate(point), im_f.evaluate(point))
+                expected = factor * psi.evaluate_at(point)
+                assert abs(direct.evaluate_at(point) - expected) < 1e-9 * max(1.0, abs(expected))
+                if hermitian:
+                    shift = re_f.evaluate(point) - plain.evaluate(point)
+                    assert shift == pytest.approx(
+                        -(2.0 * math.pi - 1.0) * kappa * h.evaluate(point), rel=1e-12
+                    )
 
 
 class TestGeometricOperators:
@@ -330,8 +361,6 @@ class TestJetScan:
 
         def recording(parts, sections, points):
             jets = jet_scan(parts, sections, points)
-            # the checks rebind the operators their parts use in a loop, so
-            # the concrete trees are built now, before the next iteration
             recorded.append((jets, per_section_scan(parts, sections, points)))
             return jets
 
@@ -348,24 +377,30 @@ class TestJetScan:
 
         scans.clear()
         commutator_suite(model, potential, sections, operator_points)
-        # hermitian then nonhermitian for each pair; uv and rt carry the
-        # two display parts in their hermitian pass
-        assert [len(jets) for jets, _ in scans] == [5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 5, 3]
-        for jets, concrete in scans:
+        ((jets, concrete),) = scans
+        assert jets.shape == (40, 3, len(operator_points))
+        # the hermitian pass over the six pairs, then the nonhermitian one;
+        # uv and rt carry the two display parts in the hermitian pass
+        bounds = np.cumsum([0, 5, 3, 3, 3, 3, 5] + [3] * 6)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            pair_jets, pair_concrete = jets[start:stop], concrete[start:stop]
             # parts: residual, bracket side, commutator side, and for uv and
             # rt the display residual and display.  A residual cancels two
             # operator products larger than the bracket side, so its
-            # roundoff relative to the scan's peak is larger too (the checks
+            # roundoff relative to the pair's peak is larger too (the checks
             # report up to 7e-12 at defaults).  Where the bracket folds to
             # zero, the commutator side is a residual as well.
-            residuals = {0, 3} | ({2} if peak(concrete[1]) == 0.0 else set())
-            assert_scan_matches(jets, concrete, residuals, residual_tol=1e-11)
+            residuals = {0, 3} | ({2} if peak(pair_concrete[1]) == 0.0 else set())
+            assert_scan_matches(pair_jets, pair_concrete, residuals, residual_tol=1e-11)
 
         scans.clear()
         geometric_operator_report(model, potential, sections, operator_points)
-        assert [len(jets) for jets, _ in scans] == [2] * 5
-        for jets, concrete in scans:
-            assert_scan_matches(jets, concrete)
+        ((jets, concrete),) = scans
+        assert jets.shape == (10, 3, len(operator_points))
+        # residual and left side of the three chain rules, then of the two
+        # printed relations
+        for start in range(0, 10, 2):
+            assert_scan_matches(jets[start : start + 2], concrete[start : start + 2])
 
     def test_second_order_parts(self, potential, sections, operator_points):
         # the check parts are first order in psi once the commutators cancel,

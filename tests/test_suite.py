@@ -195,6 +195,21 @@ class TestRunSuite:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    def test_one_scan_per_operator_group(self, monkeypatch):
+        """Each operator group builds all its parts into one scan of the test
+        sections."""
+        shapes = []
+        scan = prequantum._scan
+
+        def counting(parts, sections, points):
+            magnitudes = scan(parts, sections, points)
+            shapes.append(magnitudes.shape[0])
+            return magnitudes
+
+        monkeypatch.setattr(prequantum, "_scan", counting)
+        assert run_suite(RunConfig()).all_passed
+        assert shapes == [6, 40, 10]
+
     def test_bracket_cross_zeros_has_no_worst_point_at_defaults(self):
         # every cross bracket folds to the zero constant, so no point exceeds 0
         (check,) = run_suite(RunConfig(), only="bracket_cross_zeros").checks
@@ -216,6 +231,10 @@ class TestRunConfig:
             RunConfig(tolerances={"gradient_relation": -1.0}).validate()
         with pytest.raises(ConfigError):
             RunConfig(r0=1.0).validate()
+        with pytest.raises(ConfigError):
+            RunConfig(seed=-1).validate()
+        with pytest.raises(ConfigError):
+            RunConfig(seed=1.5).validate()
 
     def test_fixed_checks_refuse_overrides(self):
         for name in FIXED_CHECKS:
@@ -408,6 +427,15 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--mass", "-3"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["verify"], ["check", "gradient_relation"]])
+    def test_negative_seed_is_a_config_error(self, command, capsys):
+        assert main([*command, "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_verify_weil_scale_passes(self, tmp_path, capsys):
+        code = main(["verify", "--scale-mode", "weil", "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().out
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
