@@ -16,12 +16,11 @@ Evaluation has one path, ``evaluate_many``: it orders the DAG under several
 roots topologically and computes each node once, as a numpy array over all
 sample points at once.  ``Expression.evaluate`` is its one-point call.
 
-Besides the chart coordinates and the mass, a tree may read section jets:
-``SectionJet`` leaves stand for a section's real or imaginary part and its
-partial derivatives, so a tree linear in a section is built once and then
-evaluated for many sections.  A jet's values are an extra key of the
-``evaluate_many`` input mapping, and may carry a leading section axis that
-the coordinates broadcast against.
+Besides the chart coordinates and the mass, a tree may read parameters:
+``Parameter`` leaves are constant on the chart, so a family of expressions
+that differ only in a few numbers is one tree.  A parameter's values are an
+extra key of the ``evaluate_many`` input mapping, and may carry a leading
+member axis that the coordinates broadcast against.
 """
 
 from __future__ import annotations
@@ -203,31 +202,20 @@ class MassParameter(Expression):
 
 
 @dataclass(frozen=True)
-class SectionJet(Expression):
-    """A partial derivative of a section's real or imaginary part.
+class Parameter(Expression):
+    """A named number that is constant on the chart.  The value is read
+    from the input mapping under the parameter itself."""
 
-    ``part`` is "re" or "im" and ``index`` the sorted tuple of coordinates
-    differentiated along, so mixed partials taken in either order are one
-    jet.  The value is read from the input mapping under the jet itself.
-    """
-
-    part: str
-    index: tuple = ()
-
-    def __post_init__(self):
-        if self.part not in ("re", "im"):
-            raise ValueError(f"section part must be 're' or 'im', got {self.part!r}")
-        if not set(self.index) <= set(COORDINATE_NAMES) or list(self.index) != sorted(self.index):
-            raise ValueError(f"jet index must be sorted coordinates, got {self.index!r}")
+    name: str
 
     def _apply(self, values, inputs):
         return inputs[self]
 
     def _rule(self, coordinate):
-        return SectionJet(self.part, tuple(sorted(self.index + (coordinate,))))
+        return ZERO
 
     def to_prefix(self):
-        return "(jet " + " ".join((self.part,) + self.index) + ")"
+        return f"(param {self.name})"
 
 
 @dataclass(frozen=True)
@@ -432,7 +420,7 @@ class Cos(Expression):
 def chart_inputs(at) -> dict:
     """Input values by name from an input mapping or a list of ChartPoints.
 
-    A mapping is copied as it is, extra keys (section jets) included.  A
+    A mapping is copied as it is, extra keys (parameters) included.  A
     point list becomes one array per coordinate; a mass shared by all the
     points stays a scalar.
     """
@@ -470,31 +458,17 @@ def _schedule(roots):
     return order, uses
 
 
-def section_jets(roots) -> list:
-    """The distinct section jets the DAG under ``roots`` reads, in the order
-    a depth-first walk meets them (each node visited once, by identity)."""
-    jets, seen, stack = {}, set(), list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(node, SectionJet):
-                jets[node] = None
-            stack.extend(node.children)
-    return list(jets)
-
-
 def evaluate_many(roots, at) -> list:
     """Values of several expressions over a batch of chart points.
 
     ``at`` is a sequence of ChartPoints or a mapping of the names u, v, r, t
     and m to numbers or arrays that broadcast together (a sphere grid is a
     colatitude column times an azimuth row, with r, t and m scalars).  The
-    mapping may hold further keys: the ``SectionJet`` leaves of the roots,
-    with their values.  Jets shaped (section, point) over point-shaped
-    coordinates give every root that shape.  Each node of the shared DAG is
-    computed once, constants stay scalars, and an intermediate value is
-    dropped after its last consumer.  Returns one read-only array per root,
+    mapping may hold further keys: the ``Parameter`` leaves of the roots,
+    with their values.  Parameters shaped (member, 1) over point-shaped
+    coordinates give every root the shape (member, point).  Each node of
+    the shared DAG is computed once, constants stay scalars, and an
+    intermediate value is dropped after its last consumer.  Returns one read-only array per root,
     shaped like the broadcast inputs.  Raises EvaluationError if any point
     hits a guard: a zero denominator, the log of a non-positive value, a
     fractional power of a negative base, a zero base with a negative
@@ -710,7 +684,7 @@ def _parse_tokens(tokens, position):
         if tokens[position] == ")":
             position += 1
             break
-        if head == "jet":  # a part and coordinate names, not subexpressions
+        if head == "param":  # a name, not a subexpression
             args.append(tokens[position])
             position += 1
             continue
@@ -732,10 +706,10 @@ def _parse_tokens(tokens, position):
         if len(args) != 2:
             raise ValueError("'pow' takes a base and an exponent")
         return power(args[0], args[1]), position
-    if head == "jet":
-        if not args:
-            raise ValueError("'jet' takes a part and coordinates")
-        return SectionJet(args[0], tuple(args[1:])), position
+    if head == "param":
+        if len(args) != 1 or args[0] == "(":
+            raise ValueError("'param' takes one name")
+        return Parameter(args[0]), position
     if head in _UNARY:
         if len(args) != 1:
             raise ValueError(f"{head!r} takes one argument")

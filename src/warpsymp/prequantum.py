@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
@@ -169,35 +169,20 @@ ZERO_SECTION = Section(ex.ZERO, ex.ZERO)
 ONE_SECTION = Section(ex.ONE, ex.ZERO)
 
 
-# The section every operator tree is built over: its leaves are the jets
-# of psi, so one tree serves all test sections.
-_SYMBOLIC_SECTION = Section(ex.SectionJet("re"), ex.SectionJet("im"))
-
-
-def _scan(parts, sections, points) -> np.ndarray:
-    """Magnitudes of the sections ``parts(psi)`` builds for every test
-    section psi; shape (part, section, point).
+def _scan(parts, family, points) -> np.ndarray:
+    """Magnitudes of the sections ``parts(psi)`` builds for every member
+    psi of a section family; shape (part, member, point).
 
     The operators are linear differential operators in psi, so ``parts``
-    builds its trees once, over the symbolic section.  The jets those trees
-    read are evaluated for every test section in one batch and stacked to
-    (section, point); the trees are then evaluated once, with the point
-    coordinates broadcast against the jets.
+    builds its trees once, over the family's symbolic member, whose drawn
+    numbers are parameters.  The trees are then evaluated once, with each
+    parameter fed its (member, 1) column of draws and the point
+    coordinates broadcast against it.
     """
-    roots = [x for built in parts(_SYMBOLIC_SECTION) for x in (built.re, built.im)]
-    jets = ex.section_jets(roots)
+    row = [ex.Parameter(f"p{i}") for i in range(family.draws.shape[1])]
+    roots = [x for built in parts(family.build(row)) for x in (built.re, built.im)]
     inputs = ex.chart_inputs(points)
-    count = len(sections)
-    derivatives = ex.evaluate_many(
-        [
-            reduce(Expression.diff, jet.index, getattr(psi, jet.part))
-            for jet in jets
-            for psi in sections
-        ],
-        inputs,
-    )
-    for k, jet in enumerate(jets):
-        inputs[jet] = np.stack(derivatives[k * count : (k + 1) * count])
+    inputs.update((p, family.draws[:, i : i + 1]) for i, p in enumerate(row))
     values = ex.evaluate_many(roots, inputs)
     return np.hypot(values[0::2], values[1::2])
 
@@ -266,35 +251,56 @@ def apply_operator(
 # ---------------------------------------------------------------------------
 
 
-def random_sections(mass: float, count: int, seed: int) -> list:
+@dataclass(frozen=True, eq=False)
+class SectionFamily:
+    """Test sections of one shape that differ only in drawn numbers.
+
+    ``draws`` has one row per member; ``build(row)`` makes the section whose
+    numbers are the expressions of ``row``.  ``family[k]`` is member k, built
+    over constants; ``family[a:b]`` is a sub-family.
+    """
+
+    build: Callable
+    draws: np.ndarray
+
+    def __len__(self):
+        return len(self.draws)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return SectionFamily(self.build, self.draws[key])
+        return self.build([ex.const(x) for x in self.draws[key]])
+
+
+def random_sections(mass: float, count: int, seed: int) -> SectionFamily:
     """Deterministic polynomial-times-phase test sections.
 
     Low-degree polynomials in rescaled coordinates multiplied by a phase
     exp(i (j v + kappa t)) with integer azimuthal winding; magnitudes stay
     of order one on the operator sampling window so stacked operator
-    applications do not amplify roundoff.
+    applications do not amplify roundoff.  Each member draws six
+    polynomial coefficients, the winding j and kappa.
     """
     rng = np.random.default_rng(seed)
+    draws = np.array(
+        [
+            [*rng.uniform(-1.0, 1.0, size=6), rng.integers(-2, 3), rng.uniform(-0.3, 0.3) / mass]
+            for _ in range(count)
+        ],
+        dtype=float,
+    ).reshape(count, 8)
     scale_r = ex.quotient(ex.R, ex.const(5.0 * mass))
     scale_t = ex.quotient(ex.T, ex.const(5.0 * mass))
     scale_u = ex.quotient(ex.U, ex.const(math.pi))
     scale_v = ex.quotient(ex.V, ex.const(2.0 * math.pi))
-    sections = []
-    for _ in range(count):
-        c = rng.uniform(-1.0, 1.0, size=6)
-        winding = int(rng.integers(-2, 3))
-        kappa = rng.uniform(-0.3, 0.3) / mass
-        poly = ex.add(
-            ex.const(c[0]),
-            ex.mul(ex.const(c[1]), scale_u),
-            ex.mul(ex.const(c[2]), scale_v),
-            ex.mul(ex.const(c[3]), scale_r),
-            ex.mul(ex.const(c[4]), scale_t),
-            ex.mul(ex.const(c[5]), ex.power(scale_r, 2)),
-        )
-        phase = ex.add(ex.mul(ex.const(float(winding)), ex.V), ex.mul(ex.const(kappa), ex.T))
-        sections.append(Section(ex.mul(poly, ex.cos(phase)), ex.mul(poly, ex.sin(phase))))
-    return sections
+    monomials = (ex.ONE, scale_u, scale_v, scale_r, scale_t, ex.power(scale_r, 2))
+
+    def build(row) -> Section:
+        poly = ex.add(*(ex.mul(c, x) for c, x in zip(row, monomials)))
+        phase = ex.add(ex.mul(row[6], ex.V), ex.mul(row[7], ex.T))
+        return Section(ex.mul(poly, ex.cos(phase)), ex.mul(poly, ex.sin(phase)))
+
+    return SectionFamily(build, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +397,7 @@ def commutator_suite(
                     built += [commutator - display, display]
         return built
 
-    # the parts in the order they were built, one (section, point) array each
+    # the parts in the order they were built, one (member, point) array each
     magnitudes = iter(_scan(parts, sections, points))
     measured, display_residuals = {}, {}
     for hermitian in variants:
@@ -489,7 +495,7 @@ def geometric_operator_report(
                 True,
                 chain_threshold,
                 worst / max(scale, 1e-300),
-                None,
+                worst_point(residual, points)[1],
                 seed,
                 assertable=False,
                 details={"expected_nonzero": True, "scale": scale},

@@ -20,7 +20,7 @@ a derived assertion, never entered by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,15 +74,28 @@ class SpacetimeModel:
     closure_check: CheckResult | None = None
 
 
-def _derive_structure(metric, warp, gravitational_field, observer_field):
+def _derive_structure(mass, metric, warp, gravitational_field, observer_field) -> SpacetimeModel:
+    """The model whose entered fields are given and whose forms are derived."""
+    if not (isinstance(mass, (int, float)) and math.isfinite(mass) and mass > 0):
+        raise ValueError(f"mass must be a positive finite number, got {mass!r}")
     volume_form = hodge_star(KForm.scalar(ex.ONE), metric)
     flux_form = interior_product(
         gravitational_field, interior_product(observer_field, volume_form)
     ).scaled(ex.const(-1.0 / FOUR_PI))
     dual_flux_form = hodge_star(flux_form, metric)
     lapse = ex.exp(warp)
-    symplectic_form = flux_form.scaled(lapse) + dual_flux_form
-    return lapse, volume_form, flux_form, dual_flux_form, symplectic_form
+    return SpacetimeModel(
+        mass=float(mass),
+        warp=warp,
+        metric=metric,
+        gravitational_field=gravitational_field,
+        observer_field=observer_field,
+        lapse=lapse,
+        volume_form=volume_form,
+        flux_form=flux_form,
+        dual_flux_form=dual_flux_form,
+        symplectic_form=flux_form.scaled(lapse) + dual_flux_form,
+    )
 
 
 def schwarzschild(mass: float) -> SpacetimeModel:
@@ -91,9 +104,6 @@ def schwarzschild(mass: float) -> SpacetimeModel:
     The metric, warp, gravitational field and observer field are entered in
     their standard closed forms; everything else is derived.
     """
-    if not (isinstance(mass, (int, float)) and math.isfinite(mass) and mass > 0):
-        raise ValueError(f"mass must be a positive finite number, got {mass!r}")
-    mass = float(mass)
     factor = schwarzschild_factor()
     metric = MetricTensor.from_entries(
         {
@@ -110,21 +120,7 @@ def schwarzschild(mass: float) -> SpacetimeModel:
     observer_field = VectorField(
         (ex.ZERO, ex.ZERO, ex.ZERO, ex.mul(ex.NEG_ONE, ex.power(factor, Fraction(-1, 2))))
     )
-    lapse, volume, flux, dual, symplectic = _derive_structure(
-        metric, warp, gravitational_field, observer_field
-    )
-    return SpacetimeModel(
-        mass=mass,
-        warp=warp,
-        metric=metric,
-        gravitational_field=gravitational_field,
-        observer_field=observer_field,
-        lapse=lapse,
-        volume_form=volume,
-        flux_form=flux,
-        dual_flux_form=dual,
-        symplectic_form=symplectic,
-    )
+    return _derive_structure(mass, metric, warp, gravitational_field, observer_field)
 
 
 def generalized_static(
@@ -148,9 +144,6 @@ def generalized_static(
     seeded sample, not assumed: the model is returned either way with the
     outcome attached as ``closure_check``.
     """
-    if not (isinstance(mass, (int, float)) and math.isfinite(mass) and mass > 0):
-        raise ValueError(f"mass must be a positive finite number, got {mass!r}")
-    mass = float(mass)
     for name in ("u", "v", "t"):
         if not ex.is_zero(warp.diff(name)):
             raise ValueError("the warp must depend on the radius only")
@@ -173,12 +166,11 @@ def generalized_static(
     observer_field = VectorField(
         (ex.ZERO, ex.ZERO, ex.ZERO, ex.mul(ex.NEG_ONE, ex.exp(ex.mul(ex.NEG_ONE, warp))))
     )
-    lapse, volume, flux, dual, symplectic = _derive_structure(
-        metric, warp, gravitational_field, observer_field
-    )
+    model = _derive_structure(mass, metric, warp, gravitational_field, observer_field)
 
+    flux, symplectic = model.flux_form, model.symplectic_form
     residual = exterior_derivative(flux) + wedge(warp_differential, flux)
-    points = sample_points(mass, check_samples, check_seed)
+    points = sample_points(model.mass, check_samples, check_seed)
     worst, worst_point = worst_form_error(residual, points)
     square_magnitudes = wedge(symplectic, symplectic).max_abs(points)
     closure_check = CheckResult(
@@ -191,19 +183,7 @@ def generalized_static(
         assertable=False,
         details={"symplectic_square_min": float(min(square_magnitudes, default=0.0))},
     )
-    return SpacetimeModel(
-        mass=mass,
-        warp=warp,
-        metric=metric,
-        gravitational_field=gravitational_field,
-        observer_field=observer_field,
-        lapse=lapse,
-        volume_form=volume,
-        flux_form=flux,
-        dual_flux_form=dual,
-        symplectic_form=symplectic,
-        closure_check=closure_check,
-    )
+    return replace(model, closure_check=closure_check)
 
 
 # ---------------------------------------------------------------------------

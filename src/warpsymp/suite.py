@@ -45,6 +45,7 @@ from .hamiltonian import (
 from .prequantum import (
     ConnectionPotential,
     CurvatureScale,
+    SectionFamily,
     commutator_suite,
     curvature_section_check,
     geometric_operator_report,
@@ -98,7 +99,7 @@ class GroupInputs:
         return sample_points(self.config.mass, count, self.seed + 1, OPERATOR_WINDOW)
 
     @cached_property
-    def sections(self) -> list:
+    def sections(self) -> SectionFamily:
         return random_sections(self.config.mass, self.config.n_sections, self.seed + 2)
 
 
@@ -311,13 +312,15 @@ class RunConfig:
                     f"the threshold of {name!r} is fixed (structural or report-only) "
                     "and cannot be overridden"
                 )
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance for {name!r} must be positive")
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"tolerance for {name!r} must be positive and finite")
         if self.scale_mode not in ("plain", "weil"):
             raise ConfigError(f"scale_mode must be 'plain' or 'weil', got {self.scale_mode!r}")
         horizon = 2.0 * self.mass * (1.0 + ex.HORIZON_MARGIN)
-        if self.r0 is not None and not self.r0 > horizon:
-            raise ConfigError(f"sphere radius r0={self.r0} must exceed {horizon}")
+        if self.r0 is not None and not (math.isfinite(self.r0) and self.r0 > horizon):
+            raise ConfigError(f"sphere radius r0={self.r0} must be finite and exceed {horizon}")
+        if not math.isfinite(self.t0):
+            raise ConfigError(f"sphere time t0 must be finite, got {self.t0!r}")
 
     def resolved_r0(self) -> float:
         return 3.0 * self.mass if self.r0 is None else self.r0

@@ -17,7 +17,7 @@ from warpsymp.expressions import (
     ChartDomainError,
     ChartPoint,
     EvaluationError,
-    SectionJet,
+    Parameter,
     evaluate_many,
     parse_prefix,
 )
@@ -386,33 +386,32 @@ class TestPrefixForm:
             parse_prefix("")
 
 
-class TestSectionJet:
-    def test_mixed_partials_are_one_jet(self):
-        jet = SectionJet("re")
-        assert jet.diff("r").diff("t") == jet.diff("t").diff("r") == SectionJet("re", ("r", "t"))
-        assert hash(jet.diff("r").diff("t")) == hash(jet.diff("t").diff("r"))
+class TestParameter:
+    def test_derivative_is_zero(self):
+        for coordinate in ex.COORDINATE_NAMES:
+            assert Parameter("p0").diff(coordinate) is ex.ZERO
 
-    def test_extra_mapping_key_reaches_the_jet(self):
-        jet = SectionJet("im", ("u",))
-        tree = ex.add(ex.mul(ex.R, jet), ex.U)
+    def test_value_broadcasts_against_points(self):
+        p = Parameter("p0")
+        tree = ex.add(ex.mul(ex.R, p), ex.U)
         r = np.array([3.0, 4.0, 5.0])
         u = np.array([0.5, 1.0, 1.5])
-        jets = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 0.25]])  # (section, point)
-        inputs = {"u": u, "v": 1.0, "r": r, "t": 0.0, "m": 1.0, jet: jets}
+        column = np.array([[2.0], [-0.25]])  # (member, 1)
+        inputs = {"u": u, "v": 1.0, "r": r, "t": 0.0, "m": 1.0, p: column}
         (values,) = evaluate_many([tree], inputs)
         assert values.shape == (2, 3)
-        assert values.tolist() == (r * jets + u).tolist()
+        assert values.tolist() == (r * column + u).tolist()
 
     def test_prefix_round_trip(self):
-        jet = SectionJet("re", ("r", "t"))
-        assert jet.to_prefix() == "(jet re r t)"
-        assert parse_prefix("(jet re r t)") == jet
-        tree = ex.mul(ex.R, SectionJet("im"), ex.cos(ex.V))
-        assert tree.to_prefix() == "(* r (jet im) (cos v))"
+        p = Parameter("p0")
+        assert p.to_prefix() == "(param p0)"
+        assert parse_prefix("(param p0)") == p
+        tree = ex.mul(ex.R, p, ex.cos(ex.V))
+        assert tree.to_prefix() == "(* r (param p0) (cos v))"
         assert parse_prefix(tree.to_prefix()) == tree
 
-    @pytest.mark.parametrize("text", ["(jet)", "(jet phase)", "(jet re t r)", "(jet re x)"])
-    def test_rejects_malformed_jet(self, text):
+    @pytest.mark.parametrize("text", ["(param)", "(param a b)", "(param ()"])
+    def test_rejects_malformed_param(self, text):
         with pytest.raises(ValueError):
             parse_prefix(text)
 

@@ -17,6 +17,7 @@ from warpsymp.prequantum import (
     CurvatureScale,
     ONE_SECTION,
     Section,
+    SectionFamily,
     ZERO_SECTION,
     apply_operator,
     box_l2_norm,
@@ -327,8 +328,8 @@ class TestGeometricOperators:
 
 
 def per_section_scan(parts, sections, points):
-    """``_scan`` without jets: the concrete trees of each test section,
-    built and evaluated one section at a time; shape (part, section, point)."""
+    """``_scan`` without parameters: the concrete trees of each member,
+    built and evaluated one member at a time; shape (part, member, point)."""
     magnitudes = []
     for psi in sections:
         values = ex.evaluate_many([x for built in parts(psi) for x in (built.re, built.im)], points)
@@ -336,33 +337,67 @@ def per_section_scan(parts, sections, points):
     return np.stack(magnitudes, axis=1)
 
 
-def assert_scan_matches(jets, concrete, residuals=(0,), residual_tol=1e-12):
+def assert_scan_matches(scanned, concrete, residuals=(0,), residual_tol=1e-12):
     """Parts agree to relative 1e-12 of the scan's largest magnitude, and
     the residual parts, which cancel larger terms, to ``residual_tol`` of
     it.  Test sections are of order one, so the scale is at least 1 for
     scans made of residuals alone."""
-    assert jets.shape == concrete.shape
+    assert scanned.shape == concrete.shape
     scale = max(1.0, peak(concrete))
-    for k, (jet_part, concrete_part) in enumerate(zip(jets, concrete)):
+    for k, (scanned_part, concrete_part) in enumerate(zip(scanned, concrete)):
         if k in residuals:
-            np.testing.assert_allclose(jet_part, concrete_part, rtol=0, atol=residual_tol * scale)
+            np.testing.assert_allclose(scanned_part, concrete_part, rtol=0, atol=residual_tol * scale)
         else:
-            np.testing.assert_allclose(jet_part, concrete_part, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(scanned_part, concrete_part, rtol=1e-12, atol=1e-12 * scale)
 
 
-class TestJetScan:
-    """``_scan`` builds its trees once over section jets and must agree with
-    the concrete trees of every test section."""
+# The re parts of the first three seed-414 sections at unit mass, pinned so
+# that members built from the family keep the seeded sections' trees; the
+# im parts swap cos for sin.
+SEED_414_SECTIONS = (
+    "(* (+ (* 0.09545965138800727 (/ u 3.141592653589793)) "
+    "(* 0.10136050407640784 (/ v 6.283185307179586)) (* 0.014569154504182613 (/ r 5.0)) "
+    "(* -0.06987073266005717 (/ t 5.0)) (* 0.9241267862832399 (pow (/ r 5.0) 2)) "
+    "-0.11033044150696991) (cos (+ (* -2.0 v) (* 0.050807438007314465 t))))",
+    "(* (+ (* -0.3856509268256445 (/ u 3.141592653589793)) "
+    "(* -0.7721433199586878 (/ v 6.283185307179586)) (* -0.9270042563383558 (/ r 5.0)) "
+    "(* -0.8309760841919305 (/ t 5.0)) (* 0.26484438522400944 (pow (/ r 5.0) 2)) "
+    "0.20074934827298985) (cos (+ (* 2.0 v) (* -0.07943771284292112 t))))",
+    "(* (+ (* 0.11009575732947785 (/ u 3.141592653589793)) "
+    "(* 0.010594355742437722 (/ v 6.283185307179586)) (* -0.3107232772300381 (/ r 5.0)) "
+    "(* -0.3513205439767877 (/ t 5.0)) (* -0.395901003927396 (pow (/ r 5.0) 2)) "
+    "-0.8123382285265794) (cos (* 0.23250093577465242 t)))",
+)
+
+
+class TestSectionFamily:
+    def test_members_keep_their_trees(self):
+        family = random_sections(1.0, 3, 414)
+        assert len(family) == 3 and family.draws.shape == (3, 8)
+        for k, re in enumerate(SEED_414_SECTIONS):
+            assert family[k].re.to_prefix() == re
+            assert family[k].im.to_prefix() == re.replace("(cos ", "(sin ")
+
+    def test_slice_is_a_subfamily(self):
+        family = random_sections(1.0, 3, 414)
+        tail = family[1:]
+        assert len(tail) == 2
+        assert tail[0] == family[1] and tail[1] == family[2]
+
+
+class TestFamilyScan:
+    """``_scan`` builds its trees once over the family's parameters and must
+    agree with the concrete trees of every member."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
         recorded = []
-        jet_scan = prequantum._scan
+        family_scan = prequantum._scan
 
         def recording(parts, sections, points):
-            jets = jet_scan(parts, sections, points)
-            recorded.append((jets, per_section_scan(parts, sections, points)))
-            return jets
+            scanned = family_scan(parts, sections, points)
+            recorded.append((scanned, per_section_scan(parts, sections, points)))
+            return scanned
 
         monkeypatch.setattr(prequantum, "_scan", recording)
         return recorded
@@ -371,19 +406,19 @@ class TestJetScan:
     def test_matches_per_section_trees(self, model, potential, operator_points, scans, seed):
         sections = random_sections(model.mass, 3, seed)
         curvature_section_check(model, potential, sections, operator_points)
-        ((jets, concrete),) = scans
-        assert jets.shape == (6, 3, len(operator_points))
-        assert_scan_matches(jets, concrete, residuals=range(6))
+        ((scanned, concrete),) = scans
+        assert scanned.shape == (6, 3, len(operator_points))
+        assert_scan_matches(scanned, concrete, residuals=range(6))
 
         scans.clear()
         commutator_suite(model, potential, sections, operator_points)
-        ((jets, concrete),) = scans
-        assert jets.shape == (40, 3, len(operator_points))
+        ((scanned, concrete),) = scans
+        assert scanned.shape == (40, 3, len(operator_points))
         # the hermitian pass over the six pairs, then the nonhermitian one;
         # uv and rt carry the two display parts in the hermitian pass
         bounds = np.cumsum([0, 5, 3, 3, 3, 3, 5] + [3] * 6)
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            pair_jets, pair_concrete = jets[start:stop], concrete[start:stop]
+            pair_scanned, pair_concrete = scanned[start:stop], concrete[start:stop]
             # parts: residual, bracket side, commutator side, and for uv and
             # rt the display residual and display.  A residual cancels two
             # operator products larger than the bracket side, so its
@@ -391,20 +426,21 @@ class TestJetScan:
             # report up to 7e-12 at defaults).  Where the bracket folds to
             # zero, the commutator side is a residual as well.
             residuals = {0, 3} | ({2} if peak(pair_concrete[1]) == 0.0 else set())
-            assert_scan_matches(pair_jets, pair_concrete, residuals, residual_tol=1e-11)
+            assert_scan_matches(pair_scanned, pair_concrete, residuals, residual_tol=1e-11)
 
         scans.clear()
         geometric_operator_report(model, potential, sections, operator_points)
-        ((jets, concrete),) = scans
-        assert jets.shape == (10, 3, len(operator_points))
+        ((scanned, concrete),) = scans
+        assert scanned.shape == (10, 3, len(operator_points))
         # residual and left side of the three chain rules, then of the two
         # printed relations
         for start in range(0, 10, 2):
-            assert_scan_matches(jets[start : start + 2], concrete[start : start + 2])
+            assert_scan_matches(scanned[start : start + 2], concrete[start : start + 2])
 
     def test_second_order_parts(self, potential, sections, operator_points):
         # the check parts are first order in psi once the commutators cancel,
-        # so second-order jets are compared here on parts that keep them
+        # so second derivatives of the family are compared here on parts that
+        # keep them
         def parts(psi):
             return [
                 covariant_derivative(
@@ -413,22 +449,26 @@ class TestJetScan:
                 for a, b in ((2, 3), (3, 2), (0, 0), (1, 2))
             ]
 
-        jets = prequantum._scan(parts, sections, operator_points)
-        assert_scan_matches(jets, per_section_scan(parts, sections, operator_points), residuals=())
+        scanned = prequantum._scan(parts, sections, operator_points)
+        assert_scan_matches(scanned, per_section_scan(parts, sections, operator_points), residuals=())
 
     def test_guard_at_one_point_raises(self, potential, operator_points):
-        # 1/(t - t0) has a zero denominator at the one sample point with t = t0
-        pole = ex.quotient(ex.ONE, ex.T - ex.const(operator_points[4].t))
-        sections = [ONE_SECTION, Section(pole, ex.ZERO)]
+        # 1/(t - p0) has a zero denominator at the one sample point with
+        # t = p0 for the second member, and none for the first
+        t = operator_points[4].t
+        poles = SectionFamily(
+            lambda row: Section(ex.quotient(ex.ONE, ex.T - row[0]), ex.ZERO),
+            np.array([[t + 100.0], [t]]),
+        )
 
         def parts(psi):
             return [covariant_derivative(basis_vector(3), psi, potential)]
 
-        assert prequantum._scan(parts, sections[:1], operator_points).shape == (
+        assert prequantum._scan(parts, poles[:1], operator_points).shape == (
             1, 1, len(operator_points)
         )
         with pytest.raises(EvaluationError):
-            prequantum._scan(parts, sections, operator_points)
+            prequantum._scan(parts, poles, operator_points)
 
 
 class TestRadialResiduals:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from warpsymp import expressions as ex
 from warpsymp import prequantum, suite
 from warpsymp.cli import _config_from_args, build_parser, main
 from warpsymp.suite import (
@@ -193,6 +194,26 @@ class TestRunSuite:
             )
             assert report.all_passed
             counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_commutator_roots_do_not_scale_with_sections(self, monkeypatch):
+        """The test sections are one family, so the commutator group hands
+        the evaluator the same roots however many sections it draws."""
+        roots = []
+        evaluate_many = ex.evaluate_many
+
+        def counting(batch, at):
+            roots.append(len(batch))
+            return evaluate_many(batch, at)
+
+        monkeypatch.setattr(ex, "evaluate_many", counting)
+        counts = []
+        for n_sections in (1, 10):
+            roots.clear()
+            run_suite(
+                RunConfig(n_samples=10, n_sections=n_sections), only=suite.GROUP_CHECKS["commutators"]
+            )
+            counts.append(sum(roots))
         assert counts[0] == counts[1] > 0
 
     def test_one_scan_per_operator_group(self, monkeypatch):
@@ -423,6 +444,32 @@ class TestCli:
         code = main(["emit-csv", "integral_convergence", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "integral_convergence.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, config_text",
+        [
+            (["integrate", "--r0", "inf"], None),
+            (["integrate"], "r0 = inf\n"),
+            (["verify"], "t0 = nan\n"),
+            (["verify", "--tolerance", "gradient_relation=inf"], None),
+        ],
+        ids=["r0-flag", "r0-file", "t0-file", "tolerance-flag"],
+    )
+    def test_nonfinite_value_is_a_config_error(self, command, config_text, tmp_path, capsys):
+        if config_text is not None:
+            config_file = tmp_path / "run.cfg"
+            config_file.write_text(config_text)
+            command = [*command, "--config", str(config_file)]
+        assert main([*command, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_default_report_is_strict_json(self, tmp_path, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
 
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--mass", "-3"]) == 2
