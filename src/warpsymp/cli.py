@@ -10,7 +10,7 @@ Commands:
 
 Flags override values from an optional flat key-value config file.  Exit
 codes: 0 all assertable checks pass, 1 a check failed, 2 configuration or
-usage error.
+usage error, or a model that cannot be evaluated at the sampled points.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from .expressions import EvaluationError
+from .hamiltonian import SingularSymplecticError, surface_integral
 from .reports import passes
+from .spacetime import schwarzschild
 from .suite import (
     CHECK_CATALOGUE,
     CONFIG_KEYS,
@@ -136,9 +139,6 @@ def main(argv=None) -> int:
             return report.exit_code
 
         if args.command == "integrate":
-            from .hamiltonian import surface_integral
-            from .spacetime import schwarzschild
-
             model = schwarzschild(config.mass)
             spec = QuadratureSpec(
                 n_u=config.n_u, n_v=config.n_v, r0=config.resolved_r0(), t0=config.t0
@@ -170,6 +170,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except (EvaluationError, SingularSymplecticError) as err:
+        print(f"evaluation error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -7,9 +7,11 @@ deliberately shallow: constant folding plus the x+0, x*0, x*1 rules.
 Identities between expressions are established numerically at sampled
 chart points, never by tree canonicalisation.
 
-All nodes are frozen dataclasses, so expressions are hashable, comparable
-structurally, and safe to share between threads.  Each node caches its
-partial derivatives (outside the dataclass fields), so differentiating the
+Nodes are immutable: each node class lists its fields in ``_fields``, and
+two nodes are equal (with equal hashes) when they have the same type and
+equal fields, so expressions compare structurally and are safe to share
+between threads.  ``vars(node)`` holds exactly the fields.  Each node caches
+its partial derivatives in a slot outside the fields, so differentiating the
 same node twice returns the same tree and derivative DAGs stay shared.
 
 Evaluation has one path, ``evaluate_many``: it orders the DAG under several
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +48,6 @@ class EvaluationError(ArithmeticError):
     """Raised when a closed form hits a branch cut or a zero denominator."""
 
 
-@dataclass(frozen=True)
 class ChartPoint:
     """A point of the cut chart: colatitude u, azimuth v, areal radius r,
     static time t, and the mass parameter m of the ambient model.
@@ -55,30 +55,33 @@ class ChartPoint:
     The guard keeps r away from the horizon by the relative margin
     ``HORIZON_MARGIN``; the warp factor and its inverse powers blow up at
     r = 2m, so points closer than 2m(1 + margin) are rejected outright
-    rather than silently producing garbage.
+    rather than silently producing garbage.  Points are immutable.
     """
 
-    u: float
-    v: float
-    r: float
-    t: float
-    m: float
+    __slots__ = ("u", "v", "r", "t", "m")
 
-    def __post_init__(self):
-        for name in ("u", "v", "r", "t", "m"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, u: float, v: float, r: float, t: float, m: float):
+        for name, value in zip(self.__slots__, (u, v, r, t, m)):
+            if not math.isfinite(value):
                 raise ChartDomainError(f"coordinate {name} must be finite")
-        if self.m <= 0.0:
-            raise ChartDomainError(f"mass must be positive, got {self.m}")
-        if not 0.0 < self.u < math.pi:
-            raise ChartDomainError(f"colatitude u={self.u} outside (0, pi)")
-        if not 0.0 < self.v < 2.0 * math.pi:
-            raise ChartDomainError(f"azimuth v={self.v} outside (0, 2*pi)")
-        if self.r < 2.0 * self.m * (1.0 + HORIZON_MARGIN):
+            object.__setattr__(self, name, value)
+        if m <= 0.0:
+            raise ChartDomainError(f"mass must be positive, got {m}")
+        if not 0.0 < u < math.pi:
+            raise ChartDomainError(f"colatitude u={u} outside (0, pi)")
+        if not 0.0 < v < 2.0 * math.pi:
+            raise ChartDomainError(f"azimuth v={v} outside (0, 2*pi)")
+        if r < 2.0 * m * (1.0 + HORIZON_MARGIN):
             raise ChartDomainError(
-                f"radius r={self.r} violates the horizon guard "
-                f"r >= 2m(1+{HORIZON_MARGIN}) for m={self.m}"
+                f"radius r={r} violates the horizon guard "
+                f"r >= 2m(1+{HORIZON_MARGIN}) for m={m}"
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a ChartPoint is immutable")
+
+    def __repr__(self):
+        return "ChartPoint(" + ", ".join(f"{k}={x!r}" for k, x in self.as_dict().items()) + ")"
 
     def as_dict(self) -> dict:
         return {"u": self.u, "v": self.v, "r": self.r, "t": self.t, "m": self.m}
@@ -87,12 +90,42 @@ class ChartPoint:
 class Expression:
     """Base class of all expression-tree nodes.
 
+    ``_fields`` names a node class's fields in order; the constructor takes
+    them positionally, and equality, hash and repr read them.
     ``children`` are the operand nodes; ``_apply`` computes the node from
     their values (numbers or arrays that broadcast together) and the chart
     inputs, and ``_rule`` is the node's differentiation rule.
     """
 
+    __slots__ = ("_derivatives",)
+    _fields = ()
     children = ()
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        # object.__setattr__ stores the fields without building a dict per
+        # node; a counted loop costs less than zip for one or two fields
+        index = 0
+        for name in fields:
+            object.__setattr__(self, name, values[index])
+            index += 1
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: expression nodes are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
     def evaluate(self, point: ChartPoint) -> float:
         """Evaluate at one chart point (a one-point ``evaluate_many``)."""
@@ -108,9 +141,12 @@ class Expression:
         return self._diff(coordinate)
 
     def _diff(self, coordinate: str) -> "Expression":
-        """``_rule`` memoised per coordinate in the instance dict, which the
-        dataclass fields, equality and hash do not see."""
-        cache = self.__dict__.setdefault("_derivatives", {})
+        """``_rule`` memoised per coordinate in the ``_derivatives`` slot,
+        which the fields, equality and hash do not see."""
+        cache = getattr(self, "_derivatives", None)
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_derivatives", cache)
         derivative = cache.get(coordinate)
         if derivative is None:
             derivative = cache[coordinate] = self._rule(coordinate)
@@ -159,9 +195,8 @@ class Expression:
         return power(self, exponent)
 
 
-@dataclass(frozen=True)
 class Constant(Expression):
-    value: float
+    _fields = ("value",)
 
     def _apply(self, values, inputs):
         return self.value
@@ -173,9 +208,8 @@ class Constant(Expression):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Coordinate(Expression):
-    name: str
+    _fields = ("name",)
 
     def _apply(self, values, inputs):
         return inputs[self.name]
@@ -187,7 +221,6 @@ class Coordinate(Expression):
         return self.name
 
 
-@dataclass(frozen=True)
 class MassParameter(Expression):
     """The mass parameter of the ambient model; constant on the chart."""
 
@@ -201,12 +234,11 @@ class MassParameter(Expression):
         return "m"
 
 
-@dataclass(frozen=True)
 class Parameter(Expression):
     """A named number that is constant on the chart.  The value is read
     from the input mapping under the parameter itself."""
 
-    name: str
+    _fields = ("name",)
 
     def _apply(self, values, inputs):
         return inputs[self]
@@ -218,9 +250,8 @@ class Parameter(Expression):
         return f"(param {self.name})"
 
 
-@dataclass(frozen=True)
 class Sum(Expression):
-    terms: tuple
+    _fields = ("terms",)
 
     @property
     def children(self):
@@ -246,9 +277,8 @@ class Sum(Expression):
         return "(+ " + " ".join(t.to_prefix() for t in self.terms) + ")"
 
 
-@dataclass(frozen=True)
 class Product(Expression):
-    factors: tuple
+    _fields = ("factors",)
 
     @property
     def children(self):
@@ -272,10 +302,8 @@ class Product(Expression):
         return "(* " + " ".join(f.to_prefix() for f in self.factors) + ")"
 
 
-@dataclass(frozen=True)
 class Quotient(Expression):
-    numerator: Expression
-    denominator: Expression
+    _fields = ("numerator", "denominator")
 
     @property
     def children(self):
@@ -300,12 +328,10 @@ class Quotient(Expression):
 _POWER_KERNELS = {Fraction(2): np.square, Fraction(-1): np.reciprocal, Fraction(1, 2): np.sqrt}
 
 
-@dataclass(frozen=True)
 class Power(Expression):
     """base raised to a fixed rational exponent."""
 
-    base: Expression
-    exponent: Fraction
+    _fields = ("base", "exponent")
 
     @property
     def children(self):
@@ -333,9 +359,8 @@ class Power(Expression):
         return f"(pow {self.base.to_prefix()} {literal})"
 
 
-@dataclass(frozen=True)
 class Exp(Expression):
-    arg: Expression
+    _fields = ("arg",)
 
     @property
     def children(self):
@@ -355,9 +380,8 @@ class Exp(Expression):
         return f"(exp {self.arg.to_prefix()})"
 
 
-@dataclass(frozen=True)
 class Log(Expression):
-    arg: Expression
+    _fields = ("arg",)
 
     @property
     def children(self):
@@ -376,9 +400,8 @@ class Log(Expression):
         return f"(ln {self.arg.to_prefix()})"
 
 
-@dataclass(frozen=True)
 class Sin(Expression):
-    arg: Expression
+    _fields = ("arg",)
 
     @property
     def children(self):
@@ -394,9 +417,8 @@ class Sin(Expression):
         return f"(sin {self.arg.to_prefix()})"
 
 
-@dataclass(frozen=True)
 class Cos(Expression):
-    arg: Expression
+    _fields = ("arg",)
 
     @property
     def children(self):

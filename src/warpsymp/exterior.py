@@ -20,9 +20,9 @@ Everything is immutable; operations are pure functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def _canonicalize(index: tuple) -> tuple:
     return sign, tuple(entries)
 
 
-@dataclass(frozen=True)
-class KForm:
+class KForm(NamedTuple):
     """A degree-k antisymmetric form with expression coefficients.
 
     ``terms`` maps strictly increasing multi-indices over (u, v, r, t) to
@@ -173,8 +172,7 @@ class KForm:
         return float(self.max_abs(point.as_dict()))
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """Contravariant field with one expression per coordinate direction."""
 
     components: tuple  # 4 Expressions ordered (u, v, r, t)
@@ -218,11 +216,19 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     )
 
 
-@dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric rank-2 covariant tensor; only the upper triangle is stored."""
+    """Symmetric rank-2 covariant tensor; only the upper triangle is stored.
 
-    upper: tuple  # 10 Expressions, row-major over i <= j
+    ``upper`` holds 10 Expressions, row-major over i <= j.  The determinant
+    and the inverse are built on first use and kept on the metric, so every
+    form derived from one metric shares their nodes.
+    """
+
+    def __init__(self, upper: tuple):
+        vars(self)["upper"] = upper
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a MetricTensor is immutable")
 
     @staticmethod
     def from_entries(mapping) -> "MetricTensor":
@@ -246,6 +252,35 @@ class MetricTensor:
     def matrix(self) -> tuple:
         return tuple(tuple(self.entry(i, j) for j in range(DIM)) for i in range(DIM))
 
+    @cached_property
+    def determinant(self) -> Expression:
+        rows = self.matrix()
+        pieces = []
+        for j in range(DIM):
+            if is_zero(rows[0][j]):
+                continue
+            sign = ONE if j % 2 == 0 else NEG_ONE
+            pieces.append(mul(sign, rows[0][j], _det3(_minor(rows, 0, j))))
+        return add(*pieces)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """Inverse metric as a 4x4 tuple of expressions (adjugate over determinant)."""
+        determinant = self.determinant
+        if is_zero(determinant):
+            raise SingularMetricError("metric determinant is identically zero")
+        rows = self.matrix()
+        inverse = []
+        for i in range(DIM):
+            row = []
+            for j in range(DIM):
+                sign = ONE if (i + j) % 2 == 0 else NEG_ONE
+                # adjugate transposes the cofactor matrix; the metric is
+                # symmetric so cofactor(j, i) = cofactor(i, j)
+                row.append(quotient(mul(sign, _det3(_minor(rows, j, i))), determinant))
+            inverse.append(tuple(row))
+        return tuple(inverse)
+
 
 def _det3(m) -> Expression:
     return add(
@@ -261,37 +296,6 @@ def _minor(rows, drop_row: int, drop_col: int):
         for i, row in enumerate(rows)
         if i != drop_row
     ]
-
-
-@lru_cache(maxsize=None)
-def metric_determinant(metric: MetricTensor) -> Expression:
-    rows = metric.matrix()
-    pieces = []
-    for j in range(DIM):
-        if is_zero(rows[0][j]):
-            continue
-        sign = ONE if j % 2 == 0 else NEG_ONE
-        pieces.append(mul(sign, rows[0][j], _det3(_minor(rows, 0, j))))
-    return add(*pieces)
-
-
-@lru_cache(maxsize=None)
-def metric_inverse(metric: MetricTensor) -> tuple:
-    """Inverse metric as a 4x4 tuple of expressions (adjugate over determinant)."""
-    determinant = metric_determinant(metric)
-    if is_zero(determinant):
-        raise SingularMetricError("metric determinant is identically zero")
-    rows = metric.matrix()
-    inverse = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            sign = ONE if (i + j) % 2 == 0 else NEG_ONE
-            # adjugate transposes the cofactor matrix; the metric is
-            # symmetric so cofactor(j, i) = cofactor(i, j)
-            row.append(quotient(mul(sign, _det3(_minor(rows, j, i))), determinant))
-        inverse.append(tuple(row))
-    return tuple(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +364,7 @@ def sharp(alpha: KForm, metric: MetricTensor) -> VectorField:
     """Raise the index of a 1-form with the inverse metric."""
     if alpha.degree != 1:
         raise DegreeError("sharp requires a 1-form")
-    inverse = metric_inverse(metric)
+    inverse = metric.inverse
     return VectorField(
         tuple(
             add(*[mul(inverse[i][j], alpha.coefficient((j,))) for j in range(DIM)])
@@ -401,9 +405,8 @@ def hodge_star(a: KForm, metric: MetricTensor) -> KForm:
     form sqrt(-det g) du^dv^dr^dt; on this signature star(star(a)) equals
     -(-1)^(k(4-k)) a.
     """
-    inverse = metric_inverse(metric)
-    determinant = metric_determinant(metric)
-    volume_density = power(mul(NEG_ONE, determinant), Fraction(1, 2))
+    inverse = metric.inverse
+    volume_density = power(mul(NEG_ONE, metric.determinant), Fraction(1, 2))
     k = a.degree
     out: dict = {}
     for target in itertools.combinations(range(DIM), DIM - k):

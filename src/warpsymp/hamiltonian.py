@@ -18,8 +18,8 @@ there), with an error estimate from node doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,31 +245,31 @@ def bracket_table(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts and sphere location for surface integrals.
 
     ``n_u`` Gauss-Legendre nodes on the colatitude interval (0, pi) and
     ``n_v`` midpoint nodes on the periodic azimuth; the sphere sits at
-    radius r0 and time slice t0.
+    radius r0 and time slice t0.  Specs are immutable.
     """
 
-    n_u: int = 32
-    n_v: int = 64
-    r0: float = 3.0
-    t0: float = 0.0
+    __slots__ = ("n_u", "n_v", "r0", "t0")
 
-    def __post_init__(self):
-        if self.n_u < 2:
+    def __init__(self, n_u: int = 32, n_v: int = 64, r0: float = 3.0, t0: float = 0.0):
+        if n_u < 2:
             raise ValueError("need at least 2 colatitude nodes")
-        if self.n_v < 4:
+        if n_v < 4:
             raise ValueError("need at least 4 azimuth nodes")
-        if not math.isfinite(self.r0) or self.r0 <= 0:
+        if not math.isfinite(r0) or r0 <= 0:
             raise ValueError("sphere radius must be positive and finite")
+        for name, value in zip(self.__slots__, (n_u, n_v, r0, t0)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a QuadratureSpec is immutable")
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     error_estimate: float
     n_u: int

@@ -32,8 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,16 +78,20 @@ class CurvatureScale(str, Enum):
         return ex.quotient(ex.ONE, self.hbar())
 
 
-@dataclass(frozen=True)
 class ConnectionPotential:
-    """A real connection 1-form theta on the cut chart with its scaling."""
+    """A real connection 1-form theta on the cut chart with its scaling;
+    immutable."""
 
-    theta: KForm
-    scale: CurvatureScale = CurvatureScale.PLAIN
+    __slots__ = ("theta", "scale")
 
-    def __post_init__(self):
-        if self.theta.degree != 1:
+    def __init__(self, theta: KForm, scale: CurvatureScale = CurvatureScale.PLAIN):
+        if theta.degree != 1:
             raise ValueError("the connection potential must be a 1-form")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "scale", scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a ConnectionPotential is immutable")
 
     @staticmethod
     def monopole(model: SpacetimeModel, scale: CurvatureScale = CurvatureScale.PLAIN):
@@ -115,8 +119,7 @@ class ConnectionPotential:
         )
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """A complex-valued field on the cut chart, stored as (re, im).
 
     Sections are local objects: they are only required to be evaluable on
@@ -198,8 +201,7 @@ def covariant_derivative(
     )
 
 
-@dataclass(frozen=True)
-class PrequantumOperator:
+class PrequantumOperator(NamedTuple):
     """The operator assigned to a smooth function.
 
     ``hermitian=True`` gives  i hbar nabla_{H_f} - f, the assignment under
@@ -251,17 +253,23 @@ def apply_operator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class SectionFamily:
     """Test sections of one shape that differ only in drawn numbers.
 
     ``draws`` has one row per member; ``build(row)`` makes the section whose
     numbers are the expressions of ``row``.  ``family[k]`` is member k, built
-    over constants; ``family[a:b]`` is a sub-family.
+    over constants; ``family[a:b]`` is a sub-family.  Families are immutable
+    and compare by identity.
     """
 
-    build: Callable
-    draws: np.ndarray
+    __slots__ = ("build", "draws")
+
+    def __init__(self, build: Callable, draws: np.ndarray):
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "draws", draws)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a SectionFamily is immutable")
 
     def __len__(self):
         return len(self.draws)
@@ -509,8 +517,7 @@ def geometric_operator_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """A coordinate box inside the chart, for bounded L2 norms."""
 
     u: tuple

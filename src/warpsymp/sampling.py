@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import ChartPoint
 
 
-@dataclass(frozen=True)
 class SampleWindow:
     """Coordinate window for random sampling, in units tied to the mass.
 
@@ -22,22 +20,31 @@ class SampleWindow:
     loses roughly 1.5 digits per decade of that growth.  A margin of 1e-2
     keeps cancellation noise orders of magnitude below the 1e-11 .. 1e-12
     thresholds; near-horizon studies pass a smaller margin explicitly and
-    read the conditioning data off the report.
+    read the conditioning data off the report.  Windows are immutable.
     """
 
-    r_margin: float = 1e-2
-    r_max_factor: float = 100.0
-    u_margin: float = 1e-2
-    v_margin: float = 1e-2
-    t_half_width_factor: float = 5.0
+    __slots__ = ("r_margin", "r_max_factor", "u_margin", "v_margin", "t_half_width_factor")
 
-    def __post_init__(self):
-        if self.r_margin <= 0 or self.r_max_factor <= 2.0:
+    def __init__(
+        self,
+        r_margin: float = 1e-2,
+        r_max_factor: float = 100.0,
+        u_margin: float = 1e-2,
+        v_margin: float = 1e-2,
+        t_half_width_factor: float = 5.0,
+    ):
+        if r_margin <= 0 or r_max_factor <= 2.0:
             raise ValueError("radial window must sit strictly outside the horizon")
-        if not 0 < self.u_margin < math.pi / 2:
+        if not 0 < u_margin < math.pi / 2:
             raise ValueError("u margin must lie in (0, pi/2)")
-        if not 0 < self.v_margin < math.pi:
+        if not 0 < v_margin < math.pi:
             raise ValueError("v margin must lie in (0, pi)")
+        values = (r_margin, r_max_factor, u_margin, v_margin, t_half_width_factor)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a SampleWindow is immutable")
 
 
 # Sampling window for prequantum-operator checks.  Operator compositions

@@ -72,18 +72,24 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad value, unknown key, unknown check)."""
 
 
-@dataclass(frozen=True)
 class GroupInputs:
-    """What every check group of one suite run draws on.
+    """What every check group of one suite run draws on; immutable.
 
     The sample points and test sections are drawn on first use, so a run
     draws only what its selected groups read.
     """
 
-    model: SpacetimeModel
-    potential: ConnectionPotential
-    quadrature: QuadratureSpec
-    config: RunConfig
+    def __init__(
+        self,
+        model: SpacetimeModel,
+        potential: ConnectionPotential,
+        quadrature: QuadratureSpec,
+        config: RunConfig,
+    ):
+        vars(self).update(model=model, potential=potential, quadrature=quadrature, config=config)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: GroupInputs are immutable")
 
     @property
     def seed(self) -> int:
@@ -133,8 +139,7 @@ class Check(NamedTuple):
     rule: str = BELOW
 
 
-@dataclass(frozen=True)
-class CheckGroup:
+class CheckGroup(NamedTuple):
     """One row of the catalogue: a group, the runner that computes it, and
     the checks it emits in report order.
 

@@ -4,7 +4,6 @@ The differentiation oracle throughout is a central finite difference with
 Richardson extrapolation, kept independent of the symbolic rules it checks.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from warpsymp import expressions as ex
+from warpsymp import suite
 from warpsymp.expressions import (
     ChartDomainError,
     ChartPoint,
@@ -21,6 +21,17 @@ from warpsymp.expressions import (
     evaluate_many,
     parse_prefix,
 )
+from warpsymp.exterior import KForm, basis_vector
+from warpsymp.hamiltonian import IntegralResult, QuadratureSpec
+from warpsymp.prequantum import (
+    Box,
+    ConnectionPotential,
+    Section,
+    prequantum_operator,
+    random_sections,
+)
+from warpsymp.sampling import SampleWindow
+from warpsymp.suite import GroupInputs, RunConfig
 
 
 def warp_expression():
@@ -157,7 +168,7 @@ class TestBatchedEvaluation:
         tree = warp_expression()
         first = tree.diff("r")
         assert tree.diff("r") is first
-        assert [f.name for f in dataclasses.fields(tree)] == ["arg"]
+        assert tree._fields == ("arg",) and list(vars(tree)) == ["arg"]
         assert tree == warp_expression() and hash(tree) == hash(warp_expression())
 
 
@@ -271,6 +282,38 @@ class TestChartPoint:
         point = ChartPoint(u=1.0, v=1.0, r=5.0, t=0.0, m=1.0)
         with pytest.raises(AttributeError):
             point.r = 6.0
+
+
+def _group_inputs(model):
+    potential = ConnectionPotential.monopole(model)
+    return GroupInputs(model, potential, QuadratureSpec(), RunConfig())
+
+
+# A builder over the model and a field name, for a node and for each record
+# that was a frozen dataclass.
+IMMUTABLE = [
+    (lambda model: ex.sin(ex.U), "arg"),
+    (lambda model: KForm.zero(1), "degree"),
+    (lambda model: basis_vector(0), "components"),
+    (lambda model: model.metric, "upper"),
+    (lambda model: IntegralResult(1.0, 0.0, 2, 4), "value"),
+    (lambda model: QuadratureSpec(), "n_u"),
+    (lambda model: SampleWindow(), "r_margin"),
+    (lambda model: ConnectionPotential.monopole(model), "theta"),
+    (lambda model: Section(ex.ONE, ex.ZERO), "re"),
+    (lambda model: prequantum_operator(ex.R, model, ConnectionPotential.monopole(model)), "hbar"),
+    (lambda model: random_sections(1.0, 2, 0), "draws"),
+    (lambda model: Box.default(1.0), "r"),
+    (lambda model: suite.CHECK_GROUPS[0], "key"),
+    (_group_inputs, "model"),
+]
+
+
+@pytest.mark.parametrize("build, field", IMMUTABLE, ids=[f for _, f in IMMUTABLE])
+def test_assigning_a_field_raises(build, field, model):
+    record = build(model)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
 
 
 class TestDifferentiate:

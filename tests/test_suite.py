@@ -2,9 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import warpsymp
 from warpsymp import expressions as ex
 from warpsymp import prequantum, suite
 from warpsymp.cli import _config_from_args, build_parser, main
@@ -18,6 +23,8 @@ from warpsymp.suite import (
     load_config_file,
     run_suite,
 )
+
+SRC = Path(warpsymp.__file__).resolve().parents[1]
 
 # a reduced but complete configuration so suite-level tests stay quick
 FAST = dict(n_samples=20, n_sections=3)
@@ -198,23 +205,61 @@ class TestRunSuite:
 
     def test_commutator_roots_do_not_scale_with_sections(self, monkeypatch):
         """The test sections are one family, so the commutator group hands
-        the evaluator the same roots however many sections it draws."""
-        roots = []
-        evaluate_many = ex.evaluate_many
+        the evaluator the same roots, and the same scheduled nodes, however
+        many sections it draws.  Node counts compare across runs because
+        each model builds its own metric inverse."""
+        roots, nodes = [], []
+        evaluate_many, schedule = ex.evaluate_many, ex._schedule
 
         def counting(batch, at):
             roots.append(len(batch))
             return evaluate_many(batch, at)
 
+        def counting_nodes(batch):
+            order, uses = schedule(batch)
+            nodes.append(len(order))
+            return order, uses
+
         monkeypatch.setattr(ex, "evaluate_many", counting)
+        monkeypatch.setattr(ex, "_schedule", counting_nodes)
         counts = []
         for n_sections in (1, 10):
             roots.clear()
+            nodes.clear()
             run_suite(
                 RunConfig(n_samples=10, n_sections=n_sections), only=suite.GROUP_CHECKS["commutators"]
             )
-            counts.append(sum(roots))
-        assert counts[0] == counts[1] > 0
+            counts.append((sum(roots), sum(nodes)))
+        assert counts[0] == counts[1] and min(counts[0]) > 0
+
+    def test_each_run_schedules_the_nodes_of_the_first(self):
+        """Each metric keeps its own determinant and inverse, so a later run
+        in one process shares nodes as the first run does.  The runs go in a
+        fresh interpreter, where the first run builds the first model."""
+        script = textwrap.dedent(
+            """
+            import warpsymp.expressions as ex
+            from warpsymp.suite import RunConfig, run_suite
+
+            schedule, counts = ex._schedule, []
+
+            def counting(roots):
+                order, uses = schedule(roots)
+                counts.append(len(order))
+                return order, uses
+
+            ex._schedule = counting
+            for _ in range(3):
+                run_suite(RunConfig(), only=["commutator_uv"])
+            print(counts)
+            """
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=300
+        )
+        assert completed.returncode == 0, completed.stderr
+        counts = json.loads(completed.stdout)
+        assert len(counts) == 3 and counts[0] == counts[1] == counts[2]
 
     def test_one_scan_per_operator_group(self, monkeypatch):
         """Each operator group builds all its parts into one scan of the test
@@ -470,6 +515,13 @@ class TestCli:
 
         assert main(["verify", "--out", str(tmp_path)]) == 0
         json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+
+    @pytest.mark.parametrize("mass", ["1e-50", "1e80"])
+    def test_unevaluable_mass_is_an_evaluation_error(self, mass, tmp_path, capsys):
+        assert main(["verify", "--mass", mass, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--mass", "-3"]) == 2
