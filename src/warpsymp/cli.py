@@ -16,6 +16,7 @@ usage error, or a model that cannot be evaluated at the sampled points.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -117,6 +118,14 @@ def _print_checks(checks) -> None:
 
 
 def main(argv=None) -> int:
+    """The program's entry point: run one command, return its exit code.
+
+    It first freezes the heap alive on entry (modules, numpy, the package's
+    tables), so neither the run's collections nor interpreter shutdown walk
+    or free it.  An in-process caller's objects stay frozen after the call,
+    garbage or not, until it calls ``gc.unfreeze()``.
+    """
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)

@@ -312,7 +312,8 @@ class Quotient(Expression):
     def _apply(self, values, inputs):
         numerator, denominator = values
         if np.any(denominator == 0.0):
-            raise EvaluationError(f"zero denominator in {self.to_prefix()}")
+            text = self.to_prefix()  # cut, so that the error stays one short line
+            raise EvaluationError(f"zero denominator in {text[:80]}{'…' * (len(text) > 80)}")
         return numerator / denominator
 
     def _rule(self, coordinate):

@@ -276,6 +276,10 @@ CHECK_CATALOGUE = tuple(_CHECKS)
 DEFAULT_TOLERANCES = {name: check.tolerance for name, check in _CHECKS.items()}
 GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHECK_GROUPS}
 
+# Sphere quadrature bounds.  The fine pass doubles both counts: leggauss builds a
+# dense (2 n_u, 2 n_u) matrix, and each evaluated array holds 4 n_u n_v floats.
+MAX_N_U, MAX_N_V, MAX_SPHERE_NODES = 1024, 4096, 1 << 20
+
 
 @dataclass
 class RunConfig:
@@ -307,8 +311,12 @@ class RunConfig:
             raise ConfigError("n_samples must be at least 10")
         if self.n_sections < 1:
             raise ConfigError("n_sections must be at least 1")
-        if self.n_u < 2 or self.n_v < 4:
-            raise ConfigError("quadrature needs n_u >= 2 and n_v >= 4")
+        n_u, n_v = self.n_u, self.n_v
+        if not (2 <= n_u <= MAX_N_U and 4 <= n_v <= MAX_N_V and n_u * n_v <= MAX_SPHERE_NODES):
+            raise ConfigError(
+                f"quadrature needs 2 <= n_u <= {MAX_N_U}, 4 <= n_v <= {MAX_N_V} "
+                f"and n_u * n_v <= {MAX_SPHERE_NODES}, got {n_u} x {n_v}"
+            )
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown check name in tolerances: {name!r}")

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -27,3 +28,12 @@ def operator_points(model):
 @pytest.fixture
 def equator_point():
     return ChartPoint(u=math.pi / 2, v=1.0, r=3.0, t=0.5, m=1.0)
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_heap():
+    """``cli.main`` freezes the heap alive when it starts; unfreeze it after
+    each test, so that the garbage pending at that point is collected and not
+    kept for the rest of the session."""
+    yield
+    gc.unfreeze()

@@ -1,10 +1,12 @@
 """Suite orchestration, configuration, CSV emission, and the CLI."""
 
+import gc
 import json
 import math
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -302,6 +304,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(seed=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "n_u, n_v", [(1, 64), (32, 3), (1025, 64), (32, 4097), (1024, 1025), (100000, 4)]
+    )
+    def test_quadrature_counts_are_bounded(self, n_u, n_v):
+        with pytest.raises(ConfigError, match="quadrature needs"):
+            RunConfig(n_u=n_u, n_v=n_v).validate()
+
+    @pytest.mark.parametrize("n_u, n_v", [(2, 4), (32, 64), (128, 256), (1024, 1024), (256, 4096)])
+    def test_quadrature_counts_within_bounds_are_valid(self, n_u, n_v):
+        RunConfig(n_u=n_u, n_v=n_v).validate()
+
     def test_fixed_checks_refuse_overrides(self):
         for name in FIXED_CHECKS:
             with pytest.raises(ConfigError, match="fixed"):
@@ -521,7 +534,43 @@ class TestCli:
         assert main(["verify", "--mass", mass, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("evaluation error: ") and err.count("\n") == 1
+        assert len(err.rstrip("\n")) <= 160  # the failing tree is cut, not printed whole
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--nu", "100000"), ("--nv", "10000000")])
+    def test_oversized_quadrature_is_refused_before_allocating(self, flag, value, capsys):
+        assert main(["integrate", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: quadrature needs") and err.count("\n") == 1
+
+    def test_main_freezes_the_heap_alive_on_entry(self, capsys):
+        assert gc.get_freeze_count() == 0
+        assert main(["integrate", "--nu", "4", "--nv", "8"]) == 0
+        assert gc.get_freeze_count() > 0
+
+        # a reference cycle made after the call is not frozen and is still freed
+        class Cycle:
+            pass
+
+        cycle = Cycle()
+        cycle.self = cycle
+        alive = weakref.ref(cycle)
+        del cycle
+        gc.collect()
+        assert alive() is None
+
+    def test_fresh_process_writes_the_in_process_body(self, tmp_path, capsys):
+        args = ["verify", "--samples", "20", "--sections", "3", "--out", str(tmp_path)]
+        script = f"import sys\nfrom warpsymp.cli import main\nsys.exit(main({args!r}))"
+        completed = subprocess.run(
+            [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=300
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = tmp_path / "report.json"
+        fresh = json.loads(report.read_text())["body"]
+        report.unlink()
+        assert main(args) == 0
+        assert json.loads(report.read_text())["body"] == fresh
 
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--mass", "-3"]) == 2
