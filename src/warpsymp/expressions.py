@@ -87,6 +87,42 @@ class ChartPoint:
         return {"u": self.u, "v": self.v, "r": self.r, "t": self.t, "m": self.m}
 
 
+class PointSet:
+    """Chart points sharing one mass, held as one read-only float array per
+    coordinate.  The ChartPoint guards are applied to all points at once;
+    a violation raises the error of the ChartPoint at the first bad index.
+    ``points[k]`` gives a ChartPoint (iteration runs through the indices,
+    up to the IndexError), ``points[a:b]`` a PointSet.  Point sets are
+    immutable.
+    """
+
+    __slots__ = ("u", "v", "r", "t", "m")
+
+    def __init__(self, u, v, r, t, m: float):
+        u, v, r, t = columns = [np.array(x, dtype=float) for x in (u, v, r, t)]
+        for name, value in zip(self.__slots__, (*columns, m)):
+            object.__setattr__(self, name, value)
+        for column in columns:
+            column.flags.writeable = False
+        # the open ranges of u and v exclude NaN and infinities
+        angles = (0.0 < u) & (u < math.pi) & (0.0 < v) & (v < 2.0 * math.pi)
+        radii = (r >= 2.0 * m * (1.0 + HORIZON_MARGIN)) & np.isfinite(r)
+        inside = angles & radii & np.isfinite(t) & (math.isfinite(m) and m > 0.0)
+        if not inside.all():
+            self[int(np.argmin(inside))]  # raises that point's ChartDomainError
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a PointSet is immutable")
+
+    def __len__(self):
+        return len(self.u)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return PointSet(self.u[key], self.v[key], self.r[key], self.t[key], self.m)
+        return ChartPoint(*(float(x[key]) for x in (self.u, self.v, self.r, self.t)), self.m)
+
+
 class Expression:
     """Base class of all expression-tree nodes.
 
@@ -441,14 +477,17 @@ class Cos(Expression):
 
 
 def chart_inputs(at) -> dict:
-    """Input values by name from an input mapping or a list of ChartPoints.
+    """Input values by name from an input mapping, a PointSet or a list of
+    ChartPoints.
 
     A mapping is copied as it is, extra keys (parameters) included.  A
-    point list becomes one array per coordinate; a mass shared by all the
-    points stays a scalar.
+    point set gives its own arrays and mass.  A point list becomes one
+    array per coordinate; a mass shared by all the points stays a scalar.
     """
     if isinstance(at, Mapping):
         return dict(at)
+    if isinstance(at, PointSet):
+        return {name: getattr(at, name) for name in PointSet.__slots__}
     inputs = {
         name: np.array([getattr(p, name) for p in at], dtype=float) for name in COORDINATE_NAMES
     }
@@ -484,9 +523,9 @@ def _schedule(roots):
 def evaluate_many(roots, at) -> list:
     """Values of several expressions over a batch of chart points.
 
-    ``at`` is a sequence of ChartPoints or a mapping of the names u, v, r, t
-    and m to numbers or arrays that broadcast together (a sphere grid is a
-    colatitude column times an azimuth row, with r, t and m scalars).  The
+    ``at`` is a PointSet, a list of ChartPoints or a mapping of the names
+    u, v, r, t and m to numbers or arrays that broadcast together (a sphere
+    grid is a colatitude column times an azimuth row, with r, t, m scalars).  The
     mapping may hold further keys: the ``Parameter`` leaves of the roots,
     with their values.  Parameters shaped (member, 1) over point-shaped
     coordinates give every root the shape (member, point).  Each node of

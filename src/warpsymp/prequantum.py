@@ -55,6 +55,7 @@ from .hamiltonian import (
     surface_integral,
 )
 from .reports import CheckResult, peak, worst_point
+from .sampling import Stream
 from .spacetime import FOUR_PI, SpacetimeModel
 
 
@@ -289,14 +290,13 @@ def random_sections(mass: float, count: int, seed: int) -> SectionFamily:
     applications do not amplify roundoff.  Each member draws six
     polynomial coefficients, the winding j and kappa.
     """
-    rng = np.random.default_rng(seed)
-    draws = np.array(
-        [
-            [*rng.uniform(-1.0, 1.0, size=6), rng.integers(-2, 3), rng.uniform(-0.3, 0.3) / mass]
-            for _ in range(count)
-        ],
-        dtype=float,
-    ).reshape(count, 8)
+    stream = Stream(seed)
+    rows = []
+    for _ in range(count):
+        coefficients = stream.uniform(-1.0, 1.0, 6)
+        winding = stream.integers(-2, 3)
+        rows.append([*coefficients, winding, *stream.uniform(-0.3, 0.3, 1) / mass])
+    draws = np.array(rows, dtype=float).reshape(count, 8)
     scale_r = ex.quotient(ex.R, ex.const(5.0 * mass))
     scale_t = ex.quotient(ex.T, ex.const(5.0 * mass))
     scale_u = ex.quotient(ex.U, ex.const(math.pi))

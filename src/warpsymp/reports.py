@@ -61,8 +61,8 @@ def worst_point(magnitudes, points, start=0.0, axis=-1):
 
     Elements are scanned in C order, so an array shaped (section, point)
     is read section by section; ``axis`` is the axis that indexes
-    ``points``.  NaN is never selected.  With nothing above ``start`` the
-    result is (start, None).
+    ``points``, a PointSet or a list of ChartPoints.  NaN is never
+    selected.  With nothing above ``start`` the result is (start, None).
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     above = magnitudes > start

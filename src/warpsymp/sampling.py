@@ -1,12 +1,116 @@
-"""Seeded random sampling of exterior-chart points for identity checks."""
+"""Seeded random sampling of exterior-chart points for identity checks.
+
+The draws come from ``Stream``, a pure-Python copy of numpy's default
+generator, so that no command pays for importing ``numpy.random``.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .expressions import ChartPoint
+from .expressions import PointSet
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_words(seed: int) -> list:
+    """numpy's ``SeedSequence(seed).generate_state(8, uint32)``: the seed's
+    32-bit words hashed into a pool of four, then hashed out to eight."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    multiplier = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal multiplier
+        value ^= multiplier
+        multiplier = multiplier * 0x931E8875 & _MASK32
+        value = value * multiplier & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    multiplier, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ multiplier
+        multiplier = multiplier * 0x58F38DED & _MASK32
+        value = value * multiplier & _MASK32
+        words.append(value ^ value >> 16)
+    return words
+
+
+class Stream:
+    """The stream of ``numpy.random.default_rng(seed)``, bit for bit, for the
+    draws this package makes: PCG64 (XSL-RR output) seeded by SeedSequence,
+    doubles from the top 53 bits of a 64-bit output, and bounded integers by
+    Lemire's method on 32-bit draws, which take the low half of a fresh
+    64-bit output and keep the high half for the next 32-bit draw.
+    """
+
+    __slots__ = ("_state", "_inc", "_spare")
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        w = _seed_words(seed)
+        start = (w[1] << 32 | w[0]) << 64 | w[3] << 32 | w[2]
+        self._inc = ((w[5] << 32 | w[4]) << 64 | w[7] << 32 | w[6]) << 1 | 1
+        # from state 0: one step, add the start, one more step
+        self._state = ((self._inc + start) * _PCG_MULT + self._inc) & _MASK128
+        self._spare = None
+
+    def _outputs(self, count: int, shift: int = 0) -> list:
+        """The next ``count`` 64-bit outputs, each shifted right by ``shift``."""
+        if count < 0:
+            raise ValueError(f"cannot draw a negative count, got {count}")
+        state, inc = self._state, self._inc
+        outputs = []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x = ((state >> 64) ^ state) & _MASK64
+            # x rotated right by the top six bits of the state
+            outputs.append((((x << 64 | x) >> (state >> 122)) & _MASK64) >> shift)
+        self._state = state
+        return outputs
+
+    def random(self, count: int) -> np.ndarray:
+        """``count`` doubles, uniform in [0, 1)."""
+        # every 53-bit integer is a double, and the power-of-two scale is exact
+        return np.array(self._outputs(count, 11), dtype=float) * 2.0**-53
+
+    def uniform(self, low: float, high: float, count: int) -> np.ndarray:
+        return low + (high - low) * self.random(count)
+
+    def integers(self, low: int, high: int) -> int:
+        """One integer, uniform in [low, high), for a range of 2 to 2**32 - 1."""
+        span = high - low
+        if not 2 <= span <= _MASK32:
+            raise ValueError(f"integers draws from 2 to 2**32 - 1 values, got {span}")
+        while True:
+            if self._spare is None:
+                (word,) = self._outputs(1)
+                draw, self._spare = word & _MASK32, word >> 32
+            else:
+                draw, self._spare = self._spare, None
+            scaled = draw * span
+            # reject the low remainders that would bias the result
+            if scaled & _MASK32 >= (_MASK32 - span + 1) % span:
+                return low + (scaled >> 32)
 
 
 class SampleWindow:
@@ -33,15 +137,19 @@ class SampleWindow:
         v_margin: float = 1e-2,
         t_half_width_factor: float = 5.0,
     ):
-        if r_margin <= 0 or r_max_factor <= 2.0:
-            raise ValueError("radial window must sit strictly outside the horizon")
+        values = (r_margin, r_max_factor, u_margin, v_margin, t_half_width_factor)
+        for name, value in zip(self.__slots__, values):
+            if not math.isfinite(value):
+                raise ValueError(f"window field {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if r_margin <= 0 or 2.0 * (1.0 + r_margin) >= r_max_factor:
+            raise ValueError("radial window must be non-empty and outside the horizon")
         if not 0 < u_margin < math.pi / 2:
             raise ValueError("u margin must lie in (0, pi/2)")
         if not 0 < v_margin < math.pi:
             raise ValueError("v margin must lie in (0, pi)")
-        values = (r_margin, r_max_factor, u_margin, v_margin, t_half_width_factor)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        if t_half_width_factor < 0:
+            raise ValueError("time half-width must be non-negative")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a SampleWindow is immutable")
@@ -58,15 +166,15 @@ OPERATOR_WINDOW = SampleWindow(
 
 def sample_points(
     mass: float, count: int, seed: int, window: SampleWindow = SampleWindow()
-) -> list:
+) -> PointSet:
     """Draw chart points reproducibly; identical arguments give identical points.
 
-    One ``rng.random((count, 4))`` draw gives each point its log-radius,
+    One draw of 4 * count unit numbers gives each point its log-radius,
     colatitude, azimuth and time in that order, each as low + (high - low)
     times a unit draw: the same stream and arithmetic as one
-    ``rng.uniform(low, high)`` call per coordinate and point.
+    ``numpy.random.default_rng(seed).uniform(low, high)`` call per
+    coordinate and point.
     """
-    rng = np.random.default_rng(seed)
     r_low = 2.0 * mass * (1.0 + window.r_margin)
     r_high = window.r_max_factor * mass
     t_half = window.t_half_width_factor * mass
@@ -74,8 +182,8 @@ def sample_points(
     high = np.array(
         [math.log(r_high), math.pi - window.u_margin, 2.0 * math.pi - window.v_margin, t_half]
     )
-    draws = low + (high - low) * rng.random((count, 4))
-    return [
-        ChartPoint(u=colatitude, v=azimuth, r=math.exp(log_radius), t=time, m=mass)
-        for log_radius, colatitude, azimuth, time in draws.tolist()
-    ]
+    draws = low + (high - low) * Stream(seed).random(4 * count).reshape(count, 4)
+    log_radius, colatitude, azimuth, time = draws.T
+    # math.exp, not np.exp: their last bits differ for a few percent of draws
+    radius = [math.exp(x) for x in log_radius.tolist()]
+    return PointSet(colatitude, azimuth, radius, time, mass)

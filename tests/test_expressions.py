@@ -18,6 +18,7 @@ from warpsymp.expressions import (
     ChartPoint,
     EvaluationError,
     Parameter,
+    PointSet,
     evaluate_many,
     parse_prefix,
 )
@@ -284,6 +285,87 @@ class TestChartPoint:
             point.r = 6.0
 
 
+# One (u, v, r, t, m) per ChartPoint guard that it breaks.
+OFF_CHART = {
+    "u-nan": (math.nan, 1.0, 5.0, 0.0, 1.0),
+    "u-zero": (0.0, 1.0, 5.0, 0.0, 1.0),
+    "u-pi": (math.pi, 1.0, 5.0, 0.0, 1.0),
+    "v-inf": (1.0, math.inf, 5.0, 0.0, 1.0),
+    "v-zero": (1.0, 0.0, 5.0, 0.0, 1.0),
+    "v-two-pi": (1.0, 2.0 * math.pi, 5.0, 0.0, 1.0),
+    "r-inf": (1.0, 1.0, math.inf, 0.0, 1.0),
+    "r-nan": (1.0, 1.0, math.nan, 0.0, 1.0),
+    "r-inside-horizon": (1.0, 1.0, 1.9, 0.0, 1.0),
+    "r-inside-margin": (1.0, 1.0, 2.0 * (1.0 + 1e-9), 0.0, 1.0),
+    "t-nan": (1.0, 1.0, 5.0, math.nan, 1.0),
+    "t-inf": (1.0, 1.0, 5.0, -math.inf, 1.0),
+    "m-nan": (1.0, 1.0, 5.0, 0.0, math.nan),
+    "m-zero": (1.0, 1.0, 5.0, 0.0, 0.0),
+    "m-negative": (1.0, 1.0, 5.0, 0.0, -1.0),
+}
+
+GOOD = (1.2, 2.0, 4.0, -0.5)
+
+
+def point_columns(*rows):
+    return [list(column) for column in zip(*rows)]
+
+
+class TestPointSet:
+    def test_guards_hold_at_their_edges(self):
+        rows = [(1e-300, 1e-300, 2.0 * (1.0 + 1e-6), 0.0), (math.pi - 1e-15, 6.28, 1e300, -1e300)]
+        points = PointSet(*point_columns(*rows), 1.0)
+        assert [p.as_dict() for p in points] == [ChartPoint(*row, 1.0).as_dict() for row in rows]
+
+    @pytest.mark.parametrize("bad", OFF_CHART.values(), ids=OFF_CHART)
+    def test_guard_raises_the_chart_point_message(self, bad):
+        with pytest.raises(ChartDomainError) as expected:
+            ChartPoint(*bad)
+        *coordinates, mass = bad
+        rows = [GOOD, GOOD, tuple(coordinates), GOOD]
+        with pytest.raises(ChartDomainError) as got:
+            PointSet(*point_columns(*rows), mass)
+        assert str(got.value) == str(expected.value)
+
+    def test_first_bad_point_names_the_error(self):
+        rows = [GOOD, (1.0, 1.0, 1.9, 0.0), (5.0, 1.0, 5.0, 0.0)]
+        with pytest.raises(ChartDomainError, match="radius r=1.9"):
+            PointSet(*point_columns(*rows), 1.0)
+
+    def test_indexing_slicing_and_iteration(self):
+        rows = [(0.5 + 0.1 * k, 1.0 + k, 3.0 + k, 0.25 * k) for k in range(5)]
+        points = PointSet(*point_columns(*rows), 2.0 / 3.0)
+        expected = [ChartPoint(*row, 2.0 / 3.0) for row in rows]
+        assert isinstance(points[3], ChartPoint)
+        assert points[3].as_dict() == expected[3].as_dict()
+        assert points[-1].as_dict() == expected[-1].as_dict()
+        assert all(type(x) is float for x in points[0].as_dict().values())
+        part = points[1:4]
+        assert isinstance(part, PointSet)
+        assert [p.as_dict() for p in part] == [p.as_dict() for p in expected[1:4]]
+        assert [p.as_dict() for p in points] == [p.as_dict() for p in expected]
+
+    def test_arrays_are_read_only_copies(self):
+        u = np.array([0.5, 1.0])
+        points = PointSet(u, [1.0, 2.0], [3.0, 4.0], [0.0, 0.0], 1.0)
+        u[0] = 9.0
+        assert points.u.tolist() == [0.5, 1.0]
+        for column in (points.u, points.v, points.r, points.t):
+            with pytest.raises(ValueError):
+                column[0] = 1.5
+
+    def test_evaluates_as_its_chart_points(self, model):
+        rows = [(0.5 + 0.2 * k, 1.0 + k, 3.0 + k, 0.1 * k) for k in range(6)]
+        points = PointSet(*point_columns(*rows), 1.0)
+        inputs = ex.chart_inputs(points)
+        assert inputs["m"] == 1.0
+        assert inputs["r"] is points.r
+        tree = model.symplectic_form.coefficient((2, 3)).diff("r")
+        (batched,) = evaluate_many([tree], points)
+        (listed,) = evaluate_many([tree], list(points))
+        assert batched.tolist() == listed.tolist()
+
+
 def _group_inputs(model):
     potential = ConnectionPotential.monopole(model)
     return GroupInputs(model, potential, QuadratureSpec(), RunConfig())
@@ -299,6 +381,7 @@ IMMUTABLE = [
     (lambda model: IntegralResult(1.0, 0.0, 2, 4), "value"),
     (lambda model: QuadratureSpec(), "n_u"),
     (lambda model: SampleWindow(), "r_margin"),
+    (lambda model: PointSet([1.0], [1.0], [3.0], [0.0], 1.0), "m"),
     (lambda model: ConnectionPotential.monopole(model), "theta"),
     (lambda model: Section(ex.ONE, ex.ZERO), "re"),
     (lambda model: prequantum_operator(ex.R, model, ConnectionPotential.monopole(model)), "hbar"),

@@ -1,10 +1,13 @@
-"""Guard on the classes that importing the command line defines.
+"""Guards on what importing and running the command line loads.
 
 Generating dataclass methods costs start-up time in every command, so only
 the records that need dataclass machinery (``dataclasses.replace`` on the
 model, the mutable configuration and results) are dataclasses.  Expression
 nodes keep their fields, and nothing else, in the instance dict: the
-benchmark tracer reads a node's fields through ``vars``.
+benchmark tracer reads a node's fields through ``vars``.  The commands
+draw their sample points and test sections from the package's own stream,
+so none of them imports ``numpy.random`` and the extension modules and
+OpenSSL bindings that it loads.
 """
 
 import json
@@ -30,6 +33,18 @@ print(json.dumps(sorted(
     for cls in vars(module).values()
     if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls)
 )))
+"""
+
+RUN_COMMANDS = """
+import json, sys, tempfile
+from warpsymp.cli import main
+with tempfile.TemporaryDirectory() as out:
+    codes = [
+        main(["verify", "--samples", "20", "--sections", "3", "--out", out]),
+        main(["check", "hamiltonian_u", "--samples", "10"]),
+        main(["prequant", "--commutators", "--sections", "1"]),
+    ]
+print(json.dumps({"codes": codes, "numpy.random": "numpy.random" in sys.modules}))
 """
 
 # one node of each kind
@@ -60,6 +75,19 @@ def test_cli_import_defines_only_the_kept_dataclasses():
     assert completed.returncode == 0, completed.stderr
     found = json.loads(completed.stdout)
     assert found == sorted(["CheckResult", "RunConfig", "SpacetimeModel", "SuiteReport"])
+
+
+def test_commands_do_not_import_numpy_random():
+    completed = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    result = json.loads(completed.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "numpy.random": False}
 
 
 def test_every_node_kind_is_covered():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from warpsymp.expressions import ChartPoint
+from warpsymp.expressions import ChartPoint, PointSet
 from warpsymp.reports import peak, worst_point
 
 POINTS = [ChartPoint(u=0.5 + 0.1 * k, v=1.0, r=3.0 + k, t=0.0, m=1.0) for k in range(4)]
@@ -57,6 +57,11 @@ class TestWorstPoint:
         magnitudes = rng.integers(0, 4, size=(3, 4)).astype(float)
         magnitudes[rng.random((3, 4)) < 0.2] = math.nan
         assert worst_point(magnitudes, POINTS) == loop_reference(magnitudes, POINTS)
+
+    def test_point_set_gives_the_list_answer(self):
+        point_set = PointSet(*([getattr(p, name) for p in POINTS] for name in "uvrt"), 1.0)
+        magnitudes = np.array([[1.0, 3.0, 2.0, 3.0], [3.0, 0.0, 5.0, 3.0]])
+        assert worst_point(magnitudes, point_set) == (5.0, POINTS[2].as_dict())
 
 
 def test_peak_passes_over_nan_and_floors_at_zero():
