@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from . import expressions as ex
-from .expressions import PointSet
 from .hamiltonian import (
     QuadratureSpec,
     bracket_table,
@@ -97,11 +96,11 @@ class GroupInputs:
         return self.config.seed
 
     @cached_property
-    def identity_points(self) -> PointSet:
+    def identity_points(self) -> ex.PointSet:
         return sample_points(self.config.mass, self.config.n_samples, self.seed)
 
     @cached_property
-    def operator_points(self) -> PointSet:
+    def operator_points(self) -> ex.PointSet:
         count = max(10, self.config.n_samples // 5)
         return sample_points(self.config.mass, count, self.seed + 1, OPERATOR_WINDOW)
 
