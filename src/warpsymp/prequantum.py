@@ -50,6 +50,7 @@ from .exterior import (
 from .hamiltonian import (
     QuadratureSpec,
     coordinate_commutator_displays,
+    gauss_legendre,
     hamiltonian_field,
     poisson_bracket,
     surface_integral,
@@ -542,7 +543,7 @@ def box_l2_norm(section: Section, model, box: Box) -> float:
     for low, high in box.intervals():
         if not low < high:
             raise ValueError("box intervals must be increasing")
-        x, w = np.polynomial.legendre.leggauss(6)
+        x, w = gauss_legendre(6)
         grids.append(0.5 * (high - low) * (x + 1.0) + low)
         weights.append(0.5 * (high - low) * w)
     # one axis per coordinate, so the grids broadcast to the full box

@@ -56,7 +56,7 @@ from .prequantum import (
     verify_curvature_potential,
 )
 from .reports import ABOVE, BELOW, FIXED, CheckResult, passes
-from .sampling import OPERATOR_WINDOW, sample_points
+from .sampling import OPERATOR_WINDOW, SampleWindow, sample_points
 from .spacetime import (
     SpacetimeModel,
     foliation_report,
@@ -276,8 +276,9 @@ CHECK_CATALOGUE = tuple(_CHECKS)
 DEFAULT_TOLERANCES = {name: check.tolerance for name, check in _CHECKS.items()}
 GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHECK_GROUPS}
 
-# Sphere quadrature bounds.  The fine pass doubles both counts: leggauss builds a
-# dense (2 n_u, 2 n_u) matrix, and each evaluated array holds 4 n_u n_v floats.
+# Sphere quadrature bounds.  The fine pass doubles both counts: its
+# Gauss-Legendre rule costs O((2 n_u)^2) Newton work, and each evaluated
+# array holds 4 n_u n_v floats.
 MAX_N_U, MAX_N_V, MAX_SPHERE_NODES = 1024, 4096, 1 << 20
 
 
@@ -305,6 +306,12 @@ class RunConfig:
     def validate(self):
         if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass > 0):
             raise ConfigError(f"mass must be positive and finite, got {self.mass!r}")
+        top = max(window.r_max_factor for window in (SampleWindow(), OPERATOR_WINDOW))
+        if math.isinf(top * self.mass):
+            raise ConfigError(
+                f"mass {self.mass!r} is too large: the sampling window's outer radius "
+                f"{top:g} * mass overflows"
+            )
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_samples < 10:

@@ -10,7 +10,7 @@ from warpsymp import expressions as ex
 from warpsymp import prequantum
 from warpsymp.expressions import ChartPoint, EvaluationError
 from warpsymp.exterior import basis_vector, wedge
-from warpsymp.hamiltonian import QuadratureSpec, hamiltonian_field
+from warpsymp.hamiltonian import QuadratureSpec, gauss_legendre, hamiltonian_field
 from warpsymp.prequantum import (
     Box,
     ConnectionPotential,
@@ -534,9 +534,7 @@ class TestRadialResiduals:
         density = wedge(model.symplectic_form, model.symplectic_form).coefficient((0, 1, 2, 3))
         rules = [
             (0.5 * (high - low) * (x + 1.0) + low, 0.5 * (high - low) * w)
-            for (low, high), (x, w) in zip(
-                box.intervals(), [np.polynomial.legendre.leggauss(6)] * 4
-            )
+            for (low, high), (x, w) in zip(box.intervals(), [gauss_legendre(6)] * 4)
         ]
         total = 0.0
         for (u, wu), (v, wv), (r, wr), (t, wt) in itertools.product(

@@ -315,6 +315,11 @@ class TestRunConfig:
     def test_quadrature_counts_within_bounds_are_valid(self, n_u, n_v):
         RunConfig(n_u=n_u, n_v=n_v).validate()
 
+    def test_mass_whose_sampling_window_overflows_is_refused(self):
+        RunConfig(mass=1.79e306).validate()  # 100 m is still finite
+        with pytest.raises(ConfigError, match="sampling window"):
+            RunConfig(mass=1.8e306).validate()
+
     def test_fixed_checks_refuse_overrides(self):
         for name in FIXED_CHECKS:
             with pytest.raises(ConfigError, match="fixed"):
@@ -535,6 +540,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("evaluation error: ") and err.count("\n") == 1
         assert len(err.rstrip("\n")) <= 160  # the failing tree is cut, not printed whole
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("mass", ["1e100", "1e160"])
+    def test_non_finite_sphere_integral_is_an_evaluation_error(self, mass, capsys):
+        """r0^4 overflows at 1e100, giving inf; at 1e160 m/r0^2 also
+        underflows, giving nan.  Neither is printed as an integral."""
+        assert main(["integrate", "--mass", mass]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("evaluation error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.rstrip("\n")) <= 160
+
+    @pytest.mark.parametrize("command", [["verify"], ["check", "hamiltonian_u"]])
+    def test_mass_overflowing_the_sampling_window_is_refused(self, command, tmp_path, capsys):
+        assert main([*command, "--mass", "1e307", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert len(err.rstrip("\n")) <= 160
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("flag, value", [("--nu", "100000"), ("--nv", "10000000")])
