@@ -334,7 +334,13 @@ class IntegralResult(NamedTuple):
 
 
 def sphere_sum(form: KForm, model: SpacetimeModel, n_u: int, n_v: int, r0: float, t0: float) -> float:
-    """One quadrature pass over the sphere {r=r0, t=t0} at the given node counts."""
+    """One quadrature pass over the sphere {r=r0, t=t0} at the given node counts.
+
+    Sums each row of the evaluated du^dv coefficient along v, then the row
+    sums against the colatitude weights, then scales by the azimuth weight,
+    without a BLAS call.  A v-independent coefficient evaluates to a stride-0
+    view of one column, so the pass then builds no n_u x n_v array.
+    """
     coefficient = form.coefficient((0, 1))
     if ex.is_zero(coefficient):
         return 0.0
@@ -345,7 +351,7 @@ def sphere_sum(form: KForm, model: SpacetimeModel, n_u: int, n_v: int, r0: float
     v_weight = 2.0 * math.pi / n_v
     grid = {"u": colatitudes[:, None], "v": azimuths[None, :], "r": r0, "t": t0, "m": model.mass}
     (values,) = ex.evaluate_many([coefficient], grid)
-    total = float(np.sum(u_weights[:, None] * v_weight * values))
+    total = float(np.sum(u_weights * values.sum(axis=1))) * v_weight
     if not math.isfinite(total):
         raise ex.EvaluationError(
             f"sphere integral is not finite at r0={r0:.3g}, mass {model.mass:.3g}"

@@ -1,11 +1,23 @@
+"""Shared fixtures.
+
+BLAS threads are capped at one before anything imports numpy: with
+uncapped threads, the LAPACK eigensolve behind numpy's ``leggauss`` (the
+reference rule of ``TestGaussLegendre``) can stall for about half a second
+on a small host.  An explicit setting in the environment is kept.
+"""
+
 import gc
 import math
+import os
 
 import pytest
 
-from warpsymp.expressions import ChartPoint
-from warpsymp.sampling import OPERATOR_WINDOW, sample_points
-from warpsymp.spacetime import schwarzschild
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from warpsymp.expressions import ChartPoint  # noqa: E402
+from warpsymp.sampling import OPERATOR_WINDOW, sample_points  # noqa: E402
+from warpsymp.spacetime import schwarzschild  # noqa: E402
 
 
 @pytest.fixture(scope="session")

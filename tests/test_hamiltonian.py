@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,17 +342,39 @@ class TestSurfaceIntegral:
         assert errors[-1] < 1e-10
 
     def test_grid_sum_matches_pointwise_loop(self, model):
+        """The pass sums each colatitude row along v, weights the row sums
+        by the Gauss-Legendre rule, then multiplies by the azimuth weight."""
         coefficient = model.symplectic_form.coefficient((0, 1))
         n_u, n_v = 6, 12
         nodes, weights = gauss_legendre(n_u)
-        total = np.empty((n_u, n_v))
-        for i, (x, w) in enumerate(zip(nodes, weights)):
+        values = np.empty((n_u, n_v))
+        for i, x in enumerate(nodes):
             for j in range(n_v):
                 u, v = 0.5 * math.pi * (x + 1.0), (j + 0.5) * (2.0 * math.pi / n_v)
                 point = ChartPoint(u=float(u), v=float(v), r=3.5, t=0.2, m=model.mass)
-                weight = 0.5 * math.pi * w * (2.0 * math.pi / n_v)
-                total[i, j] = weight * coefficient.evaluate(point)
-        assert sphere_sum(model.symplectic_form, model, n_u, n_v, 3.5, 0.2) == float(np.sum(total))
+                values[i, j] = coefficient.evaluate(point)
+        row_sums = np.array([np.sum(row) for row in values])
+        expected = float(np.sum(0.5 * math.pi * weights * row_sums)) * (2.0 * math.pi / n_v)
+        assert sphere_sum(model.symplectic_form, model, n_u, n_v, 3.5, 0.2) == expected
+
+    def test_azimuth_dependent_form_integrates(self, model):
+        """sin u (2 + cos v + sin 3v) du^dv integrates to 8 pi over the sphere."""
+        azimuthal = ex.add(ex.const(2.0), ex.cos(ex.V), ex.sin(ex.mul(ex.const(3.0), ex.V)))
+        form = KForm.from_terms(2, {(0, 1): ex.mul(ex.sin(ex.U), azimuthal)})
+        total = sphere_sum(form, model, 32, 64, 3.0, 0.0)
+        assert abs(total - 8.0 * math.pi) < 1e-12
+
+    def test_azimuth_independent_pass_allocates_no_grid(self, model):
+        """A v-independent coefficient is summed without an n_u x n_v
+        temporary: a 2048 x 2048 pass stays far below the 32 MB grid."""
+        gauss_legendre(2048)
+        tracemalloc.start()
+        try:
+            sphere_sum(model.symplectic_form, model, 2048, 2048, 3.0, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_spec_validation(self, model):
         with pytest.raises(ValueError):
