@@ -5,7 +5,9 @@ over the chart coordinates (u, v, r, t) and the mass parameter, with exact
 symbolic differentiation and guarded numeric evaluation.  Simplification is
 deliberately shallow: constant folding plus the x+0, x*0, x*1 rules.
 Identities between expressions are established numerically at sampled
-chart points, never by tree canonicalisation.
+chart points, never by tree canonicalisation.  A power's exponent is an
+exact ``Rational`` pair, whose float is numerator / denominator, as a
+``fractions.Fraction``'s is; no command imports ``fractions``.
 
 Nodes are immutable: each node class lists its fields in ``_fields``, and
 two nodes are equal (with equal hashes) when they have the same type and
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,9 +331,9 @@ class Product(Expression):
     def _rule(self, coordinate):
         pieces = []
         for i, factor in enumerate(self.factors):
-            pieces.append(
-                mul(*self.factors[:i], factor._diff(coordinate), *self.factors[i + 1 :])
-            )
+            derivative = factor._diff(coordinate)
+            if not is_zero(derivative):  # its piece would fold to ZERO in mul
+                pieces.append(mul(*self.factors[:i], derivative, *self.factors[i + 1 :]))
         return add(*pieces)
 
     def to_prefix(self):
@@ -361,8 +363,20 @@ class Quotient(Expression):
         return f"(/ {self.numerator.to_prefix()} {self.denominator.to_prefix()})"
 
 
+class Rational(NamedTuple):
+    """An exact exponent; ``power`` keeps it in lowest terms, denominator > 0."""
+
+    numerator: int
+    denominator: int
+
+    def __float__(self):
+        return self.numerator / self.denominator
+
+
 # Exponents with a correctly rounded numpy kernel; the rest go through np.power.
-_POWER_KERNELS = {Fraction(2): np.square, Fraction(-1): np.reciprocal, Fraction(1, 2): np.sqrt}
+_POWER_KERNELS = {
+    Rational(2, 1): np.square, Rational(-1, 1): np.reciprocal, Rational(1, 2): np.sqrt
+}
 
 
 class Power(Expression):
@@ -379,21 +393,19 @@ class Power(Expression):
         q = self.exponent
         if q.denominator != 1 and np.any(base < 0.0):
             raise EvaluationError("fractional power of a negative base")
-        if q < 0 and np.any(base == 0.0):
+        if q.numerator < 0 and np.any(base == 0.0):
             raise EvaluationError("zero base with negative exponent")
         kernel = _POWER_KERNELS.get(q)
         return kernel(base) if kernel is not None else np.power(base, float(q))
 
     def _rule(self, coordinate):
         db = self.base._diff(coordinate)
-        return mul(
-            Constant(float(self.exponent)), power(self.base, self.exponent - 1), db
-        )
+        n, d = q = self.exponent
+        return mul(Constant(float(q)), power(self.base, Rational(n - d, d)), db)
 
     def to_prefix(self):
-        q = self.exponent
-        literal = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return f"(pow {self.base.to_prefix()} {literal})"
+        n, d = self.exponent
+        return f"(pow {self.base.to_prefix()} {n if d == 1 else f'{n}/{d}'})"
 
 
 class Exp(Expression):
@@ -639,23 +651,29 @@ def quotient(numerator, denominator) -> Expression:
 
 
 def power(base, exponent) -> Expression:
+    """base ** exponent for an int, an integer-valued float, or a number with
+    integer ``numerator`` and ``denominator``, such as a Rational."""
     base = _coerce(base)
     if isinstance(exponent, float):
         if not exponent.is_integer():
-            raise TypeError("float exponents are not supported; use Fraction")
+            raise TypeError("float exponents are not supported; use Rational")
         exponent = int(exponent)
-    q = Fraction(exponent)
-    if q == 0:
+    n, d = exponent.numerator, exponent.denominator
+    if d == 0:
+        raise ValueError(f"zero denominator in exponent {n}/{d}")
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)  # refuses non-integers
+    n, d = q = Rational(n // g, d // g)
+    if n == 0:
         return ONE
-    if q == 1:
+    if n == d:
         return base
     if isinstance(base, Constant):
         value = base.value
-        if q.denominator == 1 and (value != 0.0 or q > 0):
-            return const(value ** q.numerator)
+        if d == 1 and (value != 0.0 or n > 0):
+            return const(value**n)
         if value > 0.0:
             return const(value ** float(q))
-        if value == 0.0 and q > 0:
+        if value == 0.0 and n > 0:
             return ZERO
         raise ValueError("fractional power of a negative constant")
     return Power(base, q)
@@ -750,8 +768,9 @@ def _parse_tokens(tokens, position):
             args.append(tokens[position])
             position += 1
             continue
-        if head == "pow" and len(args) == 1:
-            args.append(Fraction(tokens[position]))
+        if head == "pow" and len(args) == 1:  # p or p/q; power refuses q = 0
+            numerator, slash, denominator = tokens[position].partition("/")
+            args.append(Rational(int(numerator), int(denominator) if slash else 1))
             position += 1
             continue
         arg, position = _parse_tokens(tokens, position)

@@ -20,7 +20,6 @@ Everything is immutable; operations are pure functions.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -33,6 +32,7 @@ from .expressions import (
     NEG_ONE,
     ONE,
     ZERO,
+    Rational,
     add,
     const,
     evaluate_many,
@@ -406,7 +406,7 @@ def hodge_star(a: KForm, metric: MetricTensor) -> KForm:
     -(-1)^(k(4-k)) a.
     """
     inverse = metric.inverse
-    volume_density = power(mul(NEG_ONE, metric.determinant), Fraction(1, 2))
+    volume_density = power(mul(NEG_ONE, metric.determinant), Rational(1, 2))
     k = a.degree
     out: dict = {}
     for target in itertools.combinations(range(DIM), DIM - k):

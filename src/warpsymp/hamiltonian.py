@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import expressions as ex
-from .expressions import ChartPoint, Expression
+from .expressions import ChartPoint, Expression, Rational
 from .exterior import DIM, KForm, VectorField
 from .reports import CheckResult, worst_point
 from .spacetime import FOUR_PI, SpacetimeModel, schwarzschild_factor
@@ -128,7 +127,7 @@ def coordinate_field_references(model: SpacetimeModel) -> dict:
     angular = ex.quotient(ex.const(FOUR_PI), ex.mul(ex.M, ex.sin(ex.U)))
     radial = ex.mul(
         ex.quotient(ex.mul(ex.const(FOUR_PI), ex.power(ex.R, 2)), ex.M),
-        ex.power(factor, Fraction(1, 2)),
+        ex.power(factor, Rational(1, 2)),
     )
     return {
         "u": VectorField((ex.ZERO, angular, ex.ZERO, ex.ZERO)),
@@ -156,7 +155,7 @@ def coordinate_commutator_displays(model: SpacetimeModel) -> dict:
     [r-hat, t-hat] = 4 pi i (r^2 lapse)-hat."""
     return {
         ("u", "v"): ex.power(ex.sin(ex.U), -1),
-        ("r", "t"): ex.mul(ex.power(ex.R, 2), ex.power(schwarzschild_factor(), Fraction(1, 2))),
+        ("r", "t"): ex.mul(ex.power(ex.R, 2), ex.power(schwarzschild_factor(), Rational(1, 2))),
     }
 
 

@@ -8,8 +8,6 @@ plain dictionaries so the whole suite output is stable JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .expressions import evaluate_many
@@ -25,16 +23,19 @@ def passes(worst: float, threshold: float, rule: str = BELOW) -> bool:
     return worst > threshold if rule == ABOVE else worst < threshold
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    threshold: float
-    worst_error: float
-    worst_point: dict | None = None
-    seed: int | None = None
-    assertable: bool = True
-    details: dict = field(default_factory=dict)
+    """One check's outcome; mutable, since the suite re-judges results."""
+
+    def __init__(
+        self, name: str, passed: bool, threshold: float, worst_error: float,
+        worst_point: dict | None = None, seed: int | None = None, assertable: bool = True,
+        details: dict | None = None,
+    ):
+        vars(self).update(
+            name=name, passed=passed, threshold=threshold, worst_error=worst_error,
+            worst_point=worst_point, seed=seed, assertable=assertable,
+            details={} if details is None else details,
+        )
 
     @classmethod
     def judged(cls, name, threshold, worst_error, worst_point=None, seed=None, **kwargs):

@@ -20,8 +20,7 @@ a derived assertion, never entered by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +49,7 @@ def schwarzschild_factor() -> Expression:
     return ex.ONE - ex.const(2.0) * ex.M / ex.R
 
 
-@dataclass(frozen=True)
-class SpacetimeModel:
+class SpacetimeModel(NamedTuple):
     """A static exterior model together with its derived structure.
 
     ``flux_form`` is the angular 2-form -(1/4pi) i_R i_X vol whose sphere
@@ -113,12 +111,12 @@ def schwarzschild(mass: float) -> SpacetimeModel:
             (3, 3): ex.mul(ex.NEG_ONE, factor),
         }
     )
-    warp = ex.log(ex.power(factor, Fraction(1, 2)))
+    warp = ex.log(ex.power(factor, ex.Rational(1, 2)))
     gravitational_field = VectorField(
         (ex.ZERO, ex.ZERO, ex.mul(ex.NEG_ONE, ex.quotient(ex.M, ex.power(ex.R, 2))), ex.ZERO)
     )
     observer_field = VectorField(
-        (ex.ZERO, ex.ZERO, ex.ZERO, ex.mul(ex.NEG_ONE, ex.power(factor, Fraction(-1, 2))))
+        (ex.ZERO, ex.ZERO, ex.ZERO, ex.mul(ex.NEG_ONE, ex.power(factor, ex.Rational(-1, 2))))
     )
     return _derive_structure(mass, metric, warp, gravitational_field, observer_field)
 
@@ -173,17 +171,12 @@ def generalized_static(
     points = sample_points(model.mass, check_samples, check_seed)
     worst, worst_point = worst_form_error(residual, points)
     square_magnitudes = wedge(symplectic, symplectic).max_abs(points)
-    closure_check = CheckResult(
-        name="flux_closure_hypothesis",
-        passed=passes(worst, closure_threshold),
-        threshold=closure_threshold,
-        worst_error=worst,
-        worst_point=worst_point,
-        seed=check_seed,
+    closure_check = CheckResult.judged(
+        "flux_closure_hypothesis", closure_threshold, worst, worst_point, check_seed,
         assertable=False,
         details={"symplectic_square_min": float(min(square_magnitudes, default=0.0))},
     )
-    return replace(model, closure_check=closure_check)
+    return model._replace(closure_check=closure_check)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import json
 import math
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -283,26 +282,25 @@ GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHEC
 MAX_N_U, MAX_N_V, MAX_SPHERE_NODES = 1024, 4096, 1 << 20
 
 
-@dataclass
 class RunConfig:
     """Configuration of a verification run.
 
     ``r0`` defaults to a mass-scaled value when left unset;
     ``tolerances`` overrides individual catalogue thresholds by name, except
-    those of checks whose verdict is fixed.
+    those of checks whose verdict is fixed.  Fields may be set after
+    construction; ``validate`` checks them.
     """
 
-    mass: float = 1.0
-    seed: int = 1234
-    n_samples: int = 100
-    n_sections: int = 10
-    tolerances: dict = field(default_factory=dict)
-    n_u: int = 32
-    n_v: int = 64
-    r0: float | None = None
-    t0: float = 0.0
-    scale_mode: str = "plain"
-    output_dir: str = "."
+    def __init__(
+        self, mass: float = 1.0, seed: int = 1234, n_samples: int = 100, n_sections: int = 10,
+        tolerances: dict | None = None, n_u: int = 32, n_v: int = 64, r0: float | None = None,
+        t0: float = 0.0, scale_mode: str = "plain", output_dir: str = ".",
+    ):
+        vars(self).update(
+            mass=mass, seed=seed, n_samples=n_samples, n_sections=n_sections,
+            tolerances={} if tolerances is None else tolerances, n_u=n_u, n_v=n_v, r0=r0, t0=t0,
+            scale_mode=scale_mode, output_dir=output_dir,
+        )
 
     def validate(self):
         if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass > 0):
@@ -350,19 +348,9 @@ class RunConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def echo(self) -> dict:
-        return {
-            "mass": self.mass,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "n_sections": self.n_sections,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "n_u": self.n_u,
-            "n_v": self.n_v,
-            "r0": self.resolved_r0(),
-            "t0": self.t0,
-            "scale_mode": self.scale_mode,
-            "output_dir": self.output_dir,
-        }
+        """The fields, with the tolerances sorted by name and r0 resolved."""
+        tolerances = dict(sorted(self.tolerances.items()))
+        return {**vars(self), "tolerances": tolerances, "r0": self.resolved_r0()}
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +421,7 @@ def config_from_sources(file_values: dict | None = None, overrides: dict | None 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     body: dict
     wall_time_seconds: float
 

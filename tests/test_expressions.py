@@ -32,6 +32,7 @@ from warpsymp.prequantum import (
     random_sections,
 )
 from warpsymp.sampling import SampleWindow
+from warpsymp.spacetime import schwarzschild
 from warpsymp.suite import GroupInputs, RunConfig
 
 
@@ -204,11 +205,13 @@ _positive_leaf = st.one_of(
 )
 
 
+# the exponents of the random trees below
+EXPONENTS = [Fraction(q) for q in ("-2", "-1", "-1/2", "1/3", "1/2", "3/2", "2")]
+
+
 def _positive_combine(children):
     pairs = st.tuples(children, children)
-    exponents = st.sampled_from(
-        [Fraction(q) for q in ("-2", "-1", "-1/2", "1/3", "1/2", "3/2", "2")]
-    )
+    exponents = st.sampled_from(EXPONENTS)
     return st.one_of(
         pairs.map(lambda ab: ex.add(*ab)),
         pairs.map(lambda ab: ex.mul(*ab)),
@@ -423,6 +426,30 @@ class TestDifferentiate:
         with pytest.raises(ValueError):
             ex.R.diff("x")
 
+    def test_product_rule_builds_the_unskipped_trees(self, monkeypatch):
+        """The product rule skips the factors whose derivative folds to
+        zero; the full rule, every piece built, gives the same trees for the
+        symplectic form and the inverse metric of a fresh model."""
+
+        def derivatives(model):
+            roots = [c for _, c in model.symplectic_form.terms]
+            roots += [entry for row in model.metric.inverse for entry in row]
+            return [root.diff(c).to_prefix() for root in roots for c in ex.COORDINATE_NAMES]
+
+        skipping = derivatives(schwarzschild(1.0))
+
+        def unskipped(product, coordinate):
+            factors = product.factors
+            return ex.add(
+                *[
+                    ex.mul(*factors[:i], factor._diff(coordinate), *factors[i + 1 :])
+                    for i, factor in enumerate(factors)
+                ]
+            )
+
+        monkeypatch.setattr(ex.Product, "_rule", unskipped)
+        assert derivatives(schwarzschild(1.0)) == skipping
+
     @pytest.mark.parametrize(
         "expression",
         [
@@ -510,6 +537,57 @@ class TestPrefixForm:
             parse_prefix("(bogus 1.0)")
         with pytest.raises(ValueError):
             parse_prefix("")
+
+
+class TestExponents:
+    @pytest.mark.parametrize(
+        "exponent, expected",
+        [
+            (Fraction(2, 4), (1, 2)),
+            (ex.Rational(-2, -4), (1, 2)),
+            (ex.Rational(3, -6), (-1, 2)),
+            (2.0, (2, 1)),
+            (-1, (-1, 1)),
+        ],
+    )
+    def test_power_keeps_lowest_terms(self, exponent, expected):
+        node = ex.power(ex.R, exponent)
+        assert type(node.exponent) is ex.Rational
+        assert node.exponent == expected
+
+    def test_non_integer_float_is_refused(self):
+        with pytest.raises(TypeError):
+            ex.power(ex.R, 0.5)
+
+    def test_zero_denominator_is_refused(self):
+        with pytest.raises(ValueError):
+            ex.power(ex.R, ex.Rational(1, 0))
+
+    @pytest.mark.parametrize("exponent", EXPONENTS, ids=str)
+    def test_float_is_the_fraction_float(self, exponent):
+        assert float(ex.power(ex.R, exponent).exponent) == float(exponent)
+
+    def test_float_divides_as_fraction_does(self):
+        for n in range(-40, 41):
+            for d in range(1, 41):
+                assert float(ex.Rational(n, d)) == float(Fraction(n, d))
+
+    @pytest.mark.parametrize("text", ["1/2", "-3/2", "1/3", "2"])
+    def test_prefix_round_trip(self, text):
+        node = parse_prefix(f"(pow r {text})")
+        assert node.exponent == (Fraction(text).numerator, Fraction(text).denominator)
+        assert node.to_prefix() == f"(pow r {text})"
+
+    @pytest.mark.parametrize("text", ["(pow r 1/0)", "(pow r x)", "(pow r 1.5)"])
+    def test_bad_exponent_text_is_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_prefix(text)
+
+    @pytest.mark.parametrize(
+        "exponent, kernel", [(2, np.square), (-1, np.reciprocal), (Fraction(1, 2), np.sqrt)]
+    )
+    def test_kernel_exponents_find_their_kernel(self, exponent, kernel):
+        assert ex._POWER_KERNELS[ex.power(ex.R, exponent).exponent] is kernel
 
 
 class TestParameter:

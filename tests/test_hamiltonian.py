@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,23 +112,16 @@ class TestHamiltonianField:
         assert all(r.passed for r in results)
 
     def test_block_structure_guard(self, model):
-        import dataclasses
-
-        broken = dataclasses.replace(
-            model, symplectic_form=KForm.from_terms(2, {(0, 2): ex.ONE})
-        )
+        broken = model._replace(symplectic_form=KForm.from_terms(2, {(0, 2): ex.ONE}))
         with pytest.raises(BlockStructureError):
             hamiltonian_field(ex.U, broken)
 
     def test_singular_matrix_reports_the_point(self, model):
         """A 2-form degenerating at a point makes the numeric solve fail
         there, with the point named in the error."""
-        import dataclasses
-
         from warpsymp.hamiltonian import SingularSymplecticError
 
-        degenerate = dataclasses.replace(
-            model,
+        degenerate = model._replace(
             symplectic_form=KForm.from_terms(
                 2, {(0, 1): ex.V - ex.const(math.pi), (2, 3): ex.ONE}
             ),
@@ -236,6 +230,17 @@ EPS = np.finfo(float).eps
 RULE_SIZES = [*range(1, 13), 32, 64, 128, 256, 512, 2048]
 
 
+def leggauss_nodes(n):
+    """Nodes of numpy's ``leggauss(n)``.  For n = 2048 only the positive
+    half, read from a file written once with ``leggauss``: its O(n^3)
+    eigensolve takes about a second, and the in-package rule mirrors its
+    halves exactly (``test_rule_is_exactly_symmetric``)."""
+    if n == 2048:
+        text = (Path(__file__).parent / "leggauss_2048_positive_nodes.txt").read_text()
+        return np.array([float(x) for x in text.split()])
+    return np.polynomial.legendre.leggauss(n)[0]
+
+
 def reference_weights(n, nodes, digits=40):
     """Weights at the roots of P_n, by Newton's method from the given float
     nodes and the three-term recurrence at the given number of digits."""
@@ -263,7 +268,8 @@ class TestGaussLegendre:
     @pytest.mark.parametrize("n", RULE_SIZES)
     def test_nodes_match_numpy(self, n):
         nodes, _ = gauss_legendre(n)
-        assert np.max(np.abs(nodes - np.polynomial.legendre.leggauss(n)[0])) <= 4.5e-16
+        reference = leggauss_nodes(n)
+        assert np.max(np.abs(nodes[n - len(reference) :] - reference)) <= 4.5e-16
 
     @pytest.mark.parametrize("n", [6, 32, 128])
     def test_weights_match_a_40_digit_reference(self, n):

@@ -1,20 +1,22 @@
 """Guards on what importing and running the command line loads.
 
-Generating dataclass methods costs start-up time in every command, so only
-the records that need dataclass machinery (``dataclasses.replace`` on the
-model, the mutable configuration and results) are dataclasses.  Expression
-nodes keep their fields, and nothing else, in the instance dict: the
-benchmark tracer reads a node's fields through ``vars``.  The commands
-draw their sample points and test sections from the package's own stream,
-so none of them imports ``numpy.random`` and the extension modules and
-OpenSSL bindings that it loads; and they compute their Gauss-Legendre rules
-in the package, so none imports ``numpy.polynomial`` either.
+Every command is a fresh process, so whatever the import path loads is paid
+on every run.  The package's records are plain classes and named tuples, not
+dataclasses, so no command imports ``dataclasses`` (and ``copy``) or
+generates methods at start-up; exponents are ``expressions.Rational``
+pairs, so no command imports ``fractions`` (and ``decimal`` with its C
+library).  Expression nodes keep their fields, and nothing else, in the
+instance dict: the benchmark tracer reads a node's fields through ``vars``.
+The commands draw their sample points and test sections from the package's
+own stream, so none of them imports ``numpy.random`` and the extension
+modules and OpenSSL bindings that it loads; and they compute their
+Gauss-Legendre rules in the package, so none imports ``numpy.polynomial``
+either.
 """
 
 import json
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,9 +26,15 @@ from warpsymp import expressions as ex
 
 SRC = Path(warpsymp.__file__).resolve().parents[1]
 
+# modules that no command may load
+UNLOADED = ("numpy.random", "numpy.polynomial", "fractions", "decimal", "dataclasses", "copy")
+
 LIST_DATACLASSES = """
-import dataclasses, inspect, json, sys
+import inspect, json, sys
 import warpsymp.cli
+loaded = [name for name in %r if name in sys.modules]
+import dataclasses
+print(json.dumps(loaded))
 print(json.dumps(sorted(
     cls.__qualname__
     for name, module in list(sys.modules.items())
@@ -39,14 +47,16 @@ print(json.dumps(sorted(
 RUN_COMMANDS = """
 import json, sys, tempfile
 from warpsymp.cli import main
+from warpsymp.suite import CSV_KINDS
 with tempfile.TemporaryDirectory() as out:
     codes = [
         main(["verify", "--samples", "20", "--sections", "3", "--out", out]),
         main(["check", "hamiltonian_u", "--samples", "10"]),
         main(["prequant", "--commutators", "--sections", "1"]),
         main(["integrate", "--nu", "8", "--nv", "16"]),
+        *(main(["emit-csv", what, "--out", out]) for what in CSV_KINDS),
     ]
-loaded = {name: name in sys.modules for name in ("numpy.random", "numpy.polynomial")}
+loaded = {name: name in sys.modules for name in %r}
 print(json.dumps({"codes": codes, **loaded}))
 """
 
@@ -59,7 +69,7 @@ NODES = [
     ex.add(ex.U, ex.V),
     ex.mul(ex.U, ex.V),
     ex.quotient(ex.U, ex.R),
-    ex.power(ex.R, Fraction(1, 2)),
+    ex.power(ex.R, ex.Rational(1, 2)),
     ex.exp(ex.U),
     ex.log(ex.R),
     ex.sin(ex.U),
@@ -67,30 +77,29 @@ NODES = [
 ]
 
 
-def test_cli_import_defines_only_the_kept_dataclasses():
+def run_python(code):
     completed = subprocess.run(
-        [sys.executable, "-c", LIST_DATACLASSES],
+        [sys.executable, "-c", code],
         cwd=SRC,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    found = json.loads(completed.stdout)
-    assert found == sorted(["CheckResult", "RunConfig", "SpacetimeModel", "SuiteReport"])
+    return completed.stdout.splitlines()
+
+
+def test_cli_import_defines_no_dataclass():
+    loaded, dataclasses = map(json.loads, run_python(LIST_DATACLASSES % (UNLOADED,))[-2:])
+    assert loaded == []
+    assert dataclasses == []
 
 
 def test_commands_do_not_import_numpy_random():
-    completed = subprocess.run(
-        [sys.executable, "-c", RUN_COMMANDS],
-        cwd=SRC,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-    result = json.loads(completed.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "numpy.random": False, "numpy.polynomial": False}
+    """Nor ``numpy.polynomial``, ``fractions``, ``decimal``, ``dataclasses``
+    or ``copy``: every command runs in one fresh interpreter."""
+    result = json.loads(run_python(RUN_COMMANDS % (UNLOADED,))[-1])
+    assert result == {"codes": [0] * 8, **dict.fromkeys(UNLOADED, False)}
 
 
 def test_every_node_kind_is_covered():

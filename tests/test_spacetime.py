@@ -1,6 +1,5 @@
 """Model constructors and the structural verification reports."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -74,8 +73,8 @@ class TestGradientRelation:
 
     def test_doubled_field_fails_with_gradient_magnitude(self, model, points):
         """Doubling R leaves a residual equal to |d(warp)| at the worst point."""
-        doubled = dataclasses.replace(
-            model, gravitational_field=model.gravitational_field.scaled(ex.const(2.0))
+        doubled = model._replace(
+            gravitational_field=model.gravitational_field.scaled(ex.const(2.0))
         )
         result = verify_gradient_relation(doubled, points)
         assert not result.passed
@@ -106,7 +105,7 @@ class TestFluxIdentities:
         # a constant du^dr perturbation is closed and killed by d(warp)^.,
         # so it would slip through; a v-dependent coefficient is detectable
         perturbed_flux = model.flux_form + KForm.from_terms(2, {(0, 2): ex.sin(ex.V)})
-        perturbed = dataclasses.replace(model, flux_form=perturbed_flux)
+        perturbed = model._replace(flux_form=perturbed_flux)
         results = verify_omega_identities(perturbed, points)
         square, closure = results[0], results[1]
         assert square.passed  # the square identity may well survive
