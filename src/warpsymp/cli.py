@@ -120,7 +120,7 @@ def _print_checks(checks) -> None:
 def main(argv=None) -> int:
     """The program's entry point: run one command, return its exit code.
 
-    It first freezes the heap alive on entry (modules, numpy, the package's
+    It first freezes the heap alive on entry (modules and the package's
     tables), so neither the run's collections nor interpreter shutdown walk
     or free it.  An in-process caller's objects stay frozen after the call,
     garbage or not, until it calls ``gc.unfreeze()``.

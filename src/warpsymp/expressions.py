@@ -17,24 +17,26 @@ its partial derivatives in a slot outside the fields, so differentiating the
 same node twice returns the same tree and derivative DAGs stay shared.
 
 Evaluation has one path, ``evaluate_many``: it orders the DAG under several
-roots topologically and computes each node once, as a numpy array over all
-sample points at once.  ``Expression.evaluate`` is its one-point call.
+roots topologically and computes each node once over a flat batch of
+points, with the ``math`` module's kernels.  A value that is constant over
+the batch stays a float; any other value is a list with one float per
+point.  ``Expression.evaluate`` is its one-point call.
 
 Besides the chart coordinates and the mass, a tree may read parameters:
 ``Parameter`` leaves are constant on the chart, so a family of expressions
 that differ only in a few numbers is one tree.  A parameter's values are an
-extra key of the ``evaluate_many`` input mapping, and may carry a leading
-member axis that the coordinates broadcast against.
+extra key of the ``evaluate_many`` input mapping, one per point of the
+batch like a coordinate's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
+from itertools import repeat
 from typing import NamedTuple
-
-import numpy as np
 
 COORDINATE_NAMES = ("u", "v", "r", "t")
 
@@ -90,9 +92,9 @@ class ChartPoint:
 
 
 class PointSet:
-    """Chart points sharing one mass, held as one read-only float array per
-    coordinate.  The ChartPoint guards are applied to all points at once;
-    a violation raises the error of the ChartPoint at the first bad index.
+    """Chart points sharing one mass, held as one tuple of floats per
+    coordinate.  The ChartPoint guards are applied to every point; a
+    violation raises the error of the ChartPoint at the first bad index.
     ``points[k]`` gives a ChartPoint (iteration runs through the indices,
     up to the IndexError), ``points[a:b]`` a PointSet.  Point sets are
     immutable.
@@ -101,17 +103,19 @@ class PointSet:
     __slots__ = ("u", "v", "r", "t", "m")
 
     def __init__(self, u, v, r, t, m: float):
-        u, v, r, t = columns = [np.array(x, dtype=float) for x in (u, v, r, t)]
+        columns = [tuple(map(float, x)) for x in (u, v, r, t)]
+        m = float(m)
         for name, value in zip(self.__slots__, (*columns, m)):
             object.__setattr__(self, name, value)
-        for column in columns:
-            column.flags.writeable = False
-        # the open ranges of u and v exclude NaN and infinities
-        angles = (0.0 < u) & (u < math.pi) & (0.0 < v) & (v < 2.0 * math.pi)
-        radii = (r >= 2.0 * m * (1.0 + HORIZON_MARGIN)) & np.isfinite(r)
-        inside = angles & radii & np.isfinite(t) & (math.isfinite(m) and m > 0.0)
-        if not inside.all():
-            self[int(np.argmin(inside))]  # raises that point's ChartDomainError
+        mass_ok = math.isfinite(m) and m > 0.0
+        horizon, two_pi, inf = 2.0 * m * (1.0 + HORIZON_MARGIN), 2.0 * math.pi, math.inf
+        # the open ranges exclude NaN and infinities
+        for k, (a, b, c, d) in enumerate(zip(*columns)):
+            if not (
+                mass_ok and 0.0 < a < math.pi and 0.0 < b < two_pi and horizon <= c < inf
+                and -inf < d < inf
+            ):
+                self[k]  # raises that point's ChartDomainError
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a PointSet is immutable")
@@ -122,7 +126,7 @@ class PointSet:
     def __getitem__(self, key):
         if isinstance(key, slice):
             return PointSet(self.u[key], self.v[key], self.r[key], self.t[key], self.m)
-        return ChartPoint(*(float(x[key]) for x in (self.u, self.v, self.r, self.t)), self.m)
+        return ChartPoint(self.u[key], self.v[key], self.r[key], self.t[key], self.m)
 
 
 class Expression:
@@ -131,8 +135,9 @@ class Expression:
     ``_fields`` names a node class's fields in order; the constructor takes
     them positionally, and equality, hash and repr read them.
     ``children`` are the operand nodes; ``_apply`` computes the node from
-    their values (numbers or arrays that broadcast together) and the chart
-    inputs, and ``_rule`` is the node's differentiation rule.
+    their values (each a float or a list of one float per point of the
+    batch) and the chart inputs, and ``_rule`` is the node's
+    differentiation rule.
     """
 
     __slots__ = ("_derivatives",)
@@ -167,7 +172,7 @@ class Expression:
 
     def evaluate(self, point: ChartPoint) -> float:
         """Evaluate at one chart point (a one-point ``evaluate_many``)."""
-        return float(evaluate_many([self], point.as_dict())[0])
+        return evaluate_many([self], point.as_dict())[0][0]
 
     def _apply(self, values: list, inputs: dict):
         raise NotImplementedError
@@ -296,17 +301,16 @@ class Sum(Expression):
         return self.terms
 
     def _apply(self, values, inputs):
-        # TwoSum cascade (Sum2 of Ogita, Rump & Oishi, SIAM J. Sci. Comput.
-        # 2005): the rounding error of each partial sum is recovered exactly
-        # and added back at the end, as accurate as summing in twice the
-        # working precision.
-        total, error = values[0], 0.0
-        for value in values[1:]:
-            partial = total + value
-            excess = partial - total
-            error = error + ((total - (partial - excess)) + (value - excess))
-            total = partial
-        return total + error
+        if not any(map(_is_batch, values)):
+            return _cascade(values[0], values[1:])
+        columns = [value if _is_batch(value) else repeat(value) for value in _tiled(values)]
+        if len(columns) > 2:
+            return list(map(_cascade, columns[0], zip(*columns[1:])))
+        # the two-term cascade written out, saving a call per point
+        return [
+            (s := x + y) + (0.0 + ((x - (s - (e := s - x))) + (y - e)))
+            for x, y in zip(*columns)
+        ]
 
     def _rule(self, coordinate):
         return add(*[term._diff(coordinate) for term in self.terms])
@@ -325,7 +329,7 @@ class Product(Expression):
     def _apply(self, values, inputs):
         out = values[0]
         for value in values[1:]:
-            out = out * value
+            out = _combine(operator.mul, out, value)
         return out
 
     def _rule(self, coordinate):
@@ -349,10 +353,10 @@ class Quotient(Expression):
 
     def _apply(self, values, inputs):
         numerator, denominator = values
-        if np.any(denominator == 0.0):
+        if 0.0 in denominator if _is_batch(denominator) else denominator == 0.0:
             text = self.to_prefix()  # cut, so that the error stays one short line
             raise EvaluationError(f"zero denominator in {text[:80]}{'…' * (len(text) > 80)}")
-        return numerator / denominator
+        return _combine(operator.truediv, numerator, denominator)
 
     def _rule(self, coordinate):
         a, b = self.numerator, self.denominator
@@ -373,9 +377,28 @@ class Rational(NamedTuple):
         return self.numerator / self.denominator
 
 
-# Exponents with a correctly rounded numpy kernel; the rest go through np.power.
+def _powers(base, exponent):
+    try:
+        return _combine(math.pow, base, exponent)
+    except OverflowError:
+        return _combine(_overflowing_power, base, exponent)
+
+
+def _overflowing_power(x, exponent):
+    """x ** exponent, infinite where it overflows: negative for a negative
+    x and an odd exponent."""
+    try:
+        return math.pow(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x) if exponent % 2.0 == 1.0 else math.inf
+
+
+# Exponents with a correctly rounded kernel (x * x, 1 / x and math.sqrt);
+# the rest go through math.pow.
 _POWER_KERNELS = {
-    Rational(2, 1): np.square, Rational(-1, 1): np.reciprocal, Rational(1, 2): np.sqrt
+    Rational(2, 1): lambda base, exponent: _combine(operator.mul, base, base),
+    Rational(-1, 1): lambda base, exponent: _combine(operator.truediv, 1.0, base),
+    Rational(1, 2): lambda base, exponent: _elementwise(math.sqrt, base),
 }
 
 
@@ -391,12 +414,12 @@ class Power(Expression):
     def _apply(self, values, inputs):
         (base,) = values
         q = self.exponent
-        if q.denominator != 1 and np.any(base < 0.0):
+        batch = _is_batch(base)
+        if q.denominator != 1 and (any(map(_is_negative, base)) if batch else base < 0.0):
             raise EvaluationError("fractional power of a negative base")
-        if q.numerator < 0 and np.any(base == 0.0):
+        if q.numerator < 0 and (0.0 in base if batch else base == 0.0):
             raise EvaluationError("zero base with negative exponent")
-        kernel = _POWER_KERNELS.get(q)
-        return kernel(base) if kernel is not None else np.power(base, float(q))
+        return _POWER_KERNELS.get(q, _powers)(base, float(q))
 
     def _rule(self, coordinate):
         db = self.base._diff(coordinate)
@@ -416,11 +439,10 @@ class Exp(Expression):
         return (self.arg,)
 
     def _apply(self, values, inputs):
-        (arg,) = values
-        out = np.exp(arg)
-        if np.any(np.isinf(out) & np.isfinite(arg)):
-            raise EvaluationError("exp overflow")
-        return out
+        try:
+            return _elementwise(math.exp, values[0])
+        except OverflowError:  # math.exp raises only for a finite argument
+            raise EvaluationError("exp overflow") from None
 
     def _rule(self, coordinate):
         return mul(exp(self.arg), self.arg._diff(coordinate))
@@ -438,9 +460,9 @@ class Log(Expression):
 
     def _apply(self, values, inputs):
         (arg,) = values
-        if np.any(arg <= 0.0):
-            raise EvaluationError(f"log of non-positive value {np.min(arg)}")
-        return np.log(arg)
+        if any(map(_is_non_positive, arg)) if _is_batch(arg) else arg <= 0.0:
+            raise EvaluationError(f"log of non-positive value {_least(arg)}")
+        return _elementwise(math.log, arg)
 
     def _rule(self, coordinate):
         return quotient(self.arg._diff(coordinate), self.arg)
@@ -457,7 +479,7 @@ class Sin(Expression):
         return (self.arg,)
 
     def _apply(self, values, inputs):
-        return np.sin(values[0])
+        return _periodic(math.sin, values[0])
 
     def _rule(self, coordinate):
         return mul(cos(self.arg), self.arg._diff(coordinate))
@@ -474,7 +496,7 @@ class Cos(Expression):
         return (self.arg,)
 
     def _apply(self, values, inputs):
-        return np.cos(values[0])
+        return _periodic(math.cos, values[0])
 
     def _rule(self, coordinate):
         return mul(NEG_ONE, sin(self.arg), self.arg._diff(coordinate))
@@ -488,23 +510,92 @@ class Cos(Expression):
 # ---------------------------------------------------------------------------
 
 
+def _is_batch(value) -> bool:
+    """True for a value with one float per point, False for a float."""
+    return not isinstance(value, float)
+
+
+# x < 0 and x <= 0 as C-level predicates; NaN satisfies neither
+_is_negative = (0.0).__gt__
+_is_non_positive = (0.0).__ge__
+
+
+def _elementwise(function, value):
+    return list(map(function, value)) if _is_batch(value) else function(value)
+
+
+def _periodic(function, value):
+    """sin or cos of a value; an infinite argument gives NaN, where
+    ``math`` raises."""
+    try:
+        return _elementwise(function, value)
+    except ValueError:
+        return _elementwise(lambda x: math.nan if math.isinf(x) else function(x), value)
+
+
+def _least(value) -> float:
+    """The smallest of a value's floats, NaN if any is NaN."""
+    if not _is_batch(value):
+        return value
+    return math.nan if any(x != x for x in value) else min(value)
+
+
+def _tiled(values: list) -> list:
+    """``values`` with each list at the length of the longest: a shorter
+    list stands for its floats repeated whole."""
+    sizes = {len(value) for value in values if _is_batch(value)}
+    if len(sizes) < 2:
+        return values
+    size = max(sizes)
+    return [value * (size // len(value)) if _is_batch(value) else value for value in values]
+
+
+def _combine(operation, a, b):
+    """``operation(a, b)`` at each point; a float stands for itself at
+    every point."""
+    if not (_is_batch(a) or _is_batch(b)):
+        return operation(a, b)
+    a, b = (x if _is_batch(x) else repeat(x) for x in _tiled([a, b]))
+    return list(map(operation, a, b))
+
+
+def _cascade(total, terms):
+    """total + sum(terms) by the TwoSum cascade (Sum2 of Ogita, Rump &
+    Oishi, SIAM J. Sci. Comput. 2005): the rounding error of each partial
+    sum is recovered exactly and added back at the end, as accurate as
+    summing in twice the working precision."""
+    error = 0.0
+    for value in terms:
+        partial = total + value
+        excess = partial - total
+        error = error + ((total - (partial - excess)) + (value - excess))
+        total = partial
+    return total + error
+
+
+def _batch_input(value):
+    try:
+        return float(value)
+    except TypeError:
+        return tuple(map(float, value))
+
+
 def chart_inputs(at) -> dict:
     """Input values by name from an input mapping, a PointSet or a list of
-    ChartPoints.
+    ChartPoints: a float, or a tuple with one float per point.
 
-    A mapping is copied as it is, extra keys (parameters) included.  A
-    point set gives its own arrays and mass.  A point list becomes one
-    array per coordinate; a mass shared by all the points stays a scalar.
+    A mapping is copied, extra keys (parameters) included, with each value
+    made a float or a tuple of floats.  A point set gives its own tuples and
+    mass.  A point list becomes one tuple per coordinate; a mass shared by
+    all the points stays a float.
     """
     if isinstance(at, Mapping):
-        return dict(at)
+        return {name: _batch_input(value) for name, value in at.items()}
     if isinstance(at, PointSet):
         return {name: getattr(at, name) for name in PointSet.__slots__}
-    inputs = {
-        name: np.array([getattr(p, name) for p in at], dtype=float) for name in COORDINATE_NAMES
-    }
+    inputs = {name: tuple(getattr(p, name) for p in at) for name in COORDINATE_NAMES}
     masses = {p.m for p in at}
-    inputs["m"] = masses.pop() if len(masses) == 1 else np.array([p.m for p in at], dtype=float)
+    inputs["m"] = float(masses.pop()) if len(masses) == 1 else tuple(p.m for p in at)
     return inputs
 
 
@@ -533,33 +624,48 @@ def _schedule(roots):
 
 
 def evaluate_many(roots, at) -> list:
-    """Values of several expressions over a batch of chart points.
+    """Values of several expressions over a flat batch of chart points.
 
     ``at`` is a PointSet, a list of ChartPoints or a mapping of the names
-    u, v, r, t and m to numbers or arrays that broadcast together (a sphere
-    grid is a colatitude column times an azimuth row, with r, t, m scalars).  The
+    u, v, r, t and m to numbers or sequences of one number per point (a
+    sphere grid is its nodes listed one by one, with r, t, m numbers).  The
     mapping may hold further keys: the ``Parameter`` leaves of the roots,
-    with their values.  Parameters shaped (member, 1) over point-shaped
-    coordinates give every root the shape (member, point).  Each node of
-    the shared DAG is computed once, constants stay scalars, and an
-    intermediate value is dropped after its last consumer.  Returns one read-only array per root,
-    shaped like the broadcast inputs.  Raises EvaluationError if any point
-    hits a guard: a zero denominator, the log of a non-positive value, a
-    fractional power of a negative base, a zero base with a negative
+    with their values in the same form.  The longest sequence sets the
+    batch (with none, the batch is one point); each length must divide
+    every longer one, and a shorter sequence stands for its values repeated
+    whole, such as a point set repeated
+    for each member of a section family.  Each node of the shared DAG
+    is computed once, a value constant over the batch stays a float, and an
+    intermediate value is dropped after its last consumer.  Returns one
+    list per root, with one float per point.  Arithmetic follows IEEE
+    rules: infinities and NaN propagate.  Raises EvaluationError if any
+    point hits a guard: a zero denominator, the log of a non-positive value,
+    a fractional power of a negative base, a zero base with a negative
     exponent, or an overflowing exp.
     """
     inputs = chart_inputs(at)
-    shape = np.broadcast_shapes(*(np.shape(value) for value in inputs.values()))
+    sizes = sorted({len(value) for value in inputs.values() if _is_batch(value)})
+    size = sizes[-1] if sizes else 1
+    # each length must divide the next, so that tiling any two inputs to
+    # the longer of them agrees with tiling both to the batch
+    if any(n == 0 or longer % n for n, longer in zip(sizes, sizes[1:])):
+        raise ValueError(f"batch input lengths {sizes} do not divide one another")
     order, uses = _schedule(roots)
     values = {}
-    with np.errstate(all="ignore"):
-        for node, keys in order:
-            values[id(node)] = node._apply([values[key] for key in keys], inputs)
-            for key in keys:
-                uses[key] -= 1
-                if not uses[key]:
-                    del values[key]
-    return [np.broadcast_to(values[id(root)], shape) for root in roots]
+    for node, keys in order:
+        values[id(node)] = node._apply([values[key] for key in keys], inputs)
+        for key in keys:
+            uses[key] -= 1
+            if not uses[key]:
+                del values[key]
+    return [_as_list(values[id(root)], size) for root in roots]
+
+
+def _as_list(value, size: int) -> list:
+    if not _is_batch(value):
+        return [value] * size
+    value = value if isinstance(value, list) else list(value)
+    return value * (size // len(value)) if len(value) < size else value
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +781,8 @@ def power(base, exponent) -> Expression:
             return const(value ** float(q))
         if value == 0.0 and n > 0:
             return ZERO
+        if value == 0.0:
+            raise ValueError("zero constant raised to a negative power")
         raise ValueError("fractional power of a negative constant")
     return Power(base, q)
 

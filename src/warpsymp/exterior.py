@@ -23,8 +23,6 @@ import itertools
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 from .expressions import (
     COORDINATE_NAMES,
     ChartPoint,
@@ -158,18 +156,19 @@ class KForm(NamedTuple):
 
     def evaluate_at(self, point: ChartPoint) -> dict:
         values = evaluate_many([coefficient for _, coefficient in self.terms], point.as_dict())
-        return {index: float(value) for (index, _), value in zip(self.terms, values)}
+        return {index: value for (index, _), (value,) in zip(self.terms, values)}
 
-    def max_abs(self, at) -> np.ndarray:
-        """Largest coefficient magnitude at each point of ``at`` (a point list
-        or coordinate arrays, as for ``evaluate_many``); 0 for the empty form.
+    def max_abs(self, at) -> list:
+        """Largest coefficient magnitude at each point of ``at`` (points or
+        an input mapping, as for ``evaluate_many``); 0 for the empty form.
         A NaN coefficient is passed over."""
-        values = evaluate_many([ZERO, *(coefficient for _, coefficient in self.terms)], at)
-        return np.fmax.reduce(np.abs(values), axis=0)
+        zeros, *values = evaluate_many([ZERO, *(coefficient for _, coefficient in self.terms)], at)
+        # max keeps its first argument, 0, against NaN
+        return list(map(max, zeros, *(map(abs, column) for column in values))) if values else zeros
 
     def max_abs_at(self, point: ChartPoint) -> float:
         """Largest coefficient magnitude at a point (0 for the empty form)."""
-        return float(self.max_abs(point.as_dict()))
+        return self.max_abs(point.as_dict())[0]
 
 
 class VectorField(NamedTuple):
@@ -198,7 +197,7 @@ class VectorField(NamedTuple):
         return self.scaled(NEG_ONE)
 
     def evaluate_at(self, point: ChartPoint) -> tuple:
-        return tuple(map(float, evaluate_many(self.components, point.as_dict())))
+        return tuple(value for (value,) in evaluate_many(self.components, point.as_dict()))
 
 
 def basis_vector(axis: int) -> VectorField:

@@ -6,9 +6,9 @@ i_H sympl = -df.  Two independent routes compute it:
 * a symbolic solve that inverts the block structure of the symplectic form
   (a du^dv block and a dr^dt block), giving closed-form components for any
   smooth f, and
-* a numeric pointwise LU solve of the 4x4 matrix of the symplectic form,
-  used by the verification suite to cross-check the symbolic route against
-  the displayed closed forms.
+* a numeric pointwise solve of the 4x4 antisymmetric matrix of the
+  symplectic form by its Pfaffian, used by the verification suite to
+  cross-check the symbolic route against the displayed closed forms.
 
 Sphere integrals of 2-forms use tensor-product Gauss-Legendre nodes in the
 colatitude and a midpoint rule on the periodic azimuth (spectrally accurate
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from itertools import repeat
 from typing import NamedTuple
-
-import numpy as np
 
 from . import expressions as ex
 from .expressions import ChartPoint, Expression, Rational
@@ -80,23 +80,38 @@ def hamiltonian_field(f: Expression, model: SpacetimeModel) -> VectorField:
     return VectorField(components)
 
 
-def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> np.ndarray:
-    """Numeric route over a batch of points: LU-solve the 4x4 system at each
-    one, giving an array of shape (points, 4)."""
-    matrix = symplectic_matrix(model)
-    # rows of the transposed matrix: components satisfy sum_i H^i P[i][j] = -df_j
-    entries = [matrix[j][i] for i in range(DIM) for j in range(DIM)]
+def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> list:
+    """Numeric route over a batch of points: solve the 4x4 system at each
+    one, giving one (H^u, H^v, H^r, H^t) tuple per point.
+
+    The components satisfy sum_i H^i P[i][j] = -df_j, that is P H = df for
+    the antisymmetric matrix P, so H = P^-1 df with the closed-form inverse
+    P^-1 = -P~/Pf(P): P~_ij = (1/2) eps_ijkl P_kl is the dual matrix and
+    Pf(P) = P01 P23 - P02 P13 + P03 P12 the Pfaffian.  Raises
+    SingularSymplecticError where the Pfaffian is zero.
+    """
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    upper = [model.symplectic_form.coefficient(pair) for pair in pairs]
     gradient = [f.diff(name) for name in ex.COORDINATE_NAMES]
-    values = np.stack(ex.evaluate_many(entries + gradient, points), axis=-1)
-    system = values[:, : DIM * DIM].reshape(-1, DIM, DIM)
-    try:
-        return np.linalg.solve(system, -values[:, DIM * DIM :, None])[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise SingularSymplecticError("symplectic matrix singular at a sample point") from err
+    columns = ex.evaluate_many(upper + gradient, points)
+    solutions = []
+    for p01, p02, p03, p12, p13, p23, f0, f1, f2, f3 in zip(*columns):
+        pfaffian = p01 * p23 - p02 * p13 + p03 * p12
+        if pfaffian == 0.0:
+            raise SingularSymplecticError("symplectic matrix singular at a sample point")
+        solutions.append(
+            (
+                -(p23 * f1 - p13 * f2 + p12 * f3) / pfaffian,
+                -(p03 * f2 - p23 * f0 - p02 * f3) / pfaffian,
+                -(p13 * f0 - p03 * f1 + p01 * f3) / pfaffian,
+                -(p02 * f1 - p12 * f0 - p01 * f2) / pfaffian,
+            )
+        )
+    return solutions
 
 
-def hamiltonian_at(f: Expression, model: SpacetimeModel, point: ChartPoint) -> np.ndarray:
-    """Numeric route: LU-solve the 4x4 system at one point."""
+def hamiltonian_at(f: Expression, model: SpacetimeModel, point: ChartPoint) -> tuple:
+    """Numeric route: solve the 4x4 system at one point."""
     try:
         return hamiltonian_values(f, model, [point])[0]
     except SingularSymplecticError as err:
@@ -165,14 +180,17 @@ def coordinate_commutator_displays(model: SpacetimeModel) -> dict:
 
 
 def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None) -> list:
-    """Numeric LU solve against the displayed closed forms, relative error."""
+    """Numeric solve against the displayed closed forms, relative error."""
     references = coordinate_field_references(model)
     results = []
     for name in ex.COORDINATE_NAMES:
         numeric = hamiltonian_values(ex.Coordinate(name), model, points)
-        expected = np.stack(ex.evaluate_many(references[name].components, points), axis=-1)
-        scale = np.maximum(np.max(np.abs(expected), axis=-1), 1e-300)
-        errors = np.max(np.abs(numeric - expected), axis=-1) / scale
+        expected = zip(*ex.evaluate_many(references[name].components, points))
+        errors = [
+            max(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
+            / max(abs(b0), abs(b1), abs(b2), abs(b3), 1e-300)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(numeric, expected)
+        ]
         worst, at = worst_point(errors, points)
         results.append(CheckResult.judged(f"hamiltonian_{name}", threshold, worst, at, seed))
     return results
@@ -212,19 +230,19 @@ def bracket_table(
 
     checks = []
     for pair, expected in zip(nonzero, computed[len(pairs) :]):
-        errors = np.abs(values[pair] - expected) / np.maximum(np.abs(expected), 1e-300)
+        errors = [abs(x - y) / max(abs(y), 1e-300) for x, y in zip(values[pair], expected)]
         worst, at = worst_point(errors, points)
         checks.append(
             CheckResult.judged(f"bracket_{pair[0]}{pair[1]}", relative_threshold, worst, at, seed)
         )
 
-    cross = np.abs([values[pair] for pair in (("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"))])
-    worst, at = worst_point(cross, points)
+    cross = (("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"))
+    worst, at = worst_point([abs(x) for pair in cross for x in values[pair]], points)
     checks.append(CheckResult.judged("bracket_cross_zeros", zero_threshold, worst, at, seed))
 
-    # scanned point by point, each point over all pairs
-    anti = np.abs(np.stack([values[(a, b)] + values[(b, a)] for a, b in pairs], axis=-1))
-    worst, at = worst_point(anti, points, axis=0)
+    # the largest |{a,b} + {b,a}| at each point; max keeps -inf against NaN
+    sums = ([abs(x + y) for x, y in zip(values[a, b], values[b, a])] for a, b in pairs)
+    worst, at = worst_point(list(map(max, repeat(-math.inf), *sums)), points)
     checks.append(CheckResult.judged("bracket_antisymmetry", zero_threshold, worst, at, seed))
 
     cyclic = []
@@ -237,7 +255,8 @@ def bracket_table(
                 poisson_bracket(h, poisson_bracket(f, g, model), model),
             )
         )
-    worst, at = worst_point(np.abs(ex.evaluate_many(cyclic, jacobi_points)), jacobi_points)
+    residuals = [abs(x) for column in ex.evaluate_many(cyclic, jacobi_points) for x in column]
+    worst, at = worst_point(residuals, jacobi_points)
     checks.append(CheckResult.judged("jacobi_identity", jacobi_threshold, worst, at, seed))
     return checks, table
 
@@ -274,26 +293,27 @@ class QuadratureSpec:
 # Newton steps allowed per rule: from Tricomi's guesses every n up to 2048
 # reaches roundoff within 4.  A step under 2 ulp of 1 is roundoff.
 _NEWTON_STEPS = 10
-_ROUNDOFF_STEP = 2.0 * np.finfo(float).eps
+_ROUNDOFF_STEP = 2.0 * sys.float_info.epsilon
 
 
-def _legendre_with_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence
-    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
-    previous, current, scratch = np.ones_like(x), x.copy(), np.empty_like(x)
-    for k in range(1, n):
-        np.multiply(x, current, out=scratch)
-        scratch *= (2 * k + 1) / (k + 1)
-        previous *= k / (k + 1)
-        scratch -= previous
-        previous, current, scratch = current, scratch, previous
-    return current, n * (previous - x * current) / (1.0 - x * x)
+def _legendre_with_derivative(n: int, nodes: list):
+    """P_n(x) and P_n'(x) at each x of ``nodes`` (|x| < 1), by the
+    three-term recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    ratios = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
+    values, slopes = [], []
+    for x in nodes:
+        previous, current = 1.0, x
+        for a, b in ratios:
+            previous, current = current, x * current * a - previous * b
+        values.append(current)
+        slopes.append(n * (previous - x * current) / (1.0 - x * x))
+    return values, slopes
 
 
 @functools.lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], as read-only arrays cached per n.
+    [-1, 1], as tuples cached per n.
 
     Newton iteration on P_n runs over the positive nodes at once, started
     from Tricomi's guesses (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)),
@@ -306,23 +326,21 @@ def gauss_legendre(n: int) -> tuple:
     """
     if n < 1:
         raise ValueError(f"a Gauss-Legendre rule needs at least 1 node, got {n}")
-    k = np.arange(1, n // 2 + 1)
-    x = (1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    scale = 1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)
+    x = [scale * math.cos(math.pi * (4 * k - 1) / (4 * n + 2)) for k in range(1, n // 2 + 1)]
     for _ in range(_NEWTON_STEPS):
-        value, derivative = _legendre_with_derivative(n, x)
-        step = value / derivative
-        x = x - step
-        if not np.any(np.abs(step) > _ROUNDOFF_STEP):
+        values, slopes = _legendre_with_derivative(n, x)
+        steps = [value / slope for value, slope in zip(values, slopes)]
+        x = [node - step for node, step in zip(x, steps)]
+        if not any(abs(step) > _ROUNDOFF_STEP for step in steps):
             break
-    weights = 2.0 / ((1.0 - x * x) * derivative * derivative)
-    middle_x, middle_w = np.empty(0), np.empty(0)
+    weights = [2.0 / ((1.0 - node * node) * slope * slope) for node, slope in zip(x, slopes)]
+    middle_x, middle_w = [], []
     if n % 2:
-        _, slope = _legendre_with_derivative(n, np.zeros(1))
-        middle_x, middle_w = np.zeros(1), 2.0 / (slope * slope)
-    nodes = np.concatenate([-x, middle_x, x[::-1]])
-    weights = np.concatenate([weights, middle_w, weights[::-1]])
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+        _, (slope,) = _legendre_with_derivative(n, [0.0])
+        middle_x, middle_w = [0.0], [2.0 / (slope * slope)]
+    nodes = tuple([-node for node in x] + middle_x + x[::-1])
+    return nodes, tuple(weights + middle_w + weights[::-1])
 
 
 class IntegralResult(NamedTuple):
@@ -336,21 +354,29 @@ def sphere_sum(form: KForm, model: SpacetimeModel, n_u: int, n_v: int, r0: float
     """One quadrature pass over the sphere {r=r0, t=t0} at the given node counts.
 
     Sums each row of the evaluated du^dv coefficient along v, then the row
-    sums against the colatitude weights, then scales by the azimuth weight,
-    without a BLAS call.  A v-independent coefficient evaluates to a stride-0
-    view of one column, so the pass then builds no n_u x n_v array.
+    sums against the colatitude weights, then scales by the azimuth weight;
+    both sums are correctly rounded (``math.fsum``).  A coefficient whose v
+    derivative folds to zero is evaluated on the colatitude column only, and
+    a row sum is then n_v times the row's value, which is what the row's
+    fsum gives.
     """
     coefficient = form.coefficient((0, 1))
     if ex.is_zero(coefficient):
         return 0.0
     nodes, weights = gauss_legendre(n_u)
-    colatitudes = 0.5 * math.pi * (nodes + 1.0)
-    u_weights = 0.5 * math.pi * weights
-    azimuths = (np.arange(n_v) + 0.5) * (2.0 * math.pi / n_v)
+    colatitudes = [0.5 * math.pi * (x + 1.0) for x in nodes]
+    u_weights = [0.5 * math.pi * w for w in weights]
     v_weight = 2.0 * math.pi / n_v
-    grid = {"u": colatitudes[:, None], "v": azimuths[None, :], "r": r0, "t": t0, "m": model.mass}
-    (values,) = ex.evaluate_many([coefficient], grid)
-    total = float(np.sum(u_weights * values.sum(axis=1))) * v_weight
+    grid = {"r": r0, "t": t0, "m": model.mass}
+    if ex.is_zero(coefficient.diff("v")):
+        (column,) = ex.evaluate_many([coefficient], {**grid, "u": colatitudes, "v": math.pi})
+        row_sums = [n_v * value for value in column]
+    else:
+        azimuths = [(j + 0.5) * v_weight for j in range(n_v)]
+        grid.update(u=[u for u in colatitudes for _ in azimuths], v=azimuths * n_u)
+        (values,) = ex.evaluate_many([coefficient], grid)
+        row_sums = [math.fsum(values[i : i + n_v]) for i in range(0, n_u * n_v, n_v)]
+    total = math.fsum(w * s for w, s in zip(u_weights, row_sums)) * v_weight
     if not math.isfinite(total):
         raise ex.EvaluationError(
             f"sphere integral is not finite at r0={r0:.3g}, mass {model.mass:.3g}"

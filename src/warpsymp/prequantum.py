@@ -35,8 +35,6 @@ from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
 from .exterior import (
@@ -163,8 +161,8 @@ class Section(NamedTuple):
         )
 
     def evaluate_at(self, point: ChartPoint) -> complex:
-        re, im = ex.evaluate_many([self.re, self.im], point.as_dict())
-        return complex(float(re), float(im))
+        (re,), (im,) = ex.evaluate_many([self.re, self.im], point.as_dict())
+        return complex(re, im)
 
     def magnitude_at(self, point: ChartPoint) -> float:
         return abs(self.evaluate_at(point))
@@ -174,22 +172,26 @@ ZERO_SECTION = Section(ex.ZERO, ex.ZERO)
 ONE_SECTION = Section(ex.ONE, ex.ZERO)
 
 
-def _scan(parts, family, points) -> np.ndarray:
+def _scan(parts, family, points) -> list:
     """Magnitudes of the sections ``parts(psi)`` builds for every member
-    psi of a section family; shape (part, member, point).
+    psi of a section family: one list per part, over (member, point) pairs
+    member by member.
 
     The operators are linear differential operators in psi, so ``parts``
     builds its trees once, over the family's symbolic member, whose drawn
-    numbers are parameters.  The trees are then evaluated once, with each
-    parameter fed its (member, 1) column of draws and the point
-    coordinates broadcast against it.
+    numbers are parameters.  The trees are then evaluated once over the
+    flat batch of (member, point) pairs: each parameter holds its member's
+    draw at each point, and the point coordinates stand for themselves
+    repeated for each member, so that the nodes that read no parameter are
+    computed once per point.
     """
-    row = [ex.Parameter(f"p{i}") for i in range(family.draws.shape[1])]
+    row = [ex.Parameter(f"p{i}") for i in range(len(family.draws[0]))]
     roots = [x for built in parts(family.build(row)) for x in (built.re, built.im)]
     inputs = ex.chart_inputs(points)
-    inputs.update((p, family.draws[:, i : i + 1]) for i, p in enumerate(row))
+    for i, p in enumerate(row):
+        inputs[p] = [draw[i] for draw in family.draws for _ in range(len(points))]
     values = ex.evaluate_many(roots, inputs)
-    return np.hypot(values[0::2], values[1::2])
+    return [list(map(math.hypot, re, im)) for re, im in zip(values[0::2], values[1::2])]
 
 
 def covariant_derivative(
@@ -258,15 +260,16 @@ def apply_operator(
 class SectionFamily:
     """Test sections of one shape that differ only in drawn numbers.
 
-    ``draws`` has one row per member; ``build(row)`` makes the section whose
-    numbers are the expressions of ``row``.  ``family[k]`` is member k, built
-    over constants; ``family[a:b]`` is a sub-family.  Families are immutable
-    and compare by identity.
+    ``draws`` holds one tuple of floats per member; ``build(row)`` makes the
+    section whose numbers are the expressions of ``row``.  ``family[k]`` is
+    member k, built over constants; ``family[a:b]`` is a sub-family.
+    Families are immutable and compare by identity.
     """
 
     __slots__ = ("build", "draws")
 
-    def __init__(self, build: Callable, draws: np.ndarray):
+    def __init__(self, build: Callable, draws):
+        draws = tuple(tuple(map(float, draw)) for draw in draws)
         object.__setattr__(self, "build", build)
         object.__setattr__(self, "draws", draws)
 
@@ -292,12 +295,12 @@ def random_sections(mass: float, count: int, seed: int) -> SectionFamily:
     polynomial coefficients, the winding j and kappa.
     """
     stream = Stream(seed)
-    rows = []
+    draws = []
     for _ in range(count):
         coefficients = stream.uniform(-1.0, 1.0, 6)
         winding = stream.integers(-2, 3)
-        rows.append([*coefficients, winding, *stream.uniform(-0.3, 0.3, 1) / mass])
-    draws = np.array(rows, dtype=float).reshape(count, 8)
+        (kappa,) = stream.uniform(-0.3, 0.3, 1)
+        draws.append((*coefficients, winding, kappa / mass))
     scale_r = ex.quotient(ex.R, ex.const(5.0 * mass))
     scale_t = ex.quotient(ex.T, ex.const(5.0 * mass))
     scale_u = ex.quotient(ex.U, ex.const(math.pi))
@@ -356,7 +359,8 @@ def curvature_section_check(
             residuals.append(commutator + psi.times_i_scaled(factor))
         return residuals
 
-    worst, at = worst_point(_scan(parts, sections, points), points)
+    magnitudes = itertools.chain.from_iterable(_scan(parts, sections, points))
+    worst, at = worst_point(list(magnitudes), points)
     return CheckResult.judged("connection_curvature_sections", threshold, worst, at, seed)
 
 
@@ -406,14 +410,14 @@ def commutator_suite(
                     built += [commutator - display, display]
         return built
 
-    # the parts in the order they were built, one (member, point) array each
+    # the parts in the order they were built, one (member, point) list each
     magnitudes = iter(_scan(parts, sections, points))
     measured, display_residuals = {}, {}
     for hermitian in variants:
         for pair in pairs:
             residual, lhs, rhs = itertools.islice(magnitudes, 3)
             worst, at = worst_point(residual, points)
-            scale = peak([lhs, rhs])
+            scale = peak(lhs + rhs)
             if not ex.is_zero(brackets[pair]):
                 worst /= max(scale, 1e-300)
             measured[hermitian, pair] = (worst, at, scale)
@@ -484,8 +488,8 @@ def geometric_operator_report(
 
     magnitudes = _scan(parts, sections, points)
     # chain-rule parts: residual and left side of each function in turn
-    worst, at = worst_point(magnitudes[0:6:2], points)
-    scale = peak(magnitudes[1:6:2])
+    worst, at = worst_point(list(itertools.chain.from_iterable(magnitudes[0:6:2])), points)
+    scale = peak(itertools.chain.from_iterable(magnitudes[1:6:2]))
     reports = [
         CheckResult.judged(
             "operator_chain_rule",
@@ -538,24 +542,23 @@ def box_l2_norm(section: Section, model, box: Box) -> float:
     """L2 norm of a section over the box with the sympl^2/2 volume, by a
     6-node Gauss-Legendre rule on each axis."""
     density = wedge(model.symplectic_form, model.symplectic_form).coefficient((0, 1, 2, 3))
-    grids = []
-    weights = []
+    rules = []
+    nodes, weights = gauss_legendre(6)
     for low, high in box.intervals():
         if not low < high:
             raise ValueError("box intervals must be increasing")
-        x, w = gauss_legendre(6)
-        grids.append(0.5 * (high - low) * (x + 1.0) + low)
-        weights.append(0.5 * (high - low) * w)
-    # one axis per coordinate, so the grids broadcast to the full box
-    axes = [
-        np.reshape(grid, [-1 if k == axis else 1 for k in range(4)])
-        for axis, grid in enumerate(grids)
-    ]
-    weight = math.prod(np.reshape(w, np.shape(a)) for w, a in zip(weights, axes))
-    inputs = dict(zip(ex.COORDINATE_NAMES, axes), m=model.mass)
+        half = 0.5 * (high - low)
+        rules.append([(half * (x + 1.0) + low, half * w) for x, w in zip(nodes, weights)])
+    # every node of the box, (u, v, r, t) order, t fastest
+    grid = list(itertools.product(*rules))
+    inputs = {name: [node[k][0] for node in grid] for k, name in enumerate(ex.COORDINATE_NAMES)}
+    inputs["m"] = model.mass
     volume, re, im = ex.evaluate_many([density, section.re, section.im], inputs)
-    total = float(np.sum(weight * 0.5 * volume * np.hypot(re, im) ** 2))
-    return math.sqrt(max(total, 0.0))
+    terms = []
+    for ((_, wu), (_, wv), (_, wr), (_, wt)), dv, a, b in zip(grid, volume, re, im):
+        magnitude = math.hypot(a, b)
+        terms.append(wu * wv * wr * wt * 0.5 * dv * (magnitude * magnitude))
+    return math.sqrt(max(math.fsum(terms), 0.0))
 
 
 def radial_eigen_residual(psi: Section, eigenvalue: float, model, potential, box: Box):

@@ -8,7 +8,7 @@ plain dictionaries so the whole suite output is stable JSON.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .expressions import evaluate_many
 
@@ -56,34 +56,50 @@ class CheckResult:
         }
 
 
-def worst_point(magnitudes, points, start=0.0, axis=-1):
+def _nan_free(magnitudes) -> list:
+    return [x for x in magnitudes if x == x]
+
+
+def worst_point(magnitudes, points, start=0.0):
     """The first strict maximum of ``magnitudes`` above ``start`` and the
     point where it occurs.
 
-    Elements are scanned in C order, so an array shaped (section, point)
-    is read section by section; ``axis`` is the axis that indexes
-    ``points``, a PointSet or a list of ChartPoints.  NaN is never
-    selected.  With nothing above ``start`` the result is (start, None).
+    ``magnitudes`` is a flat sequence whose element k belongs to point
+    k mod len(points) of ``points``, a PointSet or a list of ChartPoints:
+    one value per point, or one run of points after another, such as a
+    (section, point) scan read section by section.  NaN is never selected.
+    With nothing above ``start`` the result is (start, None).
     """
-    magnitudes = np.asarray(magnitudes, dtype=float)
-    above = magnitudes > start
-    if not above.any():
+    # max keeps its first element while that is NaN, and passes over later NaN
+    worst = max(magnitudes, default=start)
+    if worst != worst:
+        worst = max(_nan_free(magnitudes), default=start)
+    if not worst > start:
         return start, None
-    worst = magnitudes[above].max()
-    flat_index = int(np.argmax(magnitudes == worst))
-    index = np.unravel_index(flat_index, magnitudes.shape)[axis]
-    return float(worst), points[index].as_dict()
+    return worst, points[magnitudes.index(worst) % len(points)].as_dict()
+
+
+def least_point(magnitudes, points):
+    """The first minimum of ``magnitudes``, laid out as for ``worst_point``,
+    and its point; NaN is never selected.  (inf, None) when every value is
+    NaN or there is none."""
+    least = min(magnitudes, default=None)
+    if least != least:
+        least = min(_nan_free(magnitudes), default=None)
+    if least is None:
+        return math.inf, None
+    return least, points[magnitudes.index(least) % len(points)].as_dict()
 
 
 def peak(magnitudes) -> float:
     """The largest of ``magnitudes`` and 0; NaN is passed over."""
-    return float(np.fmax.reduce(np.ravel(magnitudes), initial=0.0))
+    return max([0.0, *magnitudes])
 
 
 def worst_expression_error(expression, points):
     """Max |expression| over points and the point achieving it."""
     (values,) = evaluate_many([expression], points)
-    worst, at = worst_point(np.abs(values), points, start=-1.0)
+    worst, at = worst_point(list(map(abs, values)), points, start=-1.0)
     return max(worst, 0.0), at
 
 

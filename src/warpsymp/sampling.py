@@ -1,15 +1,13 @@
 """Seeded random sampling of exterior-chart points for identity checks.
 
 The draws come from ``Stream``, a pure-Python copy of numpy's default
-generator, so that no command pays for importing ``numpy.random``.
+generator, so that no command imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-
-import numpy as np
 
 from .expressions import PointSet
 
@@ -88,13 +86,13 @@ class Stream:
         self._state = state
         return outputs
 
-    def random(self, count: int) -> np.ndarray:
+    def random(self, count: int) -> list:
         """``count`` doubles, uniform in [0, 1)."""
         # every 53-bit integer is a double, and the power-of-two scale is exact
-        return np.array(self._outputs(count, 11), dtype=float) * 2.0**-53
+        return [x * 2.0**-53 for x in self._outputs(count, 11)]
 
-    def uniform(self, low: float, high: float, count: int) -> np.ndarray:
-        return low + (high - low) * self.random(count)
+    def uniform(self, low: float, high: float, count: int) -> list:
+        return [low + (high - low) * x for x in self.random(count)]
 
     def integers(self, low: int, high: int) -> int:
         """One integer, uniform in [low, high), for a range of 2 to 2**32 - 1."""
@@ -178,12 +176,11 @@ def sample_points(
     r_low = 2.0 * mass * (1.0 + window.r_margin)
     r_high = window.r_max_factor * mass
     t_half = window.t_half_width_factor * mass
-    low = np.array([math.log(r_low), window.u_margin, window.v_margin, -t_half])
-    high = np.array(
-        [math.log(r_high), math.pi - window.u_margin, 2.0 * math.pi - window.v_margin, t_half]
+    low = (math.log(r_low), window.u_margin, window.v_margin, -t_half)
+    high = (math.log(r_high), math.pi - window.u_margin, 2.0 * math.pi - window.v_margin, t_half)
+    units = Stream(seed).random(4 * count)
+    log_radius, colatitude, azimuth, time = (
+        [a + (b - a) * x for x in units[k::4]] for k, (a, b) in enumerate(zip(low, high))
     )
-    draws = low + (high - low) * Stream(seed).random(4 * count).reshape(count, 4)
-    log_radius, colatitude, azimuth, time = draws.T
-    # math.exp, not np.exp: their last bits differ for a few percent of draws
-    radius = [math.exp(x) for x in log_radius.tolist()]
+    radius = [math.exp(x) for x in log_radius]
     return PointSet(colatitude, azimuth, radius, time, mass)

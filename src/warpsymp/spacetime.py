@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
 from .exterior import (
@@ -38,7 +36,14 @@ from .exterior import (
     sharp,
     wedge,
 )
-from .reports import ABOVE, CheckResult, passes, worst_expression_error, worst_form_error
+from .reports import (
+    ABOVE,
+    CheckResult,
+    least_point,
+    passes,
+    worst_expression_error,
+    worst_form_error,
+)
 from .sampling import sample_points
 
 FOUR_PI = 4.0 * math.pi
@@ -278,15 +283,17 @@ def verify_symplectic(
     )
 
     (values,) = ex.evaluate_many([square.coefficient((0, 1, 2, 3))], points)
-    minimum = float(np.min(np.abs(values))) if values.size else 0.0
-    same_sign = bool(np.all(values > 0) or np.all(values < 0))
+    minimum, at = least_point(list(map(abs, values)), points)
+    if at is None:
+        minimum = 0.0
+    same_sign = all(x > 0 for x in values) or all(x < 0 for x in values)
     results.append(
         CheckResult(
             "symplectic_nondegeneracy",
-            values.size > 0 and same_sign and minimum > 0.0,
+            len(values) > 0 and same_sign and minimum > 0.0,
             0.0,
             minimum,
-            None,
+            at,
             seed,
             details={"single_sign": same_sign, "min_magnitude": minimum},
         )
@@ -319,9 +326,8 @@ def foliation_report(
     volume3_coefficient = volume3.coefficient((0, 1, 2))
 
     pfaffians, volumes = ex.evaluate_many([pfaffian, volume3_coefficient], points)
-    # fmin passes over NaN samples
-    pf_min = float(np.fmin.reduce(np.abs(pfaffians) / model.mass, initial=math.inf))
-    vol_min = float(np.fmin.reduce(np.abs(volumes), initial=math.inf))
+    pf_min, pf_at = least_point([abs(x) / model.mass for x in pfaffians], points)
+    vol_min, vol_at = least_point(list(map(abs, volumes)), points)
 
     # Pfaffian / sin(u) must not depend on u if the pole degeneracy is a
     # pure coordinate effect; compare at two colatitudes, same radius.
@@ -330,16 +336,16 @@ def foliation_report(
         for colatitude in (1e-3, math.pi / 2)
     ]
     (values,) = ex.evaluate_many([pfaffian], probe_points)
-    probe = [float(value) / math.sin(point.u) for value, point in zip(values, probe_points)]
+    probe = [value / math.sin(point.u) for value, point in zip(values, probe_points)]
     artifact = abs(probe[0] - probe[1]) <= 1e-9 * max(abs(probe[0]), abs(probe[1]))
 
-    def lower_bound(name, minimum, threshold, bound):
+    def lower_bound(name, minimum, at, threshold, bound):
         return CheckResult(
             name,
             passes(minimum, threshold, ABOVE),
             threshold,
             minimum if math.isfinite(minimum) else 0.0,
-            None,
+            at,
             seed,
             details={"bound": bound},
         )
@@ -348,12 +354,14 @@ def foliation_report(
         lower_bound(
             "foliation_leaf_pfaffian",
             pf_min,
+            pf_at,
             pfaffian_threshold,
             "minimum |pfaffian|/mass over samples",
         ),
         lower_bound(
             "foliation_volume_form",
             vol_min,
+            vol_at,
             volume_threshold,
             "minimum |volume3 coefficient| over samples",
         ),

@@ -29,8 +29,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from . import expressions as ex
 from .hamiltonian import (
@@ -503,6 +501,21 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
 CSV_KINDS = ("bracket_grid", "omega_coefficient", "eigen_residual", "integral_convergence")
 
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """``num`` evenly spaced values from start to stop, both included:
+    start + k * step, with the last value set to stop, as numpy's
+    ``linspace`` computes them."""
+    step = (stop - start) / (num - 1)
+    return [k * step + start for k in range(num - 1)] + [stop]
+
+
+def _geomspace(start: float, stop: float, num: int) -> list:
+    """``num`` values from start to stop (both positive, both included),
+    evenly spaced in log10 as for numpy's ``geomspace``."""
+    exponents = _linspace(math.log10(start), math.log10(stop), num)
+    return [start, *(math.pow(10.0, y) for y in exponents[1:-1]), stop]
+
+
 def emit_csv(what: str, config: RunConfig, path=None) -> Path:
     """Write one of the plot-data CSVs and return its path."""
     if what not in CSV_KINDS:
@@ -527,26 +540,27 @@ def emit_csv(what: str, config: RunConfig, path=None) -> Path:
         else:
             rows.append("u,r,coefficient")
             roots = [model.flux_form.coefficient((0, 1))]
-        colatitudes, radii = np.meshgrid(
-            np.linspace(0.3, math.pi - 0.3, 24), np.geomspace(2.2 * mass, 50.0 * mass, 24),
-            indexing="ij",
-        )
+        # every colatitude with every radius, colatitude outer
+        line = _linspace(0.3, math.pi - 0.3, 24)
+        colatitudes = [u for u in line for _ in range(24)]
+        radii = _geomspace(2.2 * mass, 50.0 * mass, 24) * 24
         grid = {"u": colatitudes, "v": 1.0, "r": radii, "t": 0.0, "m": mass}
         columns = [colatitudes, radii, *ex.evaluate_many(roots, grid)]
-        rows.extend(",".join(map(repr, row)) for row in zip(*(c.ravel().tolist() for c in columns)))
+        rows.extend(",".join(map(repr, row)) for row in zip(*columns))
     elif what == "eigen_residual":
         rows.append("r,residual_abs")
         potential = ConnectionPotential.monopole(model, CurvatureScale(config.scale_mode))
         kappa = 0.1 / mass
         re_f, im_f = separable_radial_residual(kappa, ex.ONE, 0.0, model, potential)
         psi = phase_section(kappa)
-        radii = np.geomspace(2.2 * mass, 20.0 * mass, 60)
+        radii = _geomspace(2.2 * mass, 20.0 * mass, 60)
         line = {"u": math.pi / 2, "v": math.pi, "r": radii, "t": 0.0, "m": mass}
-        a, b, c, d = ex.evaluate_many([re_f, im_f, psi.re, psi.im], line)
-        # |(a + ib)(c + id)| multiplied out by hand: numpy's complex product may
-        # fuse multiply-adds and round differently from Python's complex type
-        residual = np.hypot(a * c - b * d, a * d + b * c)
-        rows.extend(f"{r!r},{value!r}" for r, value in zip(radii.tolist(), residual.tolist()))
+        values = zip(*ex.evaluate_many([re_f, im_f, psi.re, psi.im], line))
+        # |(a + ib)(c + id)| multiplied out by hand, so that the rounding
+        # is that of these four products, whatever complex product a
+        # platform's libraries use
+        residual = [math.hypot(a * c - b * d, a * d + b * c) for a, b, c, d in values]
+        rows.extend(f"{r!r},{value!r}" for r, value in zip(radii, residual))
 
     target.write_text("\n".join(rows) + "\n")
     return target

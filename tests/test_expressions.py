@@ -133,6 +133,43 @@ class TestBatchedGuards:
         with pytest.raises(EvaluationError):
             ex.exp(ex.T).evaluate(point)
 
+    @pytest.mark.parametrize(
+        "expression, times, message",
+        [
+            (ex.quotient(ex.ONE, ex.T), (1.0, 0.0), "zero denominator in (/ 1.0 t)"),
+            (ex.log(ex.T), (1.0, -2.0, -3.0), "log of non-positive value -3.0"),
+            (ex.log(ex.T), (math.nan, -2.0), "log of non-positive value nan"),
+            (ex.power(ex.T, Fraction(1, 2)), (-2.0,), "fractional power of a negative base"),
+            (ex.power(ex.T, -2), (0.0,), "zero base with negative exponent"),
+            (ex.exp(ex.T), (800.0,), "exp overflow"),
+        ],
+    )
+    def test_guard_messages(self, expression, times, message):
+        inputs = {"u": 1.0, "v": 1.0, "r": 3.0, "t": list(times), "m": 1.0}
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate_many([expression], inputs)
+        assert str(excinfo.value) == message
+
+    def test_zero_denominator_message_is_cut(self):
+        long = ex.add(*[ex.mul(ex.const(k + 0.5), ex.power(ex.R, k + 2)) for k in range(12)])
+        tree = ex.quotient(long, ex.T)
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate_many([tree], {"u": 1.0, "v": 1.0, "r": 3.0, "t": 0.0, "m": 1.0})
+        assert str(excinfo.value) == f"zero denominator in {tree.to_prefix()[:80]}…"
+
+    def test_infinities_and_nan_propagate(self):
+        """Outside the guards, arithmetic follows IEEE rules where ``math``
+        would raise: sin and cos of infinity are NaN, an overflowing power is
+        infinite."""
+        inputs = {"u": 1.0, "v": 1.0, "r": [1e200, -1e200, 2.0], "t": [math.inf, -math.inf, 1.0],
+                  "m": 1.0}
+        trees = [ex.sin(ex.T), ex.cos(ex.T), ex.power(ex.R, 3), ex.power(ex.R, 4), ex.exp(ex.T)]
+        sines, cosines, cubes, fourths, exps = evaluate_many(trees, inputs)
+        assert [math.isnan(x) for x in sines + cosines] == [True, True, False] * 2
+        assert cubes == [math.inf, -math.inf, 8.0]
+        assert fourths == [math.inf, math.inf, 16.0]
+        assert exps == [math.inf, 0.0, math.e]
+
 
 class TestBatchedEvaluation:
     def test_compensated_sum_recovers_the_small_term(self):
@@ -141,7 +178,7 @@ class TestBatchedEvaluation:
         assert isinstance(tree, ex.Sum) and len(tree.terms) == 3
         points = [ChartPoint(u=u, v=1.0, r=3.0, t=0.0, m=1.0) for u in (0.1, 0.7, 1.3, 3.0)]
         (values,) = evaluate_many([tree], points)
-        assert values.tolist() == [p.u for p in points]
+        assert values == [p.u for p in points]
         assert [tree.evaluate(p) for p in points] == [p.u for p in points]
 
     def test_one_point_matches_batch_bit_for_bit(self, model, points):
@@ -153,18 +190,34 @@ class TestBatchedEvaluation:
         ]
         batched = evaluate_many(trees, points)
         for tree, values in zip(trees, batched):
-            assert [tree.evaluate(p) for p in points] == values.tolist()
+            assert [tree.evaluate(p) for p in points] == values
 
     def test_grid_inputs_broadcast(self):
+        """A grid is listed node by node; the azimuth row, shorter than the
+        batch, stands for itself repeated for each colatitude."""
         tree = ex.mul(ex.sin(ex.U), ex.cos(ex.V), ex.R)
-        u = np.array([0.5, 1.0, 1.5])[:, None]
-        v = np.array([1.0, 2.0])[None, :]
+        u = [0.5, 0.5, 1.0, 1.0, 1.5, 1.5]
+        v = [1.0, 2.0]
         (values,) = evaluate_many([tree], {"u": u, "v": v, "r": 4.0, "t": 0.0, "m": 1.0})
-        assert values.shape == (3, 2)
-        assert values[2, 1] == tree.evaluate(ChartPoint(u=1.5, v=2.0, r=4.0, t=0.0, m=1.0))
+        assert len(values) == 6
+        for k, value in enumerate(values):
+            point = ChartPoint(u=u[k], v=v[k % 2], r=4.0, t=0.0, m=1.0)
+            assert value == tree.evaluate(point)
+
+    @pytest.mark.parametrize(
+        "lengths", [{"u": 3, "v": 2}, {"u": 2, "v": 3, "r": 6}], ids=["2-3", "2-3-6"]
+    )
+    def test_input_lengths_must_divide_the_batch(self, lengths):
+        """Each length must divide every longer one, not only the longest:
+        u of length 2 and v of length 3 would pair up to 2 values before
+        being tiled to 6."""
+        inputs = {"u": 1.0, "v": 1.0, "r": 4.0, "t": 0.0, "m": 1.0}
+        inputs.update((name, [1.0 + k for k in range(n)]) for name, n in lengths.items())
+        with pytest.raises(ValueError, match="do not divide one another"):
+            evaluate_many([ex.mul(ex.U, ex.V, ex.R)], inputs)
 
     def test_constant_root_has_the_batch_shape(self, points):
-        assert evaluate_many([ex.const(2.5)], points)[0].tolist() == [2.5] * len(points)
+        assert evaluate_many([ex.const(2.5)], points)[0] == [2.5] * len(points)
 
     def test_derivative_is_cached_outside_the_fields(self):
         tree = warp_expression()
@@ -252,7 +305,65 @@ class TestEvaluatorProperty:
         batched = evaluate_many(trees, points)
         for tree, values, row in zip(trees, batched, expected):
             np.testing.assert_allclose(values, row, rtol=1e-12, atol=0.0)
-            assert [tree.evaluate(p) for p in points] == values.tolist()
+            assert [tree.evaluate(p) for p in points] == values
+
+    @given(trees=st.lists(positive_trees, min_size=1, max_size=3), points=positive_points)
+    @settings(max_examples=150, deadline=None)
+    def test_nodes_match_numpy_ufuncs(self, trees, points):
+        """Each node's values against numpy's ufuncs applied to its
+        children's values: bit for bit for +, -, *, /, sqrt, squares and
+        reciprocals, within 1 ulp for exp, log, sin, cos and other powers."""
+        nodes = list({id(node): node for node in dag_nodes(trees)}.values())
+        values = dict(zip(map(id, nodes), evaluate_many(nodes, points)))
+        for node in nodes:
+            if not node.children:
+                continue
+            children = [np.array(values[id(child)]) for child in node.children]
+            got, (expected, exact) = np.array(values[id(node)]), numpy_reference(node, children)
+            if exact:
+                assert got.tolist() == expected.tolist(), node
+            else:
+                assert np.all(np.abs(got - expected) <= np.spacing(np.abs(expected))), node
+
+
+def dag_nodes(roots):
+    """Every node under ``roots``, children first."""
+    for root in roots:
+        for child in root.children:
+            yield from dag_nodes([child])
+        yield root
+
+
+def numpy_reference(node, children):
+    """A node's values from numpy ufuncs on its children's values, and
+    whether the package's kernel must match them bit for bit."""
+    if isinstance(node, ex.Sum):
+        # the TwoSum cascade, step by step
+        total, error = children[0], 0.0
+        for value in children[1:]:
+            partial = np.add(total, value)
+            excess = np.subtract(partial, total)
+            lost = np.add(
+                np.subtract(total, np.subtract(partial, excess)), np.subtract(value, excess)
+            )
+            error = np.add(error, lost)
+            total = partial
+        return np.add(total, error), True
+    if isinstance(node, ex.Product):
+        out = children[0]
+        for value in children[1:]:
+            out = np.multiply(out, value)
+        return out, True
+    if isinstance(node, ex.Quotient):
+        return np.divide(*children), True
+    (arg,) = children
+    if isinstance(node, ex.Power):
+        exact = {(2, 1): np.square, (-1, 1): np.reciprocal, (1, 2): np.sqrt}
+        if tuple(node.exponent) in exact:
+            return exact[tuple(node.exponent)](arg), True
+        return np.power(arg, float(node.exponent)), False
+    unary = {ex.Exp: np.exp, ex.Log: np.log, ex.Sin: np.sin, ex.Cos: np.cos}
+    return unary[type(node)](arg), False
 
 
 class TestChartPoint:
@@ -348,13 +459,20 @@ class TestPointSet:
         assert [p.as_dict() for p in part] == [p.as_dict() for p in expected[1:4]]
         assert [p.as_dict() for p in points] == [p.as_dict() for p in expected]
 
+    def test_integer_mass_is_stored_as_a_float(self):
+        points = PointSet([0.5, 1.0], [1.0, 2.0], [3.0, 4.0], [0.0, 0.0], 1)
+        assert type(points.m) is float and type(points[1:].m) is float
+        (values,) = evaluate_many([ex.mul(ex.M, ex.R)], points)
+        assert values == [3.0, 4.0]
+
     def test_arrays_are_read_only_copies(self):
-        u = np.array([0.5, 1.0])
+        u = [0.5, 1.0]
         points = PointSet(u, [1.0, 2.0], [3.0, 4.0], [0.0, 0.0], 1.0)
         u[0] = 9.0
-        assert points.u.tolist() == [0.5, 1.0]
+        assert points.u == (0.5, 1.0)
         for column in (points.u, points.v, points.r, points.t):
-            with pytest.raises(ValueError):
+            assert type(column) is tuple and all(type(x) is float for x in column)
+            with pytest.raises(TypeError):
                 column[0] = 1.5
 
     def test_evaluates_as_its_chart_points(self, model):
@@ -366,7 +484,7 @@ class TestPointSet:
         tree = model.symplectic_form.coefficient((2, 3)).diff("r")
         (batched,) = evaluate_many([tree], points)
         (listed,) = evaluate_many([tree], list(points))
-        assert batched.tolist() == listed.tolist()
+        assert batched == listed
 
 
 def _group_inputs(model):
@@ -584,10 +702,19 @@ class TestExponents:
             parse_prefix(text)
 
     @pytest.mark.parametrize(
-        "exponent, kernel", [(2, np.square), (-1, np.reciprocal), (Fraction(1, 2), np.sqrt)]
+        "exponent, reference",
+        [(2, np.square), (-1, np.reciprocal), (Fraction(1, 2), np.sqrt)],
+        ids=["2-square", "-1-reciprocal", "exponent2-sqrt"],
     )
-    def test_kernel_exponents_find_their_kernel(self, exponent, kernel):
-        assert ex._POWER_KERNELS[ex.power(ex.R, exponent).exponent] is kernel
+    def test_kernel_exponents_find_their_kernel(self, exponent, reference):
+        """The kernel is found under the reduced exponent, and computes what
+        numpy's correctly rounded ufunc does, for a batch and for a float."""
+        kernel = ex._POWER_KERNELS[ex.power(ex.R, exponent).exponent]
+        batch = [0.1 * k + 1e-3 for k in range(1, 200)] + [1e-300, 3e300, math.inf]
+        with np.errstate(over="ignore"):
+            expected = reference(np.array(batch)).tolist()
+        assert kernel(batch, float(exponent)) == expected
+        assert kernel(batch[7], float(exponent)) == reference(batch[7])
 
 
 class TestParameter:
@@ -596,15 +723,16 @@ class TestParameter:
             assert Parameter("p0").diff(coordinate) is ex.ZERO
 
     def test_value_broadcasts_against_points(self):
+        """One value per (member, point) pair, member by member; the point
+        coordinates stand for themselves repeated for each member."""
         p = Parameter("p0")
         tree = ex.add(ex.mul(ex.R, p), ex.U)
-        r = np.array([3.0, 4.0, 5.0])
-        u = np.array([0.5, 1.0, 1.5])
-        column = np.array([[2.0], [-0.25]])  # (member, 1)
-        inputs = {"u": u, "v": 1.0, "r": r, "t": 0.0, "m": 1.0, p: column}
+        r = [3.0, 4.0, 5.0]
+        u = [0.5, 1.0, 1.5]
+        members = [2.0, -0.25]
+        inputs = {"u": u, "v": 1.0, "r": r, "t": 0.0, "m": 1.0, p: [c for c in members for _ in r]}
         (values,) = evaluate_many([tree], inputs)
-        assert values.shape == (2, 3)
-        assert values.tolist() == (r * column + u).tolist()
+        assert values == [x * c + y for c in members for x, y in zip(r, u)]
 
     def test_prefix_round_trip(self):
         p = Parameter("p0")
@@ -638,6 +766,15 @@ class TestFoldingRules:
     def test_division_by_zero_constant_rejected(self):
         with pytest.raises(ValueError):
             ex.quotient(ex.R, ex.const(0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: ex.power(ex.const(0.0), -1), lambda: parse_prefix("(pow 0.0 -2)")],
+        ids=["power", "prefix"],
+    )
+    def test_zero_constant_to_a_negative_power_rejected(self, build):
+        with pytest.raises(ValueError, match="zero constant raised to a negative power"):
+            build()
 
     def test_no_deep_rewriting(self):
         # sin^2 + cos^2 must stay a tree; identities are numeric facts here

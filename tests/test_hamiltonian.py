@@ -92,14 +92,53 @@ class TestHamiltonianField:
                 assert float(np.max(np.abs(numeric - expected))) < 1e-10 * scale
 
     def test_batched_solve_matches_pointwise_solves(self, model, points):
+        """The batched solve gives each point's own solve bit for bit, and
+        LAPACK's solve of the same system to roundoff."""
         matrix = symplectic_matrix(model)
         for f in random_functions(3, seed=305):
             batched = hamiltonian_values(f, model, points)
             for point, got in zip(points, batched):
                 numeric = np.array([[entry.evaluate(point) for entry in row] for row in matrix])
                 gradient = np.array([f.diff(name).evaluate(point) for name in "uvrt"])
-                assert got.tolist() == np.linalg.solve(numeric.T, -gradient).tolist()
-                assert got.tolist() == hamiltonian_at(f, model, point).tolist()
+                expected = np.linalg.solve(numeric.T, -gradient)
+                assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+                assert got == hamiltonian_at(f, model, point)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pfaffian_solve_matches_lapack(self, seed):
+        """On random nondegenerate antisymmetric matrices (the constant
+        forms sum a_ij du^i ^ du^j), the Pfaffian solve agrees with LAPACK's
+        within a few ulps times the condition number."""
+        rng = np.random.default_rng(seed)
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        point = ChartPoint(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
+        solved = 0
+        while solved < 20:
+            upper = rng.uniform(-2.0, 2.0, 6)
+            p01, p02, p03, p12, p13, p23 = upper
+            if abs(p01 * p23 - p02 * p13 + p03 * p12) < 0.1:
+                continue
+            matrix = np.zeros((4, 4))
+            for (i, j), x in zip(pairs, upper):
+                matrix[i, j], matrix[j, i] = x, -x
+            form = KForm.from_terms(2, {pair: ex.const(x) for pair, x in zip(pairs, upper)})
+            constant = schwarzschild(1.0)._replace(symplectic_form=form)
+            weights = rng.uniform(-1.0, 1.0, 4)
+            f = ex.add(*[ex.mul(ex.const(c), x) for c, x in zip(weights, ex.COORDINATES)])
+            expected = np.linalg.solve(matrix.T, -weights)
+            got = np.array(hamiltonian_at(f, constant, point))
+            bound = 8 * EPS * np.linalg.cond(matrix) * np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= bound
+            solved += 1
+
+    def test_zero_pfaffian_raises(self, model):
+        """A constant form of rank 2 has Pfaffian 0 at every point."""
+        from warpsymp.hamiltonian import SingularSymplecticError
+
+        degenerate = model._replace(symplectic_form=KForm.from_terms(2, {(0, 1): ex.ONE}))
+        point = ChartPoint(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
+        with pytest.raises(SingularSymplecticError):
+            hamiltonian_values(ex.U, degenerate, [point])
 
     def test_numeric_solve_matches_displays(self, model, points):
         results = verify_hamiltonian_fields(model, points, seed=901)
@@ -267,13 +306,13 @@ def reference_weights(n, nodes, digits=40):
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", RULE_SIZES)
     def test_nodes_match_numpy(self, n):
-        nodes, _ = gauss_legendre(n)
+        nodes = np.array(gauss_legendre(n)[0])
         reference = leggauss_nodes(n)
         assert np.max(np.abs(nodes[n - len(reference) :] - reference)) <= 4.5e-16
 
     @pytest.mark.parametrize("n", [6, 32, 128])
     def test_weights_match_a_40_digit_reference(self, n):
-        nodes, weights = gauss_legendre(n)
+        nodes, weights = map(np.array, gauss_legendre(n))
         half = slice(n // 2, None)  # the other half mirrors it
         expected = reference_weights(n, nodes[half])
         assert np.max(np.abs(weights[half] - expected) / expected) <= 1e-12
@@ -282,14 +321,14 @@ class TestGaussLegendre:
     def test_monomials_below_degree_2n_are_exact(self, n):
         """Within 32 ulp of 1 for every degree k < 2n; numpy's Golub-Welsch
         rule errs by 1e-14 at n = 128 and 3e-13 at n = 2048."""
-        nodes, weights = gauss_legendre(n)
+        nodes, weights = map(np.array, gauss_legendre(n))
         for k in range(2 * n):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(float(np.sum(weights * nodes**k)) - exact) <= 32 * EPS, k
 
     @pytest.mark.parametrize("n", RULE_SIZES)
     def test_rule_is_exactly_symmetric(self, n):
-        nodes, weights = gauss_legendre(n)
+        nodes, weights = map(np.array, gauss_legendre(n))
         assert len(nodes) == len(weights) == n
         assert np.array_equal(nodes, -nodes[::-1])
         assert np.array_equal(weights, weights[::-1])
@@ -301,12 +340,26 @@ class TestGaussLegendre:
         nodes, weights = gauss_legendre(8)
         assert gauss_legendre(8)[0] is nodes
         for array in (nodes, weights):
-            with pytest.raises(ValueError):
+            assert type(array) is tuple and all(type(x) is float for x in array)
+            with pytest.raises(TypeError):
                 array[0] = 0.0
 
     def test_empty_rule_is_refused(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+
+def pointwise_sphere_sum(coefficient, mass, n_u, n_v, r0, t0):
+    """The sphere pass point by point: the fsum of each colatitude row,
+    then the fsum of the weighted row sums, times the azimuth weight."""
+    nodes, weights = gauss_legendre(n_u)
+    weighted = []
+    for x, w in zip(nodes, weights):
+        u = 0.5 * math.pi * (x + 1.0)
+        azimuths = [(j + 0.5) * (2.0 * math.pi / n_v) for j in range(n_v)]
+        row = [coefficient.evaluate(ChartPoint(u=u, v=v, r=r0, t=t0, m=mass)) for v in azimuths]
+        weighted.append(0.5 * math.pi * w * math.fsum(row))
+    return math.fsum(weighted) * (2.0 * math.pi / n_v)
 
 
 class TestSurfaceIntegral:
@@ -349,19 +402,20 @@ class TestSurfaceIntegral:
 
     def test_grid_sum_matches_pointwise_loop(self, model):
         """The pass sums each colatitude row along v, weights the row sums
-        by the Gauss-Legendre rule, then multiplies by the azimuth weight."""
+        by the Gauss-Legendre rule, then multiplies by the azimuth weight;
+        both sums are correctly rounded.  This coefficient does not depend
+        on v, so the pass evaluates it on the colatitude column only."""
         coefficient = model.symplectic_form.coefficient((0, 1))
-        n_u, n_v = 6, 12
-        nodes, weights = gauss_legendre(n_u)
-        values = np.empty((n_u, n_v))
-        for i, x in enumerate(nodes):
-            for j in range(n_v):
-                u, v = 0.5 * math.pi * (x + 1.0), (j + 0.5) * (2.0 * math.pi / n_v)
-                point = ChartPoint(u=float(u), v=float(v), r=3.5, t=0.2, m=model.mass)
-                values[i, j] = coefficient.evaluate(point)
-        row_sums = np.array([np.sum(row) for row in values])
-        expected = float(np.sum(0.5 * math.pi * weights * row_sums)) * (2.0 * math.pi / n_v)
-        assert sphere_sum(model.symplectic_form, model, n_u, n_v, 3.5, 0.2) == expected
+        expected = pointwise_sphere_sum(coefficient, model.mass, 6, 12, 3.5, 0.2)
+        assert sphere_sum(model.symplectic_form, model, 6, 12, 3.5, 0.2) == expected
+
+    def test_azimuthal_grid_sum_matches_pointwise_loop(self, model):
+        coefficient = ex.mul(
+            model.symplectic_form.coefficient((0, 1)), ex.add(ex.const(1.5), ex.cos(ex.V))
+        )
+        expected = pointwise_sphere_sum(coefficient, model.mass, 6, 12, 3.5, 0.2)
+        form = KForm.from_terms(2, {(0, 1): coefficient})
+        assert sphere_sum(form, model, 6, 12, 3.5, 0.2) == expected
 
     def test_azimuth_dependent_form_integrates(self, model):
         """sin u (2 + cos v + sin 3v) du^dv integrates to 8 pi over the sphere."""

@@ -327,6 +327,12 @@ class TestGeometricOperators:
             assert lhs.evaluate_at(point) == rhs.evaluate_at(point)
 
 
+def scan_array(scanned, sections, points):
+    """A ``_scan`` result, one flat (member, point) list per part, as an
+    array shaped (part, member, point)."""
+    return np.array(scanned).reshape(len(scanned), len(sections), len(points))
+
+
 def per_section_scan(parts, sections, points):
     """``_scan`` without parameters: the concrete trees of each member,
     built and evaluated one member at a time; shape (part, member, point)."""
@@ -343,7 +349,7 @@ def assert_scan_matches(scanned, concrete, residuals=(0,), residual_tol=1e-12):
     it.  Test sections are of order one, so the scale is at least 1 for
     scans made of residuals alone."""
     assert scanned.shape == concrete.shape
-    scale = max(1.0, peak(concrete))
+    scale = max(1.0, peak(concrete.ravel().tolist()))
     for k, (scanned_part, concrete_part) in enumerate(zip(scanned, concrete)):
         if k in residuals:
             np.testing.assert_allclose(scanned_part, concrete_part, rtol=0, atol=residual_tol * scale)
@@ -373,7 +379,7 @@ SEED_414_SECTIONS = (
 class TestSectionFamily:
     def test_members_keep_their_trees(self):
         family = random_sections(1.0, 3, 414)
-        assert len(family) == 3 and family.draws.shape == (3, 8)
+        assert len(family) == 3 and np.shape(family.draws) == (3, 8)
         for k, re in enumerate(SEED_414_SECTIONS):
             assert family[k].re.to_prefix() == re
             assert family[k].im.to_prefix() == re.replace("(cos ", "(sin ")
@@ -396,7 +402,9 @@ class TestFamilyScan:
 
         def recording(parts, sections, points):
             scanned = family_scan(parts, sections, points)
-            recorded.append((scanned, per_section_scan(parts, sections, points)))
+            recorded.append(
+                (scan_array(scanned, sections, points), per_section_scan(parts, sections, points))
+            )
             return scanned
 
         monkeypatch.setattr(prequantum, "_scan", recording)
@@ -425,7 +433,7 @@ class TestFamilyScan:
             # roundoff relative to the pair's peak is larger too (the checks
             # report up to 7e-12 at defaults).  Where the bracket folds to
             # zero, the commutator side is a residual as well.
-            residuals = {0, 3} | ({2} if peak(pair_concrete[1]) == 0.0 else set())
+            residuals = {0, 3} | ({2} if peak(pair_concrete[1].ravel().tolist()) == 0.0 else set())
             assert_scan_matches(pair_scanned, pair_concrete, residuals, residual_tol=1e-11)
 
         scans.clear()
@@ -450,7 +458,11 @@ class TestFamilyScan:
             ]
 
         scanned = prequantum._scan(parts, sections, operator_points)
-        assert_scan_matches(scanned, per_section_scan(parts, sections, operator_points), residuals=())
+        assert_scan_matches(
+            scan_array(scanned, sections, operator_points),
+            per_section_scan(parts, sections, operator_points),
+            residuals=(),
+        )
 
     def test_guard_at_one_point_raises(self, potential, operator_points):
         # 1/(t - p0) has a zero denominator at the one sample point with
@@ -464,9 +476,8 @@ class TestFamilyScan:
         def parts(psi):
             return [covariant_derivative(basis_vector(3), psi, potential)]
 
-        assert prequantum._scan(parts, poles[:1], operator_points).shape == (
-            1, 1, len(operator_points)
-        )
+        scanned = prequantum._scan(parts, poles[:1], operator_points)
+        assert scan_array(scanned, poles[:1], operator_points).shape == (1, 1, len(operator_points))
         with pytest.raises(EvaluationError):
             prequantum._scan(parts, poles, operator_points)
 
@@ -532,9 +543,10 @@ class TestRadialResiduals:
         box = Box(u=(0.8, 2.2), v=(1.0, 5.0), r=(2.6, 6.0), t=(-0.8, 0.8))
         psi = random_sections(model.mass, 1, seed=77)[0]
         density = wedge(model.symplectic_form, model.symplectic_form).coefficient((0, 1, 2, 3))
+        rule = tuple(map(np.array, gauss_legendre(6)))
         rules = [
             (0.5 * (high - low) * (x + 1.0) + low, 0.5 * (high - low) * w)
-            for (low, high), (x, w) in zip(box.intervals(), [gauss_legendre(6)] * 4)
+            for (low, high), (x, w) in zip(box.intervals(), [rule] * 4)
         ]
         total = 0.0
         for (u, wu), (v, wv), (r, wr), (t, wt) in itertools.product(

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from warpsymp.expressions import ChartPoint, PointSet
-from warpsymp.reports import peak, worst_point
+from warpsymp.reports import least_point, peak, worst_point
 
 POINTS = [ChartPoint(u=0.5 + 0.1 * k, v=1.0, r=3.0 + k, t=0.0, m=1.0) for k in range(4)]
+
+
+def flat(rows):
+    """Rows of one value per point, read row by row."""
+    return [x for row in rows for x in row]
 
 
 def loop_reference(rows, points, start=0.0):
@@ -23,48 +28,74 @@ def loop_reference(rows, points, start=0.0):
 
 class TestWorstPoint:
     def test_first_of_tied_maxima_wins(self):
-        magnitudes = np.array([[1.0, 3.0, 2.0, 3.0], [3.0, 0.0, 0.0, 3.0]])
+        magnitudes = flat([[1.0, 3.0, 2.0, 3.0], [3.0, 0.0, 0.0, 3.0]])
         assert worst_point(magnitudes, POINTS) == (3.0, POINTS[1].as_dict())
 
     def test_section_order_comes_first(self):
         # the tie at point 0 of section 1 loses to point 3 of section 0
-        magnitudes = np.array([[0.0, 0.0, 0.0, 5.0], [5.0, 0.0, 0.0, 0.0]])
+        magnitudes = flat([[0.0, 0.0, 0.0, 5.0], [5.0, 0.0, 0.0, 0.0]])
         assert worst_point(magnitudes, POINTS) == (5.0, POINTS[3].as_dict())
 
     def test_all_zero_gives_no_point(self):
-        assert worst_point(np.zeros((3, 4)), POINTS) == (0.0, None)
+        assert worst_point([0.0] * 12, POINTS) == (0.0, None)
 
     def test_start_value_below_zero_selects_first_point(self):
-        assert worst_point(np.zeros(4), POINTS, start=-1.0) == (0.0, POINTS[0].as_dict())
+        assert worst_point([0.0] * 4, POINTS, start=-1.0) == (0.0, POINTS[0].as_dict())
 
     def test_nan_never_selected(self):
-        magnitudes = np.array([math.nan, 2.0, math.nan, 1.0])
+        magnitudes = [math.nan, 2.0, math.nan, 1.0]
         assert worst_point(magnitudes, POINTS) == (2.0, POINTS[1].as_dict())
-        assert worst_point(np.full(4, math.nan), POINTS) == (0.0, None)
+        assert worst_point([math.nan] * 4, POINTS) == (0.0, None)
 
     def test_infinity_is_a_maximum(self):
-        magnitudes = np.array([1.0, math.inf, math.inf, 2.0])
+        magnitudes = [1.0, math.inf, math.inf, 2.0]
         assert worst_point(magnitudes, POINTS) == (math.inf, POINTS[1].as_dict())
 
     def test_point_axis_first(self):
-        # rows are points, columns are scanned within each point
-        magnitudes = np.array([[0.0, 1.0], [4.0, 0.0], [0.0, 4.0], [2.0, 2.0]])
-        assert worst_point(magnitudes, POINTS, axis=0) == (4.0, POINTS[1].as_dict())
+        # rows are points: the largest value of each row, then the first
+        # point with the largest of those
+        rows = [[0.0, 1.0], [4.0, 0.0], [0.0, 4.0], [2.0, 2.0]]
+        assert worst_point([max(row) for row in rows], POINTS) == (4.0, POINTS[1].as_dict())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_on_coarse_random_values(self, seed):
         rng = np.random.default_rng(seed)
         magnitudes = rng.integers(0, 4, size=(3, 4)).astype(float)
         magnitudes[rng.random((3, 4)) < 0.2] = math.nan
-        assert worst_point(magnitudes, POINTS) == loop_reference(magnitudes, POINTS)
+        rows = magnitudes.tolist()
+        assert worst_point(flat(rows), POINTS) == loop_reference(rows, POINTS)
 
     def test_point_set_gives_the_list_answer(self):
         point_set = PointSet(*([getattr(p, name) for p in POINTS] for name in "uvrt"), 1.0)
-        magnitudes = np.array([[1.0, 3.0, 2.0, 3.0], [3.0, 0.0, 5.0, 3.0]])
+        magnitudes = flat([[1.0, 3.0, 2.0, 3.0], [3.0, 0.0, 5.0, 3.0]])
         assert worst_point(magnitudes, point_set) == (5.0, POINTS[2].as_dict())
 
 
+class TestLeastPoint:
+    def test_first_minimum_in_point_order(self):
+        magnitudes = flat([[3.0, 1.0, 2.0, 1.0], [1.0, 4.0, 0.5, 0.5]])
+        assert least_point(magnitudes, POINTS) == (0.5, POINTS[2].as_dict())
+        assert least_point([2.0, 1.0, 1.0, 3.0], POINTS) == (1.0, POINTS[1].as_dict())
+
+    def test_nan_never_selected(self):
+        magnitudes = [math.nan, 2.0, math.nan, 1.5]
+        assert least_point(magnitudes, POINTS) == (1.5, POINTS[3].as_dict())
+        assert least_point([math.nan] * 4, POINTS) == (math.inf, None)
+        assert least_point([], POINTS) == (math.inf, None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        magnitudes = rng.integers(0, 4, size=8).astype(float)
+        magnitudes[rng.random(8) < 0.2] = math.nan
+        least, where = math.inf, None
+        for k, magnitude in enumerate(magnitudes.tolist()):
+            if magnitude < least:
+                least, where = magnitude, POINTS[k % 4].as_dict()
+        assert least_point(magnitudes.tolist(), POINTS) == (least, where)
+
+
 def test_peak_passes_over_nan_and_floors_at_zero():
-    assert peak([[math.nan, 2.0], [1.0, math.nan]]) == 2.0
+    assert peak([math.nan, 2.0, 1.0, math.nan]) == 2.0
     assert peak([math.nan, -1.0]) == 0.0
     assert peak([]) == 0.0

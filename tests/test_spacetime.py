@@ -207,6 +207,29 @@ class TestFoliation:
                 derivative.coefficient((0, 1, 2)).evaluate(point), rel=1e-12
             )
 
+    def test_minima_name_their_sample_point(self, model, points):
+        """Each lower-bound check names the first sample point, in point
+        order, of its minimum magnitude: a loop over the points' one-point
+        values finds the same point and value."""
+        warp_differential = exterior_derivative(KForm.scalar(model.warp))
+        volume3 = wedge(warp_differential.scaled(ex.NEG_ONE), model.flux_form)
+        square = wedge(model.symplectic_form, model.symplectic_form)
+        pfaffian_check, volume_check, closedness = foliation_report(model, points)
+        *_, nondegeneracy = verify_symplectic(model, points)
+        cases = [
+            (pfaffian_check, model.flux_form.coefficient((0, 1)), model.mass),
+            (volume_check, volume3.coefficient((0, 1, 2)), 1.0),
+            (nondegeneracy, square.coefficient((0, 1, 2, 3)), 1.0),
+        ]
+        for check, coefficient, scale in cases:
+            least, where = math.inf, None
+            for point in points:
+                magnitude = abs(coefficient.evaluate(point)) / scale
+                if magnitude < least:
+                    least, where = magnitude, point.as_dict()
+            assert (check.worst_error, check.worst_point) == (least, where)
+        assert closedness.worst_point is None
+
     def test_report_serialises(self, model, points):
         payloads = [result.to_dict() for result in foliation_report(model, points, seed=901)]
         assert [p["check_name"] for p in payloads] == [

@@ -271,7 +271,7 @@ class TestRunSuite:
 
         def counting(parts, sections, points):
             magnitudes = scan(parts, sections, points)
-            shapes.append(magnitudes.shape[0])
+            shapes.append(len(magnitudes))
             return magnitudes
 
         monkeypatch.setattr(prequantum, "_scan", counting)
