@@ -1,8 +1,8 @@
 """Exterior algebra on the four-dimensional chart.
 
-Antisymmetric k-forms, vector fields, the metric tensor, and the standard
-operations: wedge product, exterior derivative, interior product, the
-musical isomorphisms, Hodge star, and the metric pairing.
+Antisymmetric k-forms, vector fields, the diagonal metric tensor, and the
+standard operations: wedge product, exterior derivative, interior product,
+the musical isomorphisms, Hodge star, and the metric pairing.
 
 Conventions, fixed once for the whole package:
 
@@ -19,7 +19,6 @@ Everything is immutable; operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import NamedTuple
 
@@ -216,85 +215,35 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 class MetricTensor:
-    """Symmetric rank-2 covariant tensor; only the upper triangle is stored.
+    """A diagonal metric: ``diagonal`` holds (g_uu, g_vv, g_rr, g_tt).
 
-    ``upper`` holds 10 Expressions, row-major over i <= j.  The determinant
-    and the inverse are built on first use and kept on the metric, so every
-    form derived from one metric shares their nodes.
+    Every model the package builds is static and diagonal in (u, v, r, t).
+    The inverse and the volume density are built on first use and kept on
+    the metric, so every form derived from one metric shares their nodes.
     """
 
-    def __init__(self, upper: tuple):
-        vars(self)["upper"] = upper
+    def __init__(self, diagonal: tuple):
+        vars(self)["diagonal"] = diagonal
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a MetricTensor is immutable")
 
-    @staticmethod
-    def from_entries(mapping) -> "MetricTensor":
-        entries: dict = {}
-        for (i, j), expression in mapping.items():
-            key = (min(i, j), max(i, j))
-            if key in entries and entries[key] != expression:
-                raise ValueError(f"conflicting entries for {key}")
-            entries[key] = expression
-        upper = tuple(
-            entries.get((i, j), ZERO) for i in range(DIM) for j in range(i, DIM)
-        )
-        return MetricTensor(upper)
-
     def entry(self, i: int, j: int) -> Expression:
-        if i > j:
-            i, j = j, i
-        offset = i * DIM - i * (i - 1) // 2
-        return self.upper[offset + (j - i)]
-
-    def matrix(self) -> tuple:
-        return tuple(tuple(self.entry(i, j) for j in range(DIM)) for i in range(DIM))
-
-    @cached_property
-    def determinant(self) -> Expression:
-        rows = self.matrix()
-        pieces = []
-        for j in range(DIM):
-            if is_zero(rows[0][j]):
-                continue
-            sign = ONE if j % 2 == 0 else NEG_ONE
-            pieces.append(mul(sign, rows[0][j], _det3(_minor(rows, 0, j))))
-        return add(*pieces)
+        return self.diagonal[i] if i == j else ZERO
 
     @cached_property
     def inverse(self) -> tuple:
-        """Inverse metric as a 4x4 tuple of expressions (adjugate over determinant)."""
-        determinant = self.determinant
-        if is_zero(determinant):
-            raise SingularMetricError("metric determinant is identically zero")
-        rows = self.matrix()
-        inverse = []
-        for i in range(DIM):
-            row = []
-            for j in range(DIM):
-                sign = ONE if (i + j) % 2 == 0 else NEG_ONE
-                # adjugate transposes the cofactor matrix; the metric is
-                # symmetric so cofactor(j, i) = cofactor(i, j)
-                row.append(quotient(mul(sign, _det3(_minor(rows, j, i))), determinant))
-            inverse.append(tuple(row))
-        return tuple(inverse)
+        """The inverse metric's diagonal, 1/g_ii."""
+        if any(map(is_zero, self.diagonal)):
+            raise SingularMetricError("a diagonal metric entry is identically zero")
+        return tuple(quotient(ONE, entry) for entry in self.diagonal)
 
-
-def _det3(m) -> Expression:
-    return add(
-        mul(m[0][0], add(mul(m[1][1], m[2][2]), mul(NEG_ONE, m[1][2], m[2][1]))),
-        mul(NEG_ONE, m[0][1], add(mul(m[1][0], m[2][2]), mul(NEG_ONE, m[1][2], m[2][0]))),
-        mul(m[0][2], add(mul(m[1][0], m[2][1]), mul(NEG_ONE, m[1][1], m[2][0]))),
-    )
-
-
-def _minor(rows, drop_row: int, drop_col: int):
-    return [
-        [entry for j, entry in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
+    @cached_property
+    def volume_density(self) -> Expression:
+        """sqrt(-det g), rooted entry by entry, so that no product of the
+        entries (r^4 for Schwarzschild) is ever formed."""
+        *space, g_tt = self.diagonal
+        return mul(*(power(g, Rational(1, 2)) for g in (*space, mul(NEG_ONE, g_tt))))
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +300,7 @@ def interior_product(x: VectorField, a: KForm) -> KForm:
 def flat(x: VectorField, metric: MetricTensor) -> KForm:
     """Lower the index: flat(X) = g(X, .) as a 1-form."""
     return KForm.from_terms(
-        1,
-        {
-            (i,): add(*[mul(metric.entry(i, j), x.components[j]) for j in range(DIM)])
-            for i in range(DIM)
-        },
+        1, {(i,): mul(g, x.components[i]) for i, g in enumerate(metric.diagonal)}
     )
 
 
@@ -363,38 +308,13 @@ def sharp(alpha: KForm, metric: MetricTensor) -> VectorField:
     """Raise the index of a 1-form with the inverse metric."""
     if alpha.degree != 1:
         raise DegreeError("sharp requires a 1-form")
-    inverse = metric.inverse
     return VectorField(
-        tuple(
-            add(*[mul(inverse[i][j], alpha.coefficient((j,))) for j in range(DIM)])
-            for i in range(DIM)
-        )
+        tuple(mul(g, alpha.coefficient((i,))) for i, g in enumerate(metric.inverse))
     )
 
 
 def metric_inner(x: VectorField, y: VectorField, metric: MetricTensor) -> Expression:
-    return add(
-        *[
-            mul(metric.entry(i, j), x.components[i], y.components[j])
-            for i in range(DIM)
-            for j in range(DIM)
-        ]
-    )
-
-
-def _raise_indices(a: KForm, index: tuple, inverse) -> Expression:
-    """Fully contravariant component a^index via the inverse metric."""
-    k = len(index)
-    if k == 0:
-        return a.coefficient(())
-    pieces = []
-    for source in itertools.product(range(DIM), repeat=k):
-        base = a.coefficient(source)
-        if is_zero(base):
-            continue
-        factors = [inverse[index[p]][source[p]] for p in range(k)]
-        pieces.append(mul(*factors, base))
-    return add(*pieces)
+    return add(*map(mul, metric.diagonal, x.components, y.components))
 
 
 def hodge_star(a: KForm, metric: MetricTensor) -> KForm:
@@ -402,25 +322,19 @@ def hodge_star(a: KForm, metric: MetricTensor) -> KForm:
 
     Defined through alpha ^ star(beta) = <alpha, beta> vol, with the volume
     form sqrt(-det g) du^dv^dr^dt; on this signature star(star(a)) equals
-    -(-1)^(k(4-k)) a.
+    -(-1)^(k(4-k)) a.  For the diagonal metric each term a_I dx^I goes to
+    sign(I, J) sqrt(-det g) a_I prod_{i in I} g^ii dx^J, J the complement
+    of I.
     """
     inverse = metric.inverse
-    volume_density = power(mul(NEG_ONE, metric.determinant), Rational(1, 2))
-    k = a.degree
     out: dict = {}
-    for target in itertools.combinations(range(DIM), DIM - k):
-        pieces = []
-        for source in itertools.combinations(range(DIM), k):
-            sign, _ = _canonicalize(source + target)
-            if sign == 0:
-                continue
-            raised = _raise_indices(a, source, inverse)
-            if is_zero(raised):
-                continue
-            pieces.append(mul(const(sign), raised))
-        if pieces:
-            out[target] = mul(volume_density, add(*pieces))
-    return KForm.from_terms(DIM - k, out)
+    for index, coefficient in a.terms:
+        complement = tuple(i for i in range(DIM) if i not in index)
+        sign, _ = _canonicalize(index + complement)
+        out[complement] = mul(
+            const(sign), metric.volume_density, coefficient, *(inverse[i] for i in index)
+        )
+    return KForm.from_terms(DIM - a.degree, out)
 
 
 def pairing(alpha: KForm, x: VectorField) -> Expression:

@@ -108,13 +108,13 @@ def schwarzschild(mass: float) -> SpacetimeModel:
     their standard closed forms; everything else is derived.
     """
     factor = schwarzschild_factor()
-    metric = MetricTensor.from_entries(
-        {
-            (0, 0): ex.power(ex.R, 2),
-            (1, 1): ex.mul(ex.power(ex.R, 2), ex.power(ex.sin(ex.U), 2)),
-            (2, 2): ex.power(factor, -1),
-            (3, 3): ex.mul(ex.NEG_ONE, factor),
-        }
+    metric = MetricTensor(
+        (
+            ex.power(ex.R, 2),
+            ex.mul(ex.power(ex.R, 2), ex.power(ex.sin(ex.U), 2)),
+            ex.power(factor, -1),
+            ex.mul(ex.NEG_ONE, factor),
+        )
     )
     warp = ex.log(ex.power(factor, ex.Rational(1, 2)))
     gravitational_field = VectorField(
@@ -156,13 +156,13 @@ def generalized_static(
         raise ValueError("the leaf area form must live in the du^dv plane")
     density = leaf_area_form.coefficient((0, 1))
 
-    metric = MetricTensor.from_entries(
-        {
-            (0, 0): density,
-            (1, 1): density,
-            (2, 2): ex.exp(ex.mul(ex.const(-2.0), warp)),
-            (3, 3): ex.mul(ex.NEG_ONE, ex.exp(ex.mul(ex.const(2.0), warp))),
-        }
+    metric = MetricTensor(
+        (
+            density,
+            density,
+            ex.exp(ex.mul(ex.const(-2.0), warp)),
+            ex.mul(ex.NEG_ONE, ex.exp(ex.mul(ex.const(2.0), warp))),
+        )
     )
     warp_differential = exterior_derivative(KForm.scalar(warp))
     gravitational_field = sharp(warp_differential.scaled(ex.NEG_ONE), metric)
