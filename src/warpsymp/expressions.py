@@ -199,7 +199,7 @@ class Expression:
         raise NotImplementedError
 
     def to_prefix(self) -> str:
-        """Stable prefix-notation serialisation (round-trips via parse_prefix)."""
+        """Stable prefix-notation serialisation, as error messages print it."""
         raise NotImplementedError
 
     def __str__(self):
@@ -359,9 +359,10 @@ class Quotient(Expression):
         return _combine(operator.truediv, numerator, denominator)
 
     def _rule(self, coordinate):
+        """(a/b)' = (a' - (a/b) b')/b: dividing by b twice, never by b^2,
+        keeps the derivative in range wherever the quotient is."""
         a, b = self.numerator, self.denominator
-        da, db = a._diff(coordinate), b._diff(coordinate)
-        return quotient(add(mul(da, b), mul(NEG_ONE, a, db)), power(b, 2))
+        return quotient(add(a._diff(coordinate), mul(NEG_ONE, self, b._diff(coordinate))), b)
 
     def to_prefix(self):
         return f"(/ {self.numerator.to_prefix()} {self.denominator.to_prefix()})"
@@ -831,76 +832,3 @@ R = Coordinate("r")
 T = Coordinate("t")
 M = MassParameter()
 COORDINATES = (U, V, R, T)
-
-
-# ---------------------------------------------------------------------------
-# Prefix (de)serialisation
-# ---------------------------------------------------------------------------
-
-_ATOMS = {"u": U, "v": V, "r": R, "t": T, "m": M}
-_UNARY = {"exp": exp, "ln": log, "sin": sin, "cos": cos}
-
-
-def parse_prefix(text: str) -> Expression:
-    """Parse the prefix form produced by Expression.to_prefix."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if not tokens:
-        raise ValueError("empty expression text")
-    expression, position = _parse_tokens(tokens, 0)
-    if position != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return expression
-
-
-def _parse_tokens(tokens, position):
-    token = tokens[position]
-    if token == ")":
-        raise ValueError("unexpected ')'")
-    if token != "(":
-        if token in _ATOMS:
-            return _ATOMS[token], position + 1
-        try:
-            return const(float(token)), position + 1
-        except ValueError as err:
-            raise ValueError(f"bad atom {token!r}") from err
-    head = tokens[position + 1]
-    position += 2
-    args = []
-    while True:
-        if position >= len(tokens):
-            raise ValueError("unterminated expression")
-        if tokens[position] == ")":
-            position += 1
-            break
-        if head == "param":  # a name, not a subexpression
-            args.append(tokens[position])
-            position += 1
-            continue
-        if head == "pow" and len(args) == 1:  # p or p/q; power refuses q = 0
-            numerator, slash, denominator = tokens[position].partition("/")
-            args.append(Rational(int(numerator), int(denominator) if slash else 1))
-            position += 1
-            continue
-        arg, position = _parse_tokens(tokens, position)
-        args.append(arg)
-    if head == "+":
-        return add(*args), position
-    if head == "*":
-        return mul(*args), position
-    if head == "/":
-        if len(args) != 2:
-            raise ValueError("'/' takes two arguments")
-        return quotient(*args), position
-    if head == "pow":
-        if len(args) != 2:
-            raise ValueError("'pow' takes a base and an exponent")
-        return power(args[0], args[1]), position
-    if head == "param":
-        if len(args) != 1 or args[0] == "(":
-            raise ValueError("'param' takes one name")
-        return Parameter(args[0]), position
-    if head in _UNARY:
-        if len(args) != 1:
-            raise ValueError(f"{head!r} takes one argument")
-        return _UNARY[head](args[0]), position
-    raise ValueError(f"unknown operator {head!r}")

@@ -8,7 +8,13 @@ i_H sympl = -df.  Two independent routes compute it:
   smooth f, and
 * a numeric pointwise solve of the 4x4 antisymmetric matrix of the
   symplectic form by its Pfaffian, used by the verification suite to
-  cross-check the symbolic route against the displayed closed forms.
+  cross-check the symbolic route against the closed forms read off the
+  model's Darboux chart.
+
+With sympl = dP1^dQ1 + dP2^dQ2, (P1, Q1) functions of (u, v) and (P2, Q2)
+of (r, t), the blocks are the Jacobian determinants d(P1, Q1)/d(u, v) and
+d(P2, Q2)/d(r, t), so the coordinate fields and brackets follow from the
+chart alone.
 
 Sphere integrals of 2-forms use tensor-product Gauss-Legendre nodes in the
 colatitude and a midpoint rule on the periodic azimuth (spectrally accurate
@@ -26,10 +32,10 @@ from itertools import repeat
 from typing import NamedTuple
 
 from . import expressions as ex
-from .expressions import ChartPoint, Expression, Rational
+from .expressions import ChartPoint, Expression
 from .exterior import DIM, KForm, VectorField
 from .reports import CheckResult, worst_point
-from .spacetime import FOUR_PI, SpacetimeModel, schwarzschild_factor
+from .spacetime import SpacetimeModel, darboux_chart
 
 
 class SingularSymplecticError(ValueError):
@@ -64,20 +70,22 @@ def _block_coefficients(model: SpacetimeModel):
     return angular, radial
 
 
-def hamiltonian_field(f: Expression, model: SpacetimeModel) -> VectorField:
-    """Solve i_H sympl = -df symbolically through the block structure.
-
-    With sympl = a du^dv + b dr^dt the unique solution is
-    H = (-f_v/a) d_u + (f_u/a) d_v + (-f_t/b) d_r + (f_r/b) d_t.
-    """
-    angular, radial = _block_coefficients(model)
-    components = (
-        ex.quotient(ex.mul(ex.NEG_ONE, f.diff("v")), angular),
-        ex.quotient(f.diff("u"), angular),
-        ex.quotient(ex.mul(ex.NEG_ONE, f.diff("t")), radial),
-        ex.quotient(f.diff("r"), radial),
+def _block_field(f: Expression, angular: Expression, radial: Expression) -> VectorField:
+    """The solution of i_H sympl = -df for sympl = a du^dv + b dr^dt:
+    H = (-f_v/a) d_u + (f_u/a) d_v + (-f_t/b) d_r + (f_r/b) d_t."""
+    return VectorField(
+        (
+            ex.quotient(ex.mul(ex.NEG_ONE, f.diff("v")), angular),
+            ex.quotient(f.diff("u"), angular),
+            ex.quotient(ex.mul(ex.NEG_ONE, f.diff("t")), radial),
+            ex.quotient(f.diff("r"), radial),
+        )
     )
-    return VectorField(components)
+
+
+def hamiltonian_field(f: Expression, model: SpacetimeModel) -> VectorField:
+    """Solve i_H sympl = -df symbolically through the block structure."""
+    return _block_field(f, *_block_coefficients(model))
 
 
 def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> list:
@@ -137,24 +145,23 @@ def poisson_bracket(f: Expression, h: Expression, model: SpacetimeModel) -> Expr
 
 
 def coordinate_field_references(model: SpacetimeModel) -> dict:
-    """Displayed closed forms of the four coordinate Hamiltonian fields."""
-    factor = schwarzschild_factor()
-    angular = ex.quotient(ex.const(FOUR_PI), ex.mul(ex.M, ex.sin(ex.U)))
-    radial = ex.mul(
-        ex.quotient(ex.mul(ex.const(FOUR_PI), ex.power(ex.R, 2)), ex.M),
-        ex.power(factor, Rational(1, 2)),
-    )
+    """The four coordinate Hamiltonian fields in closed form, from the
+    blocks of the model's Darboux chart; a ValueError if it has none."""
+    (p1, q1), (p2, q2) = darboux_chart(model)
+
+    def jacobian(p, q, x, y):
+        return ex.add(ex.mul(p.diff(x), q.diff(y)), ex.mul(ex.NEG_ONE, p.diff(y), q.diff(x)))
+
+    angular, radial = jacobian(p1, q1, "u", "v"), jacobian(p2, q2, "r", "t")
     return {
-        "u": VectorField((ex.ZERO, angular, ex.ZERO, ex.ZERO)),
-        "v": VectorField((ex.mul(ex.NEG_ONE, angular), ex.ZERO, ex.ZERO, ex.ZERO)),
-        "r": VectorField((ex.ZERO, ex.ZERO, ex.ZERO, radial)),
-        "t": VectorField((ex.ZERO, ex.ZERO, ex.mul(ex.NEG_ONE, radial), ex.ZERO)),
+        name: _block_field(coordinate, angular, radial)
+        for name, coordinate in zip(ex.COORDINATE_NAMES, ex.COORDINATES)
     }
 
 
 def coordinate_bracket_references(model: SpacetimeModel) -> dict:
-    """Displayed closed forms of the coordinate Poisson brackets, read off
-    the field references: {a, b} = sympl(H_a, H_b) = -da(H_b) = -(H_b)^a."""
+    """Closed forms of the coordinate Poisson brackets, read off the field
+    references: {a, b} = sympl(H_a, H_b) = -da(H_b) = -(H_b)^a."""
     fields = coordinate_field_references(model)
     names = ex.COORDINATE_NAMES
     return {
@@ -164,23 +171,13 @@ def coordinate_bracket_references(model: SpacetimeModel) -> dict:
     }
 
 
-def coordinate_commutator_displays(model: SpacetimeModel) -> dict:
-    """Closed forms whose hats the two nonzero commutators must reproduce:
-    [u-hat, v-hat] = 4 pi i (1/sin u)-hat and
-    [r-hat, t-hat] = 4 pi i (r^2 lapse)-hat."""
-    return {
-        ("u", "v"): ex.power(ex.sin(ex.U), -1),
-        ("r", "t"): ex.mul(ex.power(ex.R, 2), ex.power(schwarzschild_factor(), Rational(1, 2))),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Verification helpers
 # ---------------------------------------------------------------------------
 
 
 def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None) -> list:
-    """Numeric solve against the displayed closed forms, relative error."""
+    """Numeric solve against the chart's closed forms, relative error."""
     references = coordinate_field_references(model)
     results = []
     for name in ex.COORDINATE_NAMES:

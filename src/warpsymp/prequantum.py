@@ -1,9 +1,10 @@
 """Prequantum connection, operator algebra, and the integrality report.
 
 The line bundle is realised on the single cut chart (poles and azimuth cut
-removed) through an explicit monopole-type potential theta with
-d(theta) = sympl / hbar, where the normalisation hbar is m (plain scaling)
-or 2 pi m (Weil scaling).  The covariant derivative is
+removed) through the Liouville form of the model's Darboux chart: with
+sympl = dP1^dQ1 + dP2^dQ2 the potential theta = (P1 dQ1 + P2 dQ2) / hbar
+has d(theta) = sympl / hbar, where the normalisation hbar is m (plain
+scaling) or 2 pi m (Weil scaling).  The covariant derivative is
 
     nabla_X psi = X(psi) - i theta(X) psi,
 
@@ -47,7 +48,7 @@ from .exterior import (
 )
 from .hamiltonian import (
     QuadratureSpec,
-    coordinate_commutator_displays,
+    coordinate_bracket_references,
     gauss_legendre,
     hamiltonian_field,
     poisson_bracket,
@@ -55,7 +56,7 @@ from .hamiltonian import (
 )
 from .reports import CheckResult, peak, worst_point
 from .sampling import Stream
-from .spacetime import FOUR_PI, SpacetimeModel
+from .spacetime import FOUR_PI, SpacetimeModel, darboux_chart
 
 
 class CurvatureScale(str, Enum):
@@ -95,16 +96,13 @@ class ConnectionPotential:
 
     @staticmethod
     def monopole(model: SpacetimeModel, scale: CurvatureScale = CurvatureScale.PLAIN):
-        """The north monopole gauge: (1/m)[(m/4pi)(1-cos u) dv + (lapse/4pi) dt],
-        divided by 2 pi in Weil scaling."""
-        angular = ex.quotient(
-            ex.mul(ex.quotient(ex.M, ex.const(FOUR_PI)), ex.ONE - ex.cos(ex.U)), ex.M
-        )
-        temporal = ex.quotient(model.lapse, ex.mul(ex.const(FOUR_PI), ex.M))
-        theta = KForm.from_terms(1, {(1,): angular, (3,): temporal})
-        if scale is CurvatureScale.WEIL:
-            theta = theta.scaled(ex.const(1.0 / (2.0 * math.pi)))
-        return ConnectionPotential(theta, scale)
+        """The Liouville form (P1 dQ1 + P2 dQ2) / hbar of the model's Darboux
+        chart; a ValueError if it has none.  For Schwarzschild it is the
+        north monopole gauge, since P1 vanishes at the north pole."""
+        liouville = KForm.zero(1)
+        for p, q in darboux_chart(model):
+            liouville += exterior_derivative(KForm.scalar(q)).scaled(p)
+        return ConnectionPotential(liouville.scaled(scale.factor()), scale)
 
     def curvature_target(self, model: SpacetimeModel) -> KForm:
         return model.symplectic_form.scaled(self.scale.factor())
@@ -374,15 +372,16 @@ def commutator_suite(
     relative to the largest left-hand magnitude over the sample.  The
     residual of the nonhermitian operator variant is recorded in the
     details; it does not satisfy the relation and is never asserted.  The
-    two nonzero commutators are also compared with their closed forms,
-    4 pi (hbar/m) i times the hat of a display function.
+    nonzero commutators are also compared with their closed forms, i hbar
+    times the hat of the bracket's closed form read off the Darboux chart.
     """
     coordinates = dict(zip(ex.COORDINATE_NAMES, ex.COORDINATES))
     pairs = list(itertools.combinations(coordinates, 2))
     brackets = {(a, b): poisson_bracket(coordinates[a], coordinates[b], model) for a, b in pairs}
     displays = {
         pair: prequantum_operator(g, model, potential)
-        for pair, g in coordinate_commutator_displays(model).items()
+        for pair, g in coordinate_bracket_references(model).items()
+        if not ex.is_zero(g)
     }
     # per variant: the operators of the coordinates (keyed by name) and of
     # their brackets (keyed by pair)
@@ -393,8 +392,9 @@ def commutator_suite(
         }
         for hermitian in (True, False)
     }
-    relation = ex.const(-1.0 / variants[True]["u"].hbar)
-    display_factor = ex.const(FOUR_PI * potential.scale.ratio)
+    hbar = variants[True]["u"].hbar
+    relation = ex.const(-1.0 / hbar)
+    display_factor = ex.const(hbar)
 
     def parts(psi):
         built = []

@@ -60,7 +60,11 @@ class SpacetimeModel(NamedTuple):
     ``flux_form`` is the angular 2-form -(1/4pi) i_R i_X vol whose sphere
     integral measures the mass; ``dual_flux_form`` is its Hodge dual; their
     combination ``symplectic_form`` = lapse * flux + dual is the closed
-    nondegenerate 2-form the rest of the package works with.  Instances are
+    nondegenerate 2-form the rest of the package works with.  ``darboux``
+    is a Darboux chart ((P1, Q1), (P2, Q2)) of the symplectic form, with
+    sympl = dP1^dQ1 + dP2^dQ2, (P1, Q1) functions of (u, v) and (P2, Q2) of
+    (r, t), or None where none is derived; the closed forms of the
+    Hamiltonian and prequantum layers are read off it.  Instances are
     immutable and safe to share across threads.
     """
 
@@ -75,6 +79,15 @@ class SpacetimeModel(NamedTuple):
     dual_flux_form: KForm
     symplectic_form: KForm
     closure_check: CheckResult | None = None
+    darboux: tuple | None = None
+
+
+def darboux_chart(model: SpacetimeModel) -> tuple:
+    """The model's Darboux chart ((P1, Q1), (P2, Q2)); a ValueError for a
+    model that has none, so that no closed form is guessed for it."""
+    if model.darboux is None:
+        raise ValueError("the model has no Darboux chart (P1, Q1, P2, Q2) for its symplectic form")
+    return model.darboux
 
 
 def _derive_structure(mass, metric, warp, gravitational_field, observer_field) -> SpacetimeModel:
@@ -105,7 +118,10 @@ def schwarzschild(mass: float) -> SpacetimeModel:
     """Exterior Schwarzschild model of the given mass (geometric units).
 
     The metric, warp, gravitational field and observer field are entered in
-    their standard closed forms; everything else is derived.
+    their standard closed forms; everything else is derived.  The Darboux
+    chart is sympl = dP1^dv + dP2^dt with P1 = (m/4pi)(1 - cos u), which
+    vanishes at the north pole, and P2 = lapse/4pi, the coefficient of
+    ``dual_flux_potential``.
     """
     factor = schwarzschild_factor()
     metric = MetricTensor(
@@ -123,7 +139,10 @@ def schwarzschild(mass: float) -> SpacetimeModel:
     observer_field = VectorField(
         (ex.ZERO, ex.ZERO, ex.ZERO, ex.mul(ex.NEG_ONE, ex.power(factor, ex.Rational(-1, 2))))
     )
-    return _derive_structure(mass, metric, warp, gravitational_field, observer_field)
+    model = _derive_structure(mass, metric, warp, gravitational_field, observer_field)
+    polar = ex.mul(ex.const(1.0 / FOUR_PI), ex.M, ex.ONE - ex.cos(ex.U))
+    energy = dual_flux_potential(model).coefficient((3,))
+    return model._replace(darboux=((polar, ex.V), (energy, ex.T)))
 
 
 def generalized_static(
@@ -145,7 +164,8 @@ def generalized_static(
 
     The closure hypothesis d(flux) = -d(warp) ^ flux is *checked* on a
     seeded sample, not assumed: the model is returned either way with the
-    outcome attached as ``closure_check``.
+    outcome attached as ``closure_check``.  No Darboux chart is derived, so
+    the closed forms read off one are refused for this model.
     """
     for name in ("u", "v", "t"):
         if not ex.is_zero(warp.diff(name)):

@@ -20,7 +20,6 @@ from warpsymp.expressions import (
     Parameter,
     PointSet,
     evaluate_many,
-    parse_prefix,
 )
 from warpsymp.exterior import KForm, basis_vector
 from warpsymp.hamiltonian import IntegralResult, QuadratureSpec
@@ -544,6 +543,14 @@ class TestDifferentiate:
         with pytest.raises(ValueError):
             ex.R.diff("x")
 
+    def test_quotient_derivative_stays_in_range(self):
+        """d/dr (m/r^2) divides twice by r^2 and never forms r^4, which
+        overflows at r = 3e80: the derivative is -2m/r^3, not -0."""
+        point = ChartPoint(u=1.0, v=1.0, r=3e80, t=0.0, m=1e80)
+        value = ex.quotient(ex.M, ex.power(ex.R, 2)).diff("r").evaluate(point)
+        assert math.isfinite(value) and value != 0.0
+        assert value == pytest.approx(-2.0 * 1e80 / 3e80**3, rel=4 * np.finfo(float).eps)
+
     def test_product_rule_builds_the_unskipped_trees(self, monkeypatch):
         """The product rule skips the factors whose derivative folds to
         zero; the full rule, every piece built, gives the same trees for the
@@ -640,22 +647,6 @@ class TestPrefixForm:
         golden = "(ln (pow (+ (* -1.0 (/ (* 2.0 m) r)) 1.0) 1/2))"
         assert warp_expression().to_prefix() == golden
 
-    @given(expression=expression_trees, point=chart_points)
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_preserves_value(self, expression, point):
-        recovered = parse_prefix(expression.to_prefix())
-        assert recovered.evaluate(point) == pytest.approx(
-            expression.evaluate(point), rel=1e-12, abs=1e-12
-        )
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            parse_prefix("(+ 1.0")
-        with pytest.raises(ValueError):
-            parse_prefix("(bogus 1.0)")
-        with pytest.raises(ValueError):
-            parse_prefix("")
-
 
 class TestExponents:
     @pytest.mark.parametrize(
@@ -692,14 +683,10 @@ class TestExponents:
 
     @pytest.mark.parametrize("text", ["1/2", "-3/2", "1/3", "2"])
     def test_prefix_round_trip(self, text):
-        node = parse_prefix(f"(pow r {text})")
+        """The exponent the text names prints back as that text."""
+        node = ex.power(ex.R, Fraction(text))
         assert node.exponent == (Fraction(text).numerator, Fraction(text).denominator)
         assert node.to_prefix() == f"(pow r {text})"
-
-    @pytest.mark.parametrize("text", ["(pow r 1/0)", "(pow r x)", "(pow r 1.5)"])
-    def test_bad_exponent_text_is_refused(self, text):
-        with pytest.raises(ValueError):
-            parse_prefix(text)
 
     @pytest.mark.parametrize(
         "exponent, reference",
@@ -737,15 +724,8 @@ class TestParameter:
     def test_prefix_round_trip(self):
         p = Parameter("p0")
         assert p.to_prefix() == "(param p0)"
-        assert parse_prefix("(param p0)") == p
         tree = ex.mul(ex.R, p, ex.cos(ex.V))
         assert tree.to_prefix() == "(* r (param p0) (cos v))"
-        assert parse_prefix(tree.to_prefix()) == tree
-
-    @pytest.mark.parametrize("text", ["(param)", "(param a b)", "(param ()"])
-    def test_rejects_malformed_param(self, text):
-        with pytest.raises(ValueError):
-            parse_prefix(text)
 
 
 class TestFoldingRules:
@@ -767,11 +747,7 @@ class TestFoldingRules:
         with pytest.raises(ValueError):
             ex.quotient(ex.R, ex.const(0))
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda: ex.power(ex.const(0.0), -1), lambda: parse_prefix("(pow 0.0 -2)")],
-        ids=["power", "prefix"],
-    )
+    @pytest.mark.parametrize("build", [lambda: ex.power(ex.const(0.0), -1)], ids=["power"])
     def test_zero_constant_to_a_negative_power_rejected(self, build):
         with pytest.raises(ValueError, match="zero constant raised to a negative power"):
             build()

@@ -8,8 +8,11 @@ import pytest
 from warpsymp import expressions as ex
 from warpsymp.exterior import KForm, exterior_derivative, wedge
 from warpsymp.expressions import ChartPoint
+from warpsymp.hamiltonian import coordinate_bracket_references, coordinate_field_references
+from warpsymp.prequantum import ConnectionPotential
 from warpsymp.sampling import SampleWindow, sample_points
 from warpsymp.spacetime import (
+    darboux_chart,
     foliation_report,
     generalized_static,
     schwarzschild,
@@ -290,3 +293,37 @@ class TestGeneralizedConstructor:
         bad = KForm.from_terms(2, {(0, 2): ex.ONE})
         with pytest.raises(ValueError):
             generalized_static(ex.ZERO - ex.quotient(ex.M, ex.R), bad, mass=1.0)
+
+
+class TestDarbouxChart:
+    @pytest.mark.parametrize("mass", [0.5, 1.0, 10.0])
+    def test_chart_reproduces_the_symplectic_form(self, mass):
+        """sum dP ^ dQ - sympl vanishes to roundoff at seeded points."""
+        model = schwarzschild(mass)
+        chart_form = KForm.zero(2)
+        for p, q in darboux_chart(model):
+            chart_form += wedge(
+                exterior_derivative(KForm.scalar(p)), exterior_derivative(KForm.scalar(q))
+            )
+        residual = chart_form - model.symplectic_form
+        assert max(residual.max_abs(sample_points(mass, 50, seed=903))) < 1e-15
+
+    def test_polar_momentum_vanishes_at_the_north_pole(self):
+        """P1 = (m/4pi)(1 - cos u) is 0 at u = 0 and m/2pi at u = pi."""
+        (polar, _), _ = darboux_chart(schwarzschild(2.0))
+        inputs = {"u": [0.0, math.pi], "v": 1.0, "r": 3.0, "t": 0.0, "m": 2.0}
+        assert ex.evaluate_many([polar], inputs) == [[0.0, 2.0 * 2.0 / (4.0 * math.pi)]]
+
+    def test_model_without_a_chart_is_refused(self, model):
+        """A generalised model derives no chart, so the closed forms read
+        off one are refused, not answered with Schwarzschild's."""
+        leaf_area = KForm.from_terms(2, {(0, 1): ex.power(ex.R, 2) * ex.sin(ex.U)})
+        general = generalized_static(model.warp, leaf_area, mass=1.0)
+        assert general.darboux is None
+        for closed_forms in (
+            coordinate_field_references,
+            coordinate_bracket_references,
+            ConnectionPotential.monopole,
+        ):
+            with pytest.raises(ValueError, match="no Darboux chart"):
+                closed_forms(general)

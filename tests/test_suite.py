@@ -543,6 +543,25 @@ class TestCli:
         assert capsys.readouterr().err == ""
         assert (tmp_path / "report.json").exists()
 
+    def test_quotient_rule_checks_pass_at_mass_1e80(self):
+        """These nine checks failed at mass 1e80 only because the quotient
+        rule divided by the squared denominator, so that d/dr (m/r^2) read
+        -0 where r^4 overflows."""
+        names = (
+            "flux_closure_relation",
+            "flux_volume_identity",
+            "closed_rescaled_flux",
+            "jacobi_identity",
+            "commutator_uv",
+            "commutator_ut",
+            "commutator_vr",
+            "commutator_vt",
+            "commutator_rt",
+        )
+        checks = run_suite(RunConfig(mass=1e80)).checks
+        passed = {check["check_name"]: check["pass"] for check in checks}
+        assert [name for name in names if not passed[name]] == []
+
     def test_sphere_integral_at_a_far_radius(self, capsys):
         """r0^4 overflows at r0 = 1e80, but no product of metric entries is
         formed, so the integral is still the mass."""
