@@ -2,7 +2,8 @@
 
 Commands:
   verify                 run the full check catalogue, write report.json
-  check NAME             run a single catalogue check
+  check NAME             compute only the named catalogue check and print
+                         what verify reports for it
   integrate              sphere integral of the symplectic form
   prequant               commutator / operator / integrality reports
   emit-csv WHAT          plot-data CSVs (bracket_grid, omega_coefficient,
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run the full check catalogue")
     _common_flags(verify)
 
-    check = commands.add_parser("check", help="run a single check by name")
+    check = commands.add_parser("check", help="compute a single check by name")
     check.add_argument("name", choices=CHECK_CATALOGUE, metavar="NAME")
     _common_flags(check)
 

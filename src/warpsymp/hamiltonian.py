@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
 from .exterior import DIM, KForm, VectorField
-from .reports import CheckResult, worst_point
+from .reports import CheckResult, selector, worst_point
 from .spacetime import SpacetimeModel, darboux_chart
 
 
@@ -161,13 +161,13 @@ def coordinate_field_references(model: SpacetimeModel) -> dict:
 
 def coordinate_bracket_references(model: SpacetimeModel) -> dict:
     """Closed forms of the coordinate Poisson brackets, read off the field
-    references: {a, b} = sympl(H_a, H_b) = -da(H_b) = -(H_b)^a."""
+    references: {a, b} = sympl(H_a, H_b) = db(H_a) = (H_a)^b."""
     fields = coordinate_field_references(model)
     names = ex.COORDINATE_NAMES
     return {
-        (a, b): ex.mul(ex.NEG_ONE, fields[b].components[i])
+        (a, b): fields[a].components[j]
         for i, a in enumerate(names)
-        for b in names[i + 1 :]
+        for j, b in enumerate(names[i + 1 :], start=i + 1)
     }
 
 
@@ -176,11 +176,15 @@ def coordinate_bracket_references(model: SpacetimeModel) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None) -> list:
-    """Numeric solve against the chart's closed forms, relative error."""
+def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None, only=None) -> list:
+    """Numeric solve against the chart's closed forms, relative error;
+    ``only`` names the checks to compute (None for all four)."""
+    wanted = selector(only)
     references = coordinate_field_references(model)
     results = []
     for name in ex.COORDINATE_NAMES:
+        if not wanted(f"hamiltonian_{name}"):
+            continue
         numeric = hamiltonian_values(ex.Coordinate(name), model, points)
         expected = zip(*ex.evaluate_many(references[name].components, points))
         errors = [
@@ -201,6 +205,7 @@ def bracket_table(
     jacobi_threshold=1e-9,
     seed=None,
     jacobi_points=None,
+    only=None,
 ):
     """The antisymmetric 4x4 table of coordinate brackets with its checks.
 
@@ -210,51 +215,71 @@ def bracket_table(
     for all coordinate triples.  The Jacobi residual stacks two symbolic
     derivative layers, whose roundoff is amplified near the poles, so it may
     be sampled on its own (typically pole-avoiding) point set.
+
+    ``only`` names the checks to compute (None for all five).  The table
+    then holds the entries those checks read, all sixteen when antisymmetry
+    is among them, and the Jacobi trees are built only for
+    ``jacobi_identity``.
     """
+    wanted = selector(only)
     if jacobi_points is None:
         jacobi_points = points
     names = ex.COORDINATE_NAMES
     coordinates = {name: ex.Coordinate(name) for name in names}
     references = coordinate_bracket_references(model)
     pairs = [(a, b) for a in names for b in names]
-    brackets = {(a, b): poisson_bracket(coordinates[a], coordinates[b], model) for a, b in pairs}
-    table = {f"{a},{b}": brackets[(a, b)].to_prefix() for a, b in pairs}
-    nonzero = (("u", "v"), ("r", "t"))
-    computed = ex.evaluate_many(
-        [brackets[pair] for pair in pairs] + [references[pair] for pair in nonzero], points
-    )
-    values = dict(zip(pairs, computed))
+    nonzero = [pair for pair in (("u", "v"), ("r", "t")) if wanted(f"bracket_{''.join(pair)}")]
+    cross = (("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"))
+    read = set(nonzero)
+    if wanted("bracket_cross_zeros"):
+        read.update(cross)
+    if wanted("bracket_antisymmetry"):
+        read.update(pairs)
+    brackets = {
+        (a, b): poisson_bracket(coordinates[a], coordinates[b], model)
+        for a, b in pairs
+        if (a, b) in read
+    }
+    table = {f"{a},{b}": bracket.to_prefix() for (a, b), bracket in brackets.items()}
+    computed = []
+    if brackets:
+        computed = ex.evaluate_many(
+            [*brackets.values()] + [references[pair] for pair in nonzero], points
+        )
+    values = dict(zip(brackets, computed))
 
     checks = []
-    for pair, expected in zip(nonzero, computed[len(pairs) :]):
+    for pair, expected in zip(nonzero, computed[len(brackets) :]):
         errors = [abs(x - y) / max(abs(y), 1e-300) for x, y in zip(values[pair], expected)]
         worst, at = worst_point(errors, points)
         checks.append(
             CheckResult.judged(f"bracket_{pair[0]}{pair[1]}", relative_threshold, worst, at, seed)
         )
 
-    cross = (("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"))
-    worst, at = worst_point([abs(x) for pair in cross for x in values[pair]], points)
-    checks.append(CheckResult.judged("bracket_cross_zeros", zero_threshold, worst, at, seed))
+    if wanted("bracket_cross_zeros"):
+        worst, at = worst_point([abs(x) for pair in cross for x in values[pair]], points)
+        checks.append(CheckResult.judged("bracket_cross_zeros", zero_threshold, worst, at, seed))
 
-    # the largest |{a,b} + {b,a}| at each point; max keeps -inf against NaN
-    sums = ([abs(x + y) for x, y in zip(values[a, b], values[b, a])] for a, b in pairs)
-    worst, at = worst_point(list(map(max, repeat(-math.inf), *sums)), points)
-    checks.append(CheckResult.judged("bracket_antisymmetry", zero_threshold, worst, at, seed))
+    if wanted("bracket_antisymmetry"):
+        # the largest |{a,b} + {b,a}| at each point; max keeps -inf against NaN
+        sums = ([abs(x + y) for x, y in zip(values[a, b], values[b, a])] for a, b in pairs)
+        worst, at = worst_point(list(map(max, repeat(-math.inf), *sums)), points)
+        checks.append(CheckResult.judged("bracket_antisymmetry", zero_threshold, worst, at, seed))
 
-    cyclic = []
-    for triple in (("u", "v", "r"), ("u", "v", "t"), ("u", "r", "t"), ("v", "r", "t")):
-        f, g, h = (coordinates[n] for n in triple)
-        cyclic.append(
-            ex.add(
-                poisson_bracket(f, poisson_bracket(g, h, model), model),
-                poisson_bracket(g, poisson_bracket(h, f, model), model),
-                poisson_bracket(h, poisson_bracket(f, g, model), model),
+    if wanted("jacobi_identity"):
+        cyclic = []
+        for triple in (("u", "v", "r"), ("u", "v", "t"), ("u", "r", "t"), ("v", "r", "t")):
+            f, g, h = (coordinates[n] for n in triple)
+            cyclic.append(
+                ex.add(
+                    poisson_bracket(f, poisson_bracket(g, h, model), model),
+                    poisson_bracket(g, poisson_bracket(h, f, model), model),
+                    poisson_bracket(h, poisson_bracket(f, g, model), model),
+                )
             )
-        )
-    residuals = [abs(x) for column in ex.evaluate_many(cyclic, jacobi_points) for x in column]
-    worst, at = worst_point(residuals, jacobi_points)
-    checks.append(CheckResult.judged("jacobi_identity", jacobi_threshold, worst, at, seed))
+        residuals = [abs(x) for column in ex.evaluate_many(cyclic, jacobi_points) for x in column]
+        worst, at = worst_point(residuals, jacobi_points)
+        checks.append(CheckResult.judged("jacobi_identity", jacobi_threshold, worst, at, seed))
     return checks, table
 
 

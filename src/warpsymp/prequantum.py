@@ -54,7 +54,7 @@ from .hamiltonian import (
     poisson_bracket,
     surface_integral,
 )
-from .reports import CheckResult, peak, worst_point
+from .reports import CheckResult, peak, selector, worst_point
 from .sampling import Stream
 from .spacetime import FOUR_PI, SpacetimeModel, darboux_chart
 
@@ -363,10 +363,18 @@ def curvature_section_check(
 
 
 def commutator_suite(
-    model, potential, sections, points, relative_threshold=1e-9, absolute_threshold=1e-9, seed=None
+    model,
+    potential,
+    sections,
+    points,
+    relative_threshold=1e-9,
+    absolute_threshold=1e-9,
+    seed=None,
+    only=None,
 ) -> list:
     """Check bracket(f,h)-hat = -(i/hbar) [f-hat, h-hat] for the six
-    coordinate pairs, in a fixed order.
+    coordinate pairs, in a fixed order; ``only`` names the checks to compute
+    (None for all six), and the operators of the other pairs are not built.
 
     Pairs whose bracket folds to zero are measured absolutely, the others
     relative to the largest left-hand magnitude over the sample.  The
@@ -375,31 +383,37 @@ def commutator_suite(
     nonzero commutators are also compared with their closed forms, i hbar
     times the hat of the bracket's closed form read off the Darboux chart.
     """
+    wanted = selector(only)
     coordinates = dict(zip(ex.COORDINATE_NAMES, ex.COORDINATES))
-    pairs = list(itertools.combinations(coordinates, 2))
+    pairs = [
+        (a, b) for a, b in itertools.combinations(coordinates, 2) if wanted(f"commutator_{a}{b}")
+    ]
     brackets = {(a, b): poisson_bracket(coordinates[a], coordinates[b], model) for a, b in pairs}
+    references = coordinate_bracket_references(model)
     displays = {
-        pair: prequantum_operator(g, model, potential)
-        for pair, g in coordinate_bracket_references(model).items()
-        if not ex.is_zero(g)
+        pair: prequantum_operator(references[pair], model, potential)
+        for pair in pairs
+        if not ex.is_zero(references[pair])
     }
-    # per variant: the operators of the coordinates (keyed by name) and of
+    # the coordinates the selected pairs hold, in order
+    used = {name: coordinates[name] for name in coordinates if any(name in pair for pair in pairs)}
+    # per variant: the operators of those coordinates (keyed by name) and of
     # their brackets (keyed by pair)
     variants = {
         hermitian: {
             key: prequantum_operator(g, model, potential, hermitian)
-            for key, g in {**coordinates, **brackets}.items()
+            for key, g in {**used, **brackets}.items()
         }
         for hermitian in (True, False)
     }
-    hbar = variants[True]["u"].hbar
+    hbar = potential.scale.ratio * model.mass
     relation = ex.const(-1.0 / hbar)
     display_factor = ex.const(hbar)
 
     def parts(psi):
         built = []
         for hermitian, ops in variants.items():
-            applied = {name: ops[name].apply(psi) for name in coordinates}
+            applied = {name: ops[name].apply(psi) for name in used}
             for a, b in pairs:
                 lhs = ops[a, b].apply(psi)
                 commutator = ops[a].apply(applied[b]) - ops[b].apply(applied[a])
@@ -443,7 +457,7 @@ def commutator_suite(
 
 
 def geometric_operator_report(
-    model, potential, sections, points, chain_threshold=1e-9, seed=None
+    model, potential, sections, points, chain_threshold=1e-9, seed=None, only=None
 ) -> list:
     """Operator identities for the radius, sphere-area and ball-volume functions.
 
@@ -456,8 +470,11 @@ def geometric_operator_report(
         (4 pi r^3/3)-hat = (4 pi/3) r^2 r-hat + 2 D_r
 
     do not follow from it (they differ by derivative terms); their
-    residuals are emitted for inspection and never asserted.
+    residuals are emitted for inspection and never asserted.  ``only``
+    names the checks to compute (None for all three).
     """
+    wanted = selector(only)
+    chain = wanted("operator_chain_rule")
     r_squared = ex.power(ex.R, 2)
     functions = (
         ex.R,
@@ -471,14 +488,16 @@ def geometric_operator_report(
         ("operator_printed_area_relation", 1, ex.mul(ex.const(FOUR_PI), ex.R), 1.0),
         ("operator_printed_volume_relation", 2, ex.mul(ex.const(FOUR_PI / 3.0), r_squared), 2.0),
     )
+    printed = [row for row in printed if wanted(row[0])]
 
     def parts(psi):
         derivative = ops[0].derivative_part(psi)
         applied = [op.apply(psi) for op in ops]
         built = []
-        for g, slope, lhs in zip(functions, slopes, applied):
-            rhs = derivative.scaled_real(slope) - psi.scaled_real(g)
-            built += [lhs - rhs, lhs]
+        if chain:
+            for g, slope, lhs in zip(functions, slopes, applied):
+                rhs = derivative.scaled_real(slope) - psi.scaled_real(g)
+                built += [lhs - rhs, lhs]
         for _, k, prefactor, multiplier in printed:
             rhs = applied[0].scaled_real(prefactor) + derivative.scaled_real(
                 ex.const(multiplier)
@@ -487,20 +506,23 @@ def geometric_operator_report(
         return built
 
     magnitudes = _scan(parts, sections, points)
-    # chain-rule parts: residual and left side of each function in turn
-    worst, at = worst_point(list(itertools.chain.from_iterable(magnitudes[0:6:2])), points)
-    scale = peak(itertools.chain.from_iterable(magnitudes[1:6:2]))
-    reports = [
-        CheckResult.judged(
-            "operator_chain_rule",
-            chain_threshold,
-            worst / max(scale, 1e-300),
-            at,
-            seed,
-            details={"scale": scale},
+    reports = []
+    if chain:
+        # chain-rule parts: residual and left side of each function in turn
+        worst, at = worst_point(list(itertools.chain.from_iterable(magnitudes[0:6:2])), points)
+        scale = peak(itertools.chain.from_iterable(magnitudes[1:6:2]))
+        reports.append(
+            CheckResult.judged(
+                "operator_chain_rule",
+                chain_threshold,
+                worst / max(scale, 1e-300),
+                at,
+                seed,
+                details={"scale": scale},
+            )
         )
-    ]
-    for (name, *_), residual, lhs in zip(printed, magnitudes[6::2], magnitudes[7::2]):
+        magnitudes = magnitudes[6:]
+    for (name, *_), residual, lhs in zip(printed, magnitudes[0::2], magnitudes[1::2]):
         worst, scale = peak(residual), peak(lhs)
         reports.append(
             CheckResult(

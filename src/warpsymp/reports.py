@@ -56,6 +56,14 @@ class CheckResult:
         }
 
 
+def selector(only):
+    """The test of whether a group function computes a check: every name
+    when ``only`` is None, else the names in the collection ``only``."""
+    if only is None:
+        return lambda name: True
+    return frozenset(only).__contains__
+
+
 def _nan_free(magnitudes) -> list:
     return [x for x in magnitudes if x == x]
 

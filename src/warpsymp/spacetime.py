@@ -41,6 +41,7 @@ from .reports import (
     CheckResult,
     least_point,
     passes,
+    selector,
     worst_expression_error,
     worst_form_error,
 )
@@ -209,24 +210,32 @@ def generalized_static(
 # ---------------------------------------------------------------------------
 
 
+def _form_check(name, form, points, threshold, seed) -> CheckResult:
+    """The BELOW check of a form's largest coefficient magnitude."""
+    worst, worst_point = worst_form_error(form, points)
+    return CheckResult.judged(name, threshold, worst, worst_point, seed)
+
+
 def verify_gradient_relation(model, points, threshold=1e-11, seed=None) -> CheckResult:
     """Check i_R g + d(warp) = 0 at the sampled points."""
     residual = flat(model.gravitational_field, model.metric) + exterior_derivative(
         KForm.scalar(model.warp)
     )
-    worst, worst_point = worst_form_error(residual, points)
-    return CheckResult.judged("gradient_relation", threshold, worst, worst_point, seed)
+    return _form_check("gradient_relation", residual, points, threshold, seed)
 
 
-def verify_observer(model, points, threshold=1e-12, seed=None) -> list:
-    """Check g(X, X) = -1 and g(R, X) = 0 at the sampled points."""
+def verify_observer(model, points, threshold=1e-12, seed=None, only=None) -> list:
+    """Check g(X, X) = -1 and g(R, X) = 0 at the sampled points; ``only``
+    names the checks to compute (None for both)."""
+    wanted = selector(only)
     x = model.observer_field
     unit = metric_inner(x, x, model.metric) + ex.ONE
     orthogonal = metric_inner(model.gravitational_field, x, model.metric)
     results = []
     for name, expression in (("observer_unit_norm", unit), ("observer_orthogonality", orthogonal)):
-        worst, worst_point = worst_expression_error(expression, points)
-        results.append(CheckResult.judged(name, threshold, worst, worst_point, seed))
+        if wanted(name):
+            worst, worst_point = worst_expression_error(expression, points)
+            results.append(CheckResult.judged(name, threshold, worst, worst_point, seed))
     return results
 
 
@@ -243,26 +252,25 @@ def _flux_volume_reference(model) -> KForm:
 
 
 def verify_omega_identities(
-    model, points, threshold=1e-11, square_threshold=1e-12, seed=None
+    model, points, threshold=1e-11, square_threshold=1e-12, seed=None, only=None
 ) -> list:
-    """Check the three structural identities of the flux 2-form."""
+    """Check the three structural identities of the flux 2-form; ``only``
+    names the checks to compute (None for all three)."""
+    wanted = selector(only)
     flux = model.flux_form
-    warp_differential = exterior_derivative(KForm.scalar(model.warp))
     results = []
-
-    square = wedge(flux, flux)
-    worst, worst_point = worst_form_error(square, points)
-    results.append(
-        CheckResult.judged("flux_wedge_square", square_threshold, worst, worst_point, seed)
-    )
-
-    closure = exterior_derivative(flux) + wedge(warp_differential, flux)
-    worst, worst_point = worst_form_error(closure, points)
-    results.append(CheckResult.judged("flux_closure_relation", threshold, worst, worst_point, seed))
-
-    volume_identity = exterior_derivative(flux) - _flux_volume_reference(model)
-    worst, worst_point = worst_form_error(volume_identity, points)
-    results.append(CheckResult.judged("flux_volume_identity", threshold, worst, worst_point, seed))
+    if wanted("flux_wedge_square"):
+        square = wedge(flux, flux)
+        results.append(_form_check("flux_wedge_square", square, points, square_threshold, seed))
+    if wanted("flux_closure_relation"):
+        warp_differential = exterior_derivative(KForm.scalar(model.warp))
+        closure = exterior_derivative(flux) + wedge(warp_differential, flux)
+        results.append(_form_check("flux_closure_relation", closure, points, threshold, seed))
+    if wanted("flux_volume_identity"):
+        volume_identity = exterior_derivative(flux) - _flux_volume_reference(model)
+        results.append(
+            _form_check("flux_volume_identity", volume_identity, points, threshold, seed)
+        )
     return results
 
 
@@ -272,52 +280,52 @@ def dual_flux_potential(model) -> KForm:
 
 
 def verify_symplectic(
-    model, points, threshold=1e-11, potential_threshold=1e-12, seed=None
+    model, points, threshold=1e-11, potential_threshold=1e-12, seed=None, only=None
 ) -> list:
-    """Check the identities behind nondegeneracy and closedness of the symplectic form."""
+    """Check the identities behind nondegeneracy and closedness of the
+    symplectic form; ``only`` names the checks to compute (None for all)."""
+    wanted = selector(only)
     results = []
-
-    rescaled = exterior_derivative(model.flux_form.scaled(model.lapse))
-    worst, worst_point = worst_form_error(rescaled, points)
-    results.append(CheckResult.judged("closed_rescaled_flux", threshold, worst, worst_point, seed))
-
-    potential_residual = model.dual_flux_form - exterior_derivative(dual_flux_potential(model))
-    worst, worst_point = worst_form_error(potential_residual, points)
-    results.append(
-        CheckResult.judged("dual_flux_potential", potential_threshold, worst, worst_point, seed)
-    )
-
-    dual_square = wedge(model.dual_flux_form, model.dual_flux_form)
-    worst, worst_point = worst_form_error(dual_square, points)
-    results.append(
-        CheckResult.judged("dual_flux_square", potential_threshold, worst, worst_point, seed)
-    )
-
-    r_norm = metric_inner(model.gravitational_field, model.gravitational_field, model.metric)
-    scale = ex.mul(ex.const(2.0 / FOUR_PI**2), model.lapse, r_norm)
-    square = wedge(model.symplectic_form, model.symplectic_form)
-    square_identity = square - model.volume_form.scaled(scale)
-    worst, worst_point = worst_form_error(square_identity, points)
-    results.append(
-        CheckResult.judged("symplectic_square_identity", threshold, worst, worst_point, seed)
-    )
-
-    (values,) = ex.evaluate_many([square.coefficient((0, 1, 2, 3))], points)
-    minimum, at = least_point(list(map(abs, values)), points)
-    if at is None:
-        minimum = 0.0
-    same_sign = all(x > 0 for x in values) or all(x < 0 for x in values)
-    results.append(
-        CheckResult(
-            "symplectic_nondegeneracy",
-            len(values) > 0 and same_sign and minimum > 0.0,
-            0.0,
-            minimum,
-            at,
-            seed,
-            details={"single_sign": same_sign, "min_magnitude": minimum},
+    if wanted("closed_rescaled_flux"):
+        rescaled = exterior_derivative(model.flux_form.scaled(model.lapse))
+        results.append(_form_check("closed_rescaled_flux", rescaled, points, threshold, seed))
+    if wanted("dual_flux_potential"):
+        exactness = model.dual_flux_form - exterior_derivative(dual_flux_potential(model))
+        results.append(
+            _form_check("dual_flux_potential", exactness, points, potential_threshold, seed)
         )
-    )
+    if wanted("dual_flux_square"):
+        dual_square = wedge(model.dual_flux_form, model.dual_flux_form)
+        results.append(
+            _form_check("dual_flux_square", dual_square, points, potential_threshold, seed)
+        )
+
+    square = wedge(model.symplectic_form, model.symplectic_form)
+    if wanted("symplectic_square_identity"):
+        r_norm = metric_inner(model.gravitational_field, model.gravitational_field, model.metric)
+        scale = ex.mul(ex.const(2.0 / FOUR_PI**2), model.lapse, r_norm)
+        identity = square - model.volume_form.scaled(scale)
+        results.append(
+            _form_check("symplectic_square_identity", identity, points, threshold, seed)
+        )
+
+    if wanted("symplectic_nondegeneracy"):
+        (values,) = ex.evaluate_many([square.coefficient((0, 1, 2, 3))], points)
+        minimum, at = least_point(list(map(abs, values)), points)
+        if at is None:
+            minimum = 0.0
+        same_sign = all(x > 0 for x in values) or all(x < 0 for x in values)
+        results.append(
+            CheckResult(
+                "symplectic_nondegeneracy",
+                len(values) > 0 and same_sign and minimum > 0.0,
+                0.0,
+                minimum,
+                at,
+                seed,
+                details={"single_sign": same_sign, "min_magnitude": minimum},
+            )
+        )
     return results
 
 
@@ -327,6 +335,7 @@ def foliation_report(
     pfaffian_threshold=1e-6,
     volume_threshold=1e-10,
     seed=None,
+    only=None,
 ) -> list:
     """Sampled nondegeneracy checks for the spatial foliation by spheres.
 
@@ -339,62 +348,73 @@ def foliation_report(
     closedness is structurally true.  The Pfaffian vanishes like sin(u)
     toward the poles; the closedness details record whether this is a pure
     coordinate artifact (the ratio Pfaffian/sin(u) does not depend on u).
+    ``only`` names the checks to compute (None for all three).
     """
+    wanted = selector(only)
     pfaffian = model.flux_form.coefficient((0, 1))
     warp_differential = exterior_derivative(KForm.scalar(model.warp))
     volume3 = wedge(warp_differential.scaled(ex.NEG_ONE), model.flux_form)
-    volume3_coefficient = volume3.coefficient((0, 1, 2))
-
-    pfaffians, volumes = ex.evaluate_many([pfaffian, volume3_coefficient], points)
-    pf_min, pf_at = least_point([abs(x) / model.mass for x in pfaffians], points)
-    vol_min, vol_at = least_point(list(map(abs, volumes)), points)
-
-    # Pfaffian / sin(u) must not depend on u if the pole degeneracy is a
-    # pure coordinate effect; compare at two colatitudes, same radius.
-    probe_points = [
-        ChartPoint(u=colatitude, v=math.pi, r=3.0 * model.mass, t=0.0, m=model.mass)
-        for colatitude in (1e-3, math.pi / 2)
-    ]
-    (values,) = ex.evaluate_many([pfaffian], probe_points)
-    probe = [value / math.sin(point.u) for value, point in zip(values, probe_points)]
-    artifact = abs(probe[0] - probe[1]) <= 1e-9 * max(abs(probe[0]), abs(probe[1]))
-
-    def lower_bound(name, minimum, at, threshold, bound):
-        return CheckResult(
-            name,
-            passes(minimum, threshold, ABOVE),
-            threshold,
-            minimum if math.isfinite(minimum) else 0.0,
-            at,
-            seed,
-            details={"bound": bound},
+    # name, coefficient, what its magnitude is divided by, threshold, bound
+    lower_bounds = [
+        bound
+        for bound in (
+            (
+                "foliation_leaf_pfaffian",
+                pfaffian,
+                model.mass,
+                pfaffian_threshold,
+                "minimum |pfaffian|/mass over samples",
+            ),
+            (
+                "foliation_volume_form",
+                volume3.coefficient((0, 1, 2)),
+                1.0,
+                volume_threshold,
+                "minimum |volume3 coefficient| over samples",
+            ),
         )
-
-    return [
-        lower_bound(
-            "foliation_leaf_pfaffian",
-            pf_min,
-            pf_at,
-            pfaffian_threshold,
-            "minimum |pfaffian|/mass over samples",
-        ),
-        lower_bound(
-            "foliation_volume_form",
-            vol_min,
-            vol_at,
-            volume_threshold,
-            "minimum |volume3 coefficient| over samples",
-        ),
-        CheckResult(
-            "foliation_leaf_closedness",
-            True,
-            0.0,
-            0.0,
-            None,
-            seed,
-            details={
-                "structural": "2-forms on 2-dimensional leaves are closed",
-                "pole_degeneracy_is_coordinate_artifact": artifact,
-            },
-        ),
+        if wanted(bound[0])
     ]
+
+    results = []
+    if lower_bounds:
+        columns = ex.evaluate_many([bound[1] for bound in lower_bounds], points)
+        for (name, _, unit, threshold, bound), column in zip(lower_bounds, columns):
+            minimum, at = least_point([abs(x) / unit for x in column], points)
+            results.append(
+                CheckResult(
+                    name,
+                    passes(minimum, threshold, ABOVE),
+                    threshold,
+                    minimum if math.isfinite(minimum) else 0.0,
+                    at,
+                    seed,
+                    details={"bound": bound},
+                )
+            )
+
+    if wanted("foliation_leaf_closedness"):
+        # Pfaffian / sin(u) must not depend on u if the pole degeneracy is a
+        # pure coordinate effect; compare at two colatitudes, same radius.
+        probe_points = [
+            ChartPoint(u=colatitude, v=math.pi, r=3.0 * model.mass, t=0.0, m=model.mass)
+            for colatitude in (1e-3, math.pi / 2)
+        ]
+        (values,) = ex.evaluate_many([pfaffian], probe_points)
+        probe = [value / math.sin(point.u) for value, point in zip(values, probe_points)]
+        artifact = abs(probe[0] - probe[1]) <= 1e-9 * max(abs(probe[0]), abs(probe[1]))
+        results.append(
+            CheckResult(
+                "foliation_leaf_closedness",
+                True,
+                0.0,
+                0.0,
+                None,
+                seed,
+                details={
+                    "structural": "2-forms on 2-dimensional leaves are closed",
+                    "pole_degeneracy_is_coordinate_artifact": artifact,
+                },
+            )
+        )
+    return results

@@ -73,7 +73,7 @@ class GroupInputs:
     """What every check group of one suite run draws on; immutable.
 
     The sample points and test sections are drawn on first use, so a run
-    draws only what its selected groups read.
+    draws only what its selected checks read.
     """
 
     def __init__(
@@ -106,28 +106,36 @@ class GroupInputs:
         return random_sections(self.config.mass, self.config.n_sections, self.seed + 2)
 
 
-def _sphere_integral_checks(g: GroupInputs) -> list:
-    mass_integral = surface_integral(g.model.symplectic_form, g.quadrature, g.model)
-    dual_integral = surface_integral(g.model.dual_flux_form, g.quadrature, g.model)
-
+def _sphere_integral_checks(g: GroupInputs, only) -> list:
     def judged(name, worst, details):
         tolerance = DEFAULT_TOLERANCES[name]
         return CheckResult.judged(name, tolerance, worst, None, g.seed, details=details)
 
-    return [
-        judged(
-            "sphere_integral_mass",
-            abs(mass_integral.value - g.model.mass),
-            {
-                "value": mass_integral.value,
-                "error_estimate": mass_integral.error_estimate,
-                "r0": g.quadrature.r0,
-            },
-        ),
-        judged(
-            "sphere_integral_dual_zero", abs(dual_integral.value), {"value": dual_integral.value}
-        ),
-    ]
+    results = []
+    if "sphere_integral_mass" in only:
+        mass_integral = surface_integral(g.model.symplectic_form, g.quadrature, g.model)
+        details = {
+            "value": mass_integral.value,
+            "error_estimate": mass_integral.error_estimate,
+            "r0": g.quadrature.r0,
+        }
+        worst = abs(mass_integral.value - g.model.mass)
+        results.append(judged("sphere_integral_mass", worst, details))
+    if "sphere_integral_dual_zero" in only:
+        dual_integral = surface_integral(g.model.dual_flux_form, g.quadrature, g.model)
+        details = {"value": dual_integral.value}
+        results.append(judged("sphere_integral_dual_zero", abs(dual_integral.value), details))
+    return results
+
+
+def _bracket_checks(g: GroupInputs, only) -> list:
+    # each point set is drawn only for the checks that read it
+    table_points = g.identity_points if only - {"jacobi_identity"} else None
+    jacobi_points = g.operator_points if "jacobi_identity" in only else None
+    checks, _ = bracket_table(
+        g.model, table_points, seed=g.seed, jacobi_points=jacobi_points, only=only
+    )
+    return checks
 
 
 class Check(NamedTuple):
@@ -140,32 +148,37 @@ class CheckGroup(NamedTuple):
     """One row of the catalogue: a group, the runner that computes it, and
     the checks it emits in report order.
 
-    Each runner calls its group function through this module's global name
-    at call time, so a rebinding of that name (a test double, a tracer) is
+    A runner takes the group inputs and the set of the group's check names
+    to compute, and returns their results; it computes no other check of
+    the group, so a full group is the selection of all its names.  Each
+    runner calls its group function through this module's global name at
+    call time, so a rebinding of that name (a test double, a tracer) is
     what the suite runs.  Runners leave thresholds at the group functions'
     defaults: ``run_suite`` gives each result its own configured threshold
     and re-judges it afterwards.
     """
 
     key: str
-    run: Callable[[GroupInputs], list]
+    run: Callable[[GroupInputs, frozenset], list]
     checks: tuple[Check, ...]
 
 
 CHECK_GROUPS = (
     CheckGroup(
         "gradient",
-        lambda g: [verify_gradient_relation(g.model, g.identity_points, seed=g.seed)],
+        lambda g, only: [verify_gradient_relation(g.model, g.identity_points, seed=g.seed)],
         (Check("gradient_relation", 1e-11),),
     ),
     CheckGroup(
         "observer",
-        lambda g: verify_observer(g.model, g.identity_points, seed=g.seed),
+        lambda g, only: verify_observer(g.model, g.identity_points, seed=g.seed, only=only),
         (Check("observer_unit_norm", 1e-12), Check("observer_orthogonality", 1e-12)),
     ),
     CheckGroup(
         "omega",
-        lambda g: verify_omega_identities(g.model, g.identity_points, seed=g.seed),
+        lambda g, only: verify_omega_identities(
+            g.model, g.identity_points, seed=g.seed, only=only
+        ),
         (
             Check("flux_wedge_square", 1e-12),
             Check("flux_closure_relation", 1e-11),
@@ -174,7 +187,7 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "foliation",
-        lambda g: foliation_report(g.model, g.identity_points, seed=g.seed),
+        lambda g, only: foliation_report(g.model, g.identity_points, seed=g.seed, only=only),
         (
             Check("foliation_leaf_pfaffian", 1e-6, ABOVE),
             Check("foliation_volume_form", 1e-10, ABOVE),
@@ -183,7 +196,7 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "symplectic",
-        lambda g: verify_symplectic(g.model, g.identity_points, seed=g.seed),
+        lambda g, only: verify_symplectic(g.model, g.identity_points, seed=g.seed, only=only),
         (
             Check("closed_rescaled_flux", 1e-11),
             Check("dual_flux_potential", 1e-12),
@@ -194,7 +207,9 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "hamiltonian",
-        lambda g: verify_hamiltonian_fields(g.model, g.identity_points, seed=g.seed),
+        lambda g, only: verify_hamiltonian_fields(
+            g.model, g.identity_points, seed=g.seed, only=only
+        ),
         (
             Check("hamiltonian_u", 1e-10),
             Check("hamiltonian_v", 1e-10),
@@ -204,9 +219,7 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "bracket",
-        lambda g: bracket_table(
-            g.model, g.identity_points, seed=g.seed, jacobi_points=g.operator_points
-        )[0],
+        _bracket_checks,
         (
             Check("bracket_uv", 1e-10),
             Check("bracket_rt", 1e-10),
@@ -222,14 +235,14 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "curvature_potential",
-        lambda g: [
+        lambda g, only: [
             verify_curvature_potential(g.model, g.potential, g.identity_points, seed=g.seed)
         ],
         (Check("connection_curvature_potential", 1e-11),),
     ),
     CheckGroup(
         "curvature_sections",
-        lambda g: [
+        lambda g, only: [
             curvature_section_check(
                 g.model, g.potential, g.sections, g.operator_points, seed=g.seed
             )
@@ -238,8 +251,8 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "commutators",
-        lambda g: commutator_suite(
-            g.model, g.potential, g.sections, g.operator_points, seed=g.seed
+        lambda g, only: commutator_suite(
+            g.model, g.potential, g.sections, g.operator_points, seed=g.seed, only=only
         ),
         (
             Check("commutator_uv", 1e-9),
@@ -252,8 +265,8 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "operators",
-        lambda g: geometric_operator_report(
-            g.model, g.potential, g.sections, g.operator_points, seed=g.seed
+        lambda g, only: geometric_operator_report(
+            g.model, g.potential, g.sections, g.operator_points, seed=g.seed, only=only
         ),
         (
             Check("operator_chain_rule", 1e-9),
@@ -263,7 +276,7 @@ CHECK_GROUPS = (
     ),
     CheckGroup(
         "integrality",
-        lambda g: [integrality_report(g.model, g.quadrature, seed=g.seed)],
+        lambda g, only: [integrality_report(g.model, g.quadrature, seed=g.seed)],
         (Check("integrality_class", 1e-10, FIXED),),
     ),
 )
@@ -450,7 +463,8 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
     """Execute the check catalogue, or only the named checks (one name or a
     collection), and assemble the deterministic report.
 
-    Each group runs at most once per call.  Every result is then given its
+    Each group runs at most once per call, and computes only its selected
+    checks, by the same code as in a full run.  Every result is then given its
     own configured threshold and, unless its verdict is fixed, re-judged
     against it; no group's worst error depends on its threshold.
     """
@@ -478,7 +492,8 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
         wanted = [c for c in group.checks if selected is None or c.name in selected]
         if not wanted:
             continue
-        results = {result.name: result for result in group.run(inputs)}
+        names = frozenset(check.name for check in wanted)
+        results = {result.name: result for result in group.run(inputs, names)}
         for check in wanted:
             result = results[check.name]
             result.threshold = config.tolerance(check.name)

@@ -13,7 +13,7 @@ import pytest
 
 import warpsymp
 from warpsymp import expressions as ex
-from warpsymp import prequantum, suite
+from warpsymp import hamiltonian, prequantum, suite
 from warpsymp.cli import _config_from_args, build_parser, main
 from warpsymp.suite import (
     CHECK_CATALOGUE,
@@ -283,6 +283,89 @@ class TestRunSuite:
         (check,) = run_suite(RunConfig(), only="bracket_cross_zeros").checks
         assert check["worst_error"] == 0.0
         assert check["worst_point"] is None
+
+
+# the smallest configuration the suite accepts, for one run per check
+SMALL = dict(n_samples=10, n_sections=1)
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    return {check["check_name"]: check for check in run_suite(RunConfig(**SMALL)).checks}
+
+
+class TestSelection:
+    """A selected check is computed alone, by the code a full run uses."""
+
+    @pytest.mark.parametrize("name", CHECK_CATALOGUE)
+    def test_one_check_equals_its_verify_entry(self, name, small_report):
+        (check,) = run_suite(RunConfig(**SMALL), only=name).checks
+        for key in ("worst_error", "worst_point", "pass", "details"):
+            assert check[key] == small_report[name][key], key
+
+    def test_one_hamiltonian_check_solves_one_field(self, monkeypatch):
+        solved = []
+        hamiltonian_values = hamiltonian.hamiltonian_values
+
+        def counting(f, model, points):
+            solved.append(f)
+            return hamiltonian_values(f, model, points)
+
+        monkeypatch.setattr(hamiltonian, "hamiltonian_values", counting)
+        run_suite(RunConfig(**SMALL), only="hamiltonian_u")
+        assert solved == [ex.Coordinate("u")]
+
+    def test_one_bracket_draws_no_operator_points(self, monkeypatch):
+        def refuse(inputs):
+            raise AssertionError("the operator points were read")
+
+        monkeypatch.setattr(suite.GroupInputs, "operator_points", property(refuse))
+        (check,) = run_suite(RunConfig(**SMALL), only="bracket_uv").checks
+        assert check["pass"]
+
+    def test_one_commutator_schedules_fewer_nodes_than_its_group(self, monkeypatch):
+        counts, schedule = [], ex._schedule
+
+        def counting(roots):
+            order, uses = schedule(roots)
+            counts.append(len(order))
+            return order, uses
+
+        monkeypatch.setattr(ex, "_schedule", counting)
+        run_suite(RunConfig(**SMALL), only=suite.GROUP_CHECKS["commutators"])
+        group = sum(counts)
+        counts.clear()
+        run_suite(RunConfig(**SMALL), only="commutator_uv")
+        assert 0 < sum(counts) < group
+
+    def test_default_run_keeps_its_batching(self):
+        """A default run evaluates each group in as few batches as before
+        selection: at most 31 evaluate_many calls and 2,846 scheduled
+        nodes, counted in a fresh interpreter, where the run builds the
+        first model."""
+        script = textwrap.dedent(
+            """
+            import warpsymp.expressions as ex
+            from warpsymp.suite import RunConfig, run_suite
+
+            schedule, counts = ex._schedule, []
+
+            def counting(roots):
+                order, uses = schedule(roots)
+                counts.append(len(order))
+                return order, uses
+
+            ex._schedule = counting
+            run_suite(RunConfig())
+            print([len(counts), sum(counts)])
+            """
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=300
+        )
+        assert completed.returncode == 0, completed.stderr
+        calls, nodes = json.loads(completed.stdout)
+        assert calls <= 31 and nodes <= 2846
 
 
 class TestRunConfig:
