@@ -17,10 +17,14 @@ its partial derivatives in a slot outside the fields, so differentiating the
 same node twice returns the same tree and derivative DAGs stay shared.
 
 Evaluation has one path, ``evaluate_many``: it orders the DAG under several
-roots topologically and computes each node once over a flat batch of
-points, with the ``math`` module's kernels.  A value that is constant over
-the batch stays a float; any other value is a list with one float per
-point.  ``Expression.evaluate`` is its one-point call.
+roots topologically and computes each distinct node once over a flat batch
+of points, with the ``math`` module's kernels.  Structurally equal nodes
+(same class, fields and operands in the same order, and a zero constant
+the same sign), shared or built separately, share one value: the schedule
+merges them, and the nodes, their equality and their derivative caches are
+left as they are.  A value that is constant over the batch stays a float;
+any other value is a list with one float per point.  ``Expression.evaluate``
+is its one-point call.
 
 Besides the chart coordinates and the mass, a tree may read parameters:
 ``Parameter`` leaves are constant on the chart, so a family of expressions
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from collections.abc import Mapping
 from itertools import repeat
 from typing import NamedTuple
@@ -134,14 +137,15 @@ class Expression:
 
     ``_fields`` names a node class's fields in order; the constructor takes
     them positionally, and equality, hash and repr read them.
-    ``children`` are the operand nodes; ``_apply`` computes the node from
-    their values (each a float or a list of one float per point of the
-    batch) and the chart inputs, and ``_rule`` is the node's
-    differentiation rule.
+    ``children`` are the operand nodes, and ``_data`` names the fields that
+    are not children; ``_apply`` computes the node from their values (each
+    a float or a list of one float per point of the batch) and the chart
+    inputs, and ``_rule`` is the node's differentiation rule.
     """
 
     __slots__ = ("_derivatives",)
     _fields = ()
+    _data = ()
     children = ()
 
     def __init__(self, *values):
@@ -239,7 +243,7 @@ class Expression:
 
 
 class Constant(Expression):
-    _fields = ("value",)
+    _fields = _data = ("value",)
 
     def _apply(self, values, inputs):
         return self.value
@@ -252,7 +256,7 @@ class Constant(Expression):
 
 
 class Coordinate(Expression):
-    _fields = ("name",)
+    _fields = _data = ("name",)
 
     def _apply(self, values, inputs):
         return inputs[self.name]
@@ -281,7 +285,7 @@ class Parameter(Expression):
     """A named number that is constant on the chart.  The value is read
     from the input mapping under the parameter itself."""
 
-    _fields = ("name",)
+    _fields = _data = ("name",)
 
     def _apply(self, values, inputs):
         return inputs[self]
@@ -407,6 +411,7 @@ class Power(Expression):
     """base raised to a fixed rational exponent."""
 
     _fields = ("base", "exponent")
+    _data = ("exponent",)
 
     @property
     def children(self):
@@ -600,28 +605,51 @@ def chart_inputs(at) -> dict:
     return inputs
 
 
+def _merge_key(node, keys):
+    """The key under which ``_schedule`` merges structurally equal nodes:
+    the class, ``keys`` (the schedule positions of the children, in operand
+    order) and the fields named in ``_data``.  A constant keys by its sign
+    too, so 0.0 and -0.0 stay apart, and a NaN constant by its identity, so
+    it never merges."""
+    cls = node.__class__
+    if cls is Constant:
+        value = node.value
+        return (Constant, id(node) if value != value else (value, math.copysign(1.0, value)))
+    return (cls, keys, *[getattr(node, name) for name in cls._data])
+
+
 def _schedule(roots):
-    """Post-order of the DAG under ``roots``, each node once (by identity)
-    with the ids of its children, and the number of consumers of each
-    node; roots count one extra so their values outlive the walk."""
-    order = []
-    uses = Counter(map(id, roots))
-    seen = set()
+    """Post-order of the DAG under ``roots``, children last first, with
+    structurally equal nodes merged: each distinct node once, at its first
+    occurrence, with the positions of its children.  Also returns the
+    number of consumers of each position, where each root counts one extra
+    so that its value outlives the walk, and the positions of the roots."""
+    order, uses = [], []
+    merged = {}  # merge key -> position
+    position = {}  # id(node) -> position
     stack = [(root, None) for root in reversed(roots)]
     while stack:
-        node, keys = stack.pop()
-        if keys is not None:
+        node, children = stack.pop()
+        if children is None:
+            if id(node) not in position:
+                children = node.children
+                stack.append((node, children))
+                for child in children:
+                    if id(child) not in position:
+                        stack.append((child, None))
+            continue
+        keys = tuple(map(position.__getitem__, map(id, children)))
+        at = merged.setdefault(_merge_key(node, keys), len(order))
+        if at == len(order):
             order.append((node, keys))
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        children = node.children
-        keys = tuple(map(id, children))
-        uses.update(keys)
-        stack.append((node, keys))
-        stack.extend((child, None) for child in children if id(child) not in seen)
-    return order, uses
+            uses.append(0)
+            for key in keys:
+                uses[key] += 1
+        position[id(node)] = at
+    outputs = [position[id(root)] for root in roots]
+    for at in outputs:
+        uses[at] += 1
+    return order, uses, outputs
 
 
 def evaluate_many(roots, at) -> list:
@@ -635,10 +663,11 @@ def evaluate_many(roots, at) -> list:
     batch (with none, the batch is one point); each length must divide
     every longer one, and a shorter sequence stands for its values repeated
     whole, such as a point set repeated
-    for each member of a section family.  Each node of the shared DAG
-    is computed once, a value constant over the batch stays a float, and an
-    intermediate value is dropped after its last consumer.  Returns one
-    list per root, with one float per point.  Arithmetic follows IEEE
+    for each member of a section family.  Each distinct node is computed
+    once: structurally equal nodes, shared or built separately, share one
+    value (``_schedule``).  A value constant over the batch stays a float,
+    and an intermediate value is dropped after its last consumer.  Returns
+    one list per root, with one float per point.  Arithmetic follows IEEE
     rules: infinities and NaN propagate.  Raises EvaluationError if any
     point hits a guard: a zero denominator, the log of a non-positive value,
     a fractional power of a negative base, a zero base with a negative
@@ -651,15 +680,15 @@ def evaluate_many(roots, at) -> list:
     # the longer of them agrees with tiling both to the batch
     if any(n == 0 or longer % n for n, longer in zip(sizes, sizes[1:])):
         raise ValueError(f"batch input lengths {sizes} do not divide one another")
-    order, uses = _schedule(roots)
-    values = {}
-    for node, keys in order:
-        values[id(node)] = node._apply([values[key] for key in keys], inputs)
+    order, uses, outputs = _schedule(roots)
+    values = [None] * len(order)
+    for at, (node, keys) in enumerate(order):
+        values[at] = node._apply([values[key] for key in keys], inputs)
         for key in keys:
             uses[key] -= 1
             if not uses[key]:
-                del values[key]
-    return [_as_list(values[id(root)], size) for root in roots]
+                values[key] = None
+    return [_as_list(values[at], size) for at in outputs]
 
 
 def _as_list(value, size: int) -> list:

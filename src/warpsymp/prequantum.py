@@ -398,25 +398,31 @@ def commutator_suite(
     # the coordinates the selected pairs hold, in order
     used = {name: coordinates[name] for name in coordinates if any(name in pair for pair in pairs)}
     # per variant: the operators of those coordinates (keyed by name) and of
-    # their brackets (keyed by pair)
+    # their brackets (keyed by pair); the variants share each field
+    operators = {
+        key: prequantum_operator(g, model, potential) for key, g in {**used, **brackets}.items()
+    }
     variants = {
-        hermitian: {
-            key: prequantum_operator(g, model, potential, hermitian)
-            for key, g in {**used, **brackets}.items()
-        }
-        for hermitian in (True, False)
+        True: operators,
+        False: {key: op._replace(hermitian=False) for key, op in operators.items()},
     }
     hbar = potential.scale.ratio * model.mass
     relation = ex.const(-1.0 / hbar)
     display_factor = ex.const(hbar)
 
     def parts(psi):
+        applied = {
+            hermitian: {name: ops[name].apply(psi) for name in used}
+            for hermitian, ops in variants.items()
+        }
         built = []
-        for hermitian, ops in variants.items():
-            applied = {name: ops[name].apply(psi) for name in used}
-            for a, b in pairs:
+        # pair by pair, both variants together: the evaluator computes the
+        # nodes the variants share once, and can free them soon after
+        for a, b in pairs:
+            for hermitian, ops in variants.items():
+                first = applied[hermitian]
                 lhs = ops[a, b].apply(psi)
-                commutator = ops[a].apply(applied[b]) - ops[b].apply(applied[a])
+                commutator = ops[a].apply(first[b]) - ops[b].apply(first[a])
                 rhs = commutator.times_i_scaled(relation)
                 built += [lhs - rhs, lhs, rhs]
                 if hermitian and (a, b) in displays:
@@ -427,8 +433,8 @@ def commutator_suite(
     # the parts in the order they were built, one (member, point) list each
     magnitudes = iter(_scan(parts, sections, points))
     measured, display_residuals = {}, {}
-    for hermitian in variants:
-        for pair in pairs:
+    for pair in pairs:
+        for hermitian in variants:
             residual, lhs, rhs = itertools.islice(magnitudes, 3)
             worst, at = worst_point(residual, points)
             scale = peak(lhs + rhs)

@@ -365,6 +365,86 @@ def numpy_reference(node, children):
     return unary[type(node)](arg), False
 
 
+def scheduled(*roots):
+    """The nodes ``evaluate_many`` computes for ``roots``, in order."""
+    return [node for node, _ in ex._schedule(list(roots))[0]]
+
+
+class TestMergedSchedule:
+    """The evaluator computes each distinct node once per call: nodes that
+    are structurally equal share one value, built separately or not."""
+
+    INPUTS = {"u": [0.3, 0.7, 1.1], "v": 1.0, "r": [3.0, 4.0, 5.0], "t": 0.5, "m": 1.0}
+
+    def test_equal_subtrees_are_scheduled_once(self):
+        first = ex.mul(ex.sin(ex.U), ex.exp(ex.R))
+        second = ex.mul(ex.sin(ex.U), ex.exp(ex.R))
+        assert first is not second and first.factors[0] is not second.factors[0]
+        tree = ex.quotient(first, ex.add(second, ex.T))
+        # u, sin u, r, exp r, the product, t, the sum, the quotient
+        assert len(scheduled(tree)) == 8
+        merged = evaluate_many([tree, first, second], self.INPUTS)
+        apart = [evaluate_many([root], self.INPUTS)[0] for root in (tree, first, second)]
+        assert merged == apart and merged[1] == merged[2]
+
+    def test_signed_zero_constants_keep_their_signs(self):
+        zero, negative = ex.Constant(0.0), ex.Constant(-0.0)
+        assert zero == negative and len(scheduled(zero, negative)) == 2
+        # products built directly, since mul folds a zero factor to ZERO
+        roots = [zero, negative, ex.Product((zero, ex.U)), ex.Product((negative, ex.U))]
+        values = evaluate_many(roots, self.INPUTS)
+        assert [[math.copysign(1.0, x) for x in column] for column in values] == [
+            [1.0] * 3, [-1.0] * 3, [1.0] * 3, [-1.0] * 3
+        ]
+
+    def test_nan_constants_are_never_merged(self):
+        nan = ex.Constant(math.nan)
+        assert len(scheduled(nan, ex.Constant(math.nan), nan)) == 2
+
+    def test_reordered_sums_keep_their_own_cascades(self):
+        """The terms of a sum keep their order, so the TwoSum cascade of
+        each sum sees its own terms in its own order; these two orders
+        round apart."""
+        terms = [ex.mul(c, ex.M) for c in (3e10, 1e-15, -3e10, 9e-12, -5e-16)]
+        forward, backward = ex.add(*terms), ex.add(*reversed(terms))
+        sums = [node for node in scheduled(forward, backward) if isinstance(node, ex.Sum)]
+        assert sums == [forward, backward]
+        inputs = {**self.INPUTS, "u": 1.0, "r": 3.0}
+        values = evaluate_many([forward, backward], inputs)
+        assert values == [evaluate_many([root], inputs)[0] for root in (forward, backward)]
+        assert values == [[9.000499999999999e-12], [9.0005e-12]]
+
+    def test_guard_in_a_duplicated_subtree_raises_its_own_message(self):
+        """The walk visits the last operand first, so the log under the
+        last term fails first, merged with its copy under the first term
+        or not."""
+        tree = ex.add(
+            ex.mul(ex.log(ex.T), ex.U), ex.quotient(ex.ONE, ex.T), ex.mul(ex.log(ex.T), ex.R)
+        )
+        inputs = {**self.INPUTS, "t": [1.0, -2.0, 0.0]}
+        with pytest.raises(EvaluationError, match=r"^log of non-positive value -2\.0$"):
+            evaluate_many([tree], inputs)
+        with pytest.raises(EvaluationError, match=r"^zero denominator in \(/ 1\.0 t\)$"):
+            evaluate_many([ex.add(*tree.terms[:2])], {**inputs, "t": [1.0, 0.0, 2.0]})
+
+    def test_equal_parameters_share_one_value(self):
+        first, second = Parameter("p0"), Parameter("p0")
+        tree = ex.add(ex.mul(first, ex.R), ex.mul(second, ex.U))
+        nodes = scheduled(tree)
+        assert sum(isinstance(node, Parameter) for node in nodes) == 1 and len(nodes) == 6
+        (values,) = evaluate_many([tree], {**self.INPUTS, first: [2.0, -1.0, 0.5]})
+        assert values == [2.0 * 3.0 + 2.0 * 0.3, -4.0 - 0.7, 0.5 * 5.0 + 0.5 * 1.1]
+
+    @given(trees=st.lists(positive_trees, min_size=2, max_size=4), points=positive_points)
+    @settings(max_examples=100, deadline=None)
+    def test_merged_values_equal_each_root_alone(self, trees, points):
+        try:
+            apart = [evaluate_many([tree], points)[0] for tree in trees]
+        except (EvaluationError, OverflowError):
+            assume(False)
+        assert evaluate_many(trees, points) == apart
+
+
 class TestChartPoint:
     def test_rejects_radius_inside_horizon(self):
         with pytest.raises(ChartDomainError):

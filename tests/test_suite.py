@@ -1,6 +1,7 @@
 """Suite orchestration, configuration, CSV emission, and the CLI."""
 
 import gc
+import inspect
 import json
 import math
 import subprocess
@@ -30,6 +31,42 @@ SRC = Path(warpsymp.__file__).resolve().parents[1]
 
 # a reduced but complete configuration so suite-level tests stay quick
 FAST = dict(n_samples=20, n_sections=3)
+
+
+def counting_schedule(schedule, counts):
+    """``schedule``, the evaluator's ``_schedule``, appending to ``counts``
+    the number of nodes each call schedules (one call per evaluate_many)."""
+
+    def counting(roots):
+        scheduled = schedule(roots)
+        counts.append(len(scheduled[0]))
+        return scheduled
+
+    return counting
+
+
+def fresh_schedule_counts(statement):
+    """The nodes of each ``_schedule`` call while ``statement`` runs in a
+    fresh interpreter, where the first run builds the first model."""
+    script = inspect.getsource(counting_schedule) + textwrap.dedent(
+        """
+        import json
+        import warpsymp.expressions as ex
+        from warpsymp.suite import GROUP_CHECKS, RunConfig, run_suite
+
+        counts = []
+        ex._schedule = counting_schedule(ex._schedule, counts)
+        """
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", f"{script}{statement}\nprint(json.dumps(counts))"],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
 
 
 # checks whose verdict is structural or report-only: no tolerance override
@@ -211,19 +248,14 @@ class TestRunSuite:
         many sections it draws.  Node counts compare across runs because
         each model builds its own metric inverse."""
         roots, nodes = [], []
-        evaluate_many, schedule = ex.evaluate_many, ex._schedule
+        evaluate_many = ex.evaluate_many
 
         def counting(batch, at):
             roots.append(len(batch))
             return evaluate_many(batch, at)
 
-        def counting_nodes(batch):
-            order, uses = schedule(batch)
-            nodes.append(len(order))
-            return order, uses
-
         monkeypatch.setattr(ex, "evaluate_many", counting)
-        monkeypatch.setattr(ex, "_schedule", counting_nodes)
+        monkeypatch.setattr(ex, "_schedule", counting_schedule(ex._schedule, nodes))
         counts = []
         for n_sections in (1, 10):
             roots.clear()
@@ -238,29 +270,9 @@ class TestRunSuite:
         """Each metric keeps its own determinant and inverse, so a later run
         in one process shares nodes as the first run does.  The runs go in a
         fresh interpreter, where the first run builds the first model."""
-        script = textwrap.dedent(
-            """
-            import warpsymp.expressions as ex
-            from warpsymp.suite import RunConfig, run_suite
-
-            schedule, counts = ex._schedule, []
-
-            def counting(roots):
-                order, uses = schedule(roots)
-                counts.append(len(order))
-                return order, uses
-
-            ex._schedule = counting
-            for _ in range(3):
-                run_suite(RunConfig(), only=["commutator_uv"])
-            print(counts)
-            """
+        counts = fresh_schedule_counts(
+            "for _ in range(3):\n    run_suite(RunConfig(), only=['commutator_uv'])"
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=300
-        )
-        assert completed.returncode == 0, completed.stderr
-        counts = json.loads(completed.stdout)
         assert len(counts) == 3 and counts[0] == counts[1] == counts[2]
 
     def test_one_scan_per_operator_group(self, monkeypatch):
@@ -324,14 +336,8 @@ class TestSelection:
         assert check["pass"]
 
     def test_one_commutator_schedules_fewer_nodes_than_its_group(self, monkeypatch):
-        counts, schedule = [], ex._schedule
-
-        def counting(roots):
-            order, uses = schedule(roots)
-            counts.append(len(order))
-            return order, uses
-
-        monkeypatch.setattr(ex, "_schedule", counting)
+        counts = []
+        monkeypatch.setattr(ex, "_schedule", counting_schedule(ex._schedule, counts))
         run_suite(RunConfig(**SMALL), only=suite.GROUP_CHECKS["commutators"])
         group = sum(counts)
         counts.clear()
@@ -339,33 +345,21 @@ class TestSelection:
         assert 0 < sum(counts) < group
 
     def test_default_run_keeps_its_batching(self):
-        """A default run evaluates each group in as few batches as before
-        selection: at most 31 evaluate_many calls and 2,846 scheduled
-        nodes, counted in a fresh interpreter, where the run builds the
-        first model."""
-        script = textwrap.dedent(
-            """
-            import warpsymp.expressions as ex
-            from warpsymp.suite import RunConfig, run_suite
+        """A default run evaluates each group in one batch, as before
+        selection, and the evaluator merges structurally equal nodes: at
+        most 31 evaluate_many calls and 1,843 scheduled nodes (2,846 before
+        merging)."""
+        counts = fresh_schedule_counts("run_suite(RunConfig())")
+        assert len(counts) <= 31 and sum(counts) <= 1843
 
-            schedule, counts = ex._schedule, []
-
-            def counting(roots):
-                order, uses = schedule(roots)
-                counts.append(len(order))
-                return order, uses
-
-            ex._schedule = counting
-            run_suite(RunConfig())
-            print([len(counts), sum(counts)])
-            """
+    def test_commutator_scan_keeps_its_batching(self):
+        """prequant --commutators --sections 1 evaluates the six commutator
+        checks in one call of at most 736 scheduled nodes (1,393 before
+        merging)."""
+        counts = fresh_schedule_counts(
+            "run_suite(RunConfig(n_sections=1), only=GROUP_CHECKS['commutators'])"
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=300
-        )
-        assert completed.returncode == 0, completed.stderr
-        calls, nodes = json.loads(completed.stdout)
-        assert calls <= 31 and nodes <= 2846
+        assert len(counts) == 1 and sum(counts) <= 736
 
 
 class TestRunConfig:
@@ -654,10 +648,13 @@ class TestCli:
 
     @pytest.mark.parametrize("mass", ["1e-200", "1e300"])
     def test_unevaluable_mass_is_an_evaluation_error(self, mass, tmp_path, capsys):
+        # the first guard to fail in the first batch, its tree cut short
+        line = {
+            "1e-200": "zero denominator in (/ m (pow r 2))",
+            "1e300": "sphere integral is not finite at r0=3e+300, mass 1e+300",
+        }[mass]
         assert main(["verify", "--mass", mass, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("evaluation error: ") and err.count("\n") == 1
-        assert len(err.rstrip("\n")) <= 160  # the failing tree is cut, not printed whole
+        assert capsys.readouterr().err == f"evaluation error: {line}\n"
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("mass", ["1e160", "1e200"])
