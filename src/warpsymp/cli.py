@@ -9,9 +9,12 @@ Commands:
   emit-csv WHAT          plot-data CSVs (bracket_grid, omega_coefficient,
                          eigen_residual, integral_convergence)
 
-Flags override values from an optional flat key-value config file.  Exit
-codes: 0 all assertable checks pass, 1 a check failed, 2 configuration or
-usage error, or a model that cannot be evaluated at the sampled points.
+Every command takes one flag per configuration key (``--mass``, ``--nu``,
+``--scale-mode``, ...), ``--config`` and ``--tolerance``; flags override
+values from the optional flat key-value config file.  Every command but
+``emit-csv`` is one suite run over a selection of the catalogue.  Exit codes:
+0 all assertable checks pass, 1 a check failed, 2 configuration, usage or
+i/o error, or a model that cannot be evaluated at the sampled points.
 """
 
 from __future__ import annotations
@@ -22,16 +25,13 @@ import sys
 from pathlib import Path
 
 from .expressions import EvaluationError
-from .hamiltonian import SingularSymplecticError, surface_integral
-from .reports import passes
-from .spacetime import schwarzschild
+from .hamiltonian import SingularSymplecticError
 from .suite import (
     CHECK_CATALOGUE,
     CONFIG_KEYS,
     CSV_KINDS,
     GROUP_CHECKS,
     ConfigError,
-    QuadratureSpec,
     RunConfig,
     config_from_sources,
     emit_csv,
@@ -42,10 +42,8 @@ from .suite import (
 
 def _common_flags(parser):
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--mass", type=float, help="mass parameter (geometric units)")
-    parser.add_argument("--seed", type=int, help="seed for all sampled checks")
-    parser.add_argument("--samples", type=int, help="number of sampled chart points")
-    parser.add_argument("--sections", type=int, help="number of random test sections")
+    for key, (_, parse, text) in CONFIG_KEYS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, help=text)
     parser.add_argument(
         "--tolerance",
         action="append",
@@ -53,8 +51,6 @@ def _common_flags(parser):
         metavar="NAME=VALUE",
         help="override one check threshold (repeatable)",
     )
-    parser.add_argument("--scale-mode", choices=("plain", "weil"), help="curvature scaling")
-    parser.add_argument("--out", help="output directory for reports and CSVs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,9 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     integrate = commands.add_parser("integrate", help="sphere integral of the symplectic form")
     _common_flags(integrate)
-    integrate.add_argument("--r0", type=float, help="sphere radius")
-    integrate.add_argument("--nu", type=int, help="colatitude node count")
-    integrate.add_argument("--nv", type=int, help="azimuth node count")
 
     prequant = commands.add_parser("prequant", help="prequantum operator reports")
     _common_flags(prequant)
@@ -93,15 +86,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
-    # each flag's dest is its config key; unset or absent flags read None,
-    # which config_from_sources skips
-    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    # each flag's dest is its config key; unset flags read None, which
+    # config_from_sources skips
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     for item in args.tolerance or ():
         if "=" not in item:
             raise ConfigError(f"--tolerance expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         overrides[f"tolerance.{name.strip()}"] = value.strip()
     return config_from_sources(file_values, overrides)
+
+
+def _selection(args):
+    """The catalogue checks a suite command runs: a name, names, or None
+    for all."""
+    if args.command == "check":
+        return args.name
+    if args.command == "integrate":  # the sphere class of the symplectic form
+        return "sphere_integral_mass"
+    if args.command == "prequant":
+        # each flag is named after the check group it selects
+        groups = [g for g in ("commutators", "operators", "integrality") if getattr(args, g)]
+        if not groups:
+            raise ConfigError(
+                "prequant needs at least one of --commutators, --integrality, --operators"
+            )
+        return [name for group in groups for name in GROUP_CHECKS[group]]
+    return None
 
 
 def _print_checks(checks) -> None:
@@ -131,9 +142,26 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
 
+        if args.command == "emit-csv":
+            print(f"wrote {emit_csv(args.what, config)}")
+            return 0
+
+        report = run_suite(config, only=_selection(args))
+        if args.command == "integrate":
+            (entry,) = report.checks
+            details = entry["details"]
+            print(
+                f"integral={details['value']!r} mass={config.mass!r} "
+                f"|difference|={entry['worst_error']:.3e}"
+            )
+            print(
+                f"error_estimate={details['error_estimate']:.3e} "
+                f"n_u={config.n_u} n_v={config.n_v}"
+            )
+            return report.exit_code
+
+        _print_checks(report.checks)
         if args.command == "verify":
-            report = run_suite(config)
-            _print_checks(report.checks)
             out_dir = Path(config.output_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             report_path = out_dir / "report.json"
@@ -141,43 +169,7 @@ def main(argv=None) -> int:
             print(f"report written to {report_path}")
             print(f"suite {'PASSED' if report.all_passed else 'FAILED'} "
                   f"in {report.wall_time_seconds:.2f} s")
-            return report.exit_code
-
-        if args.command == "check":
-            report = run_suite(config, only=args.name)
-            _print_checks(report.checks)
-            return report.exit_code
-
-        if args.command == "integrate":
-            model = schwarzschild(config.mass)
-            spec = QuadratureSpec(
-                n_u=config.n_u, n_v=config.n_v, r0=config.resolved_r0(), t0=config.t0
-            )
-            result = surface_integral(model.symplectic_form, spec, model)
-            deviation = abs(result.value - config.mass)
-            print(f"integral={result.value!r} mass={config.mass!r} |difference|={deviation:.3e}")
-            print(f"error_estimate={result.error_estimate:.3e} n_u={result.n_u} n_v={result.n_v}")
-            # The integrate verdict is the sphere-class check, the first of its group.
-            tolerance = config.tolerance(GROUP_CHECKS["sphere_integral"][0])
-            return 0 if passes(deviation, tolerance) else 1
-
-        if args.command == "prequant":
-            # Each flag is named after the check group it selects.
-            groups = [g for g in ("commutators", "operators", "integrality") if getattr(args, g)]
-            if not groups:
-                raise ConfigError(
-                    "prequant needs at least one of --commutators, --integrality, --operators"
-                )
-            report = run_suite(config, only=[name for g in groups for name in GROUP_CHECKS[g]])
-            _print_checks(report.checks)
-            return report.exit_code
-
-        if args.command == "emit-csv":
-            path = emit_csv(args.what, config)
-            print(f"wrote {path}")
-            return 0
-
-        raise ConfigError(f"unknown command {args.command!r}")
+        return report.exit_code
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
@@ -186,7 +178,7 @@ def main(argv=None) -> int:
         return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -219,15 +219,17 @@ class PrequantumOperator(NamedTuple):
     hbar: float
     hermitian: bool = True
 
-    def derivative_part(self, psi: Section) -> Section:
-        """The (i) hbar nabla_{H_f} piece of the operator alone."""
-        gradient = covariant_derivative(self.field, psi, self.potential)
+    def derivative_part(self, psi: Section, gradient: Section | None = None) -> Section:
+        """The (i) hbar nabla_{H_f} piece of the operator alone; ``gradient``
+        is nabla_{H_f} psi where the caller has built it already."""
+        if gradient is None:
+            gradient = covariant_derivative(self.field, psi, self.potential)
         if self.hermitian:
             return gradient.times_i_scaled(ex.const(self.hbar))
         return gradient.scaled_real(ex.const(self.hbar))
 
-    def apply(self, psi: Section) -> Section:
-        return self.derivative_part(psi) - psi.scaled_real(self.source)
+    def apply(self, psi: Section, gradient: Section | None = None) -> Section:
+        return self.derivative_part(psi, gradient) - psi.scaled_real(self.source)
 
 
 def prequantum_operator(
@@ -411,8 +413,12 @@ def commutator_suite(
     display_factor = ex.const(hbar)
 
     def parts(psi):
+        # nabla_{H_g} psi once per operator, for both variants
+        gradients = {
+            key: covariant_derivative(op.field, psi, potential) for key, op in operators.items()
+        }
         applied = {
-            hermitian: {name: ops[name].apply(psi) for name in used}
+            hermitian: {name: ops[name].apply(psi, gradients[name]) for name in used}
             for hermitian, ops in variants.items()
         }
         built = []
@@ -421,7 +427,7 @@ def commutator_suite(
         for a, b in pairs:
             for hermitian, ops in variants.items():
                 first = applied[hermitian]
-                lhs = ops[a, b].apply(psi)
+                lhs = ops[a, b].apply(psi, gradients[a, b])
                 commutator = ops[a].apply(first[b]) - ops[b].apply(first[a])
                 rhs = commutator.times_i_scaled(relation)
                 built += [lhs - rhs, lhs, rhs]

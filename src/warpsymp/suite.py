@@ -55,7 +55,6 @@ from .prequantum import (
 from .reports import ABOVE, BELOW, FIXED, CheckResult, passes
 from .sampling import OPERATOR_WINDOW, SampleWindow, sample_points
 from .spacetime import (
-    SpacetimeModel,
     foliation_report,
     schwarzschild,
     verify_gradient_relation,
@@ -70,20 +69,16 @@ class ConfigError(ValueError):
 
 
 class GroupInputs:
-    """What every check group of one suite run draws on; immutable.
+    """What every check group of one suite run draws on, all derived from
+    the run's configuration; immutable.
 
-    The sample points and test sections are drawn on first use, so a run
-    draws only what its selected checks read.
+    The model is built at once.  The quadrature, the connection potential,
+    the sample points and the test sections are built on first use, so a
+    run builds only what its selected checks read.
     """
 
-    def __init__(
-        self,
-        model: SpacetimeModel,
-        potential: ConnectionPotential,
-        quadrature: QuadratureSpec,
-        config: RunConfig,
-    ):
-        vars(self).update(model=model, potential=potential, quadrature=quadrature, config=config)
+    def __init__(self, config: RunConfig):
+        vars(self).update(config=config, model=schwarzschild(config.mass))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: GroupInputs are immutable")
@@ -91,6 +86,15 @@ class GroupInputs:
     @property
     def seed(self) -> int:
         return self.config.seed
+
+    @cached_property
+    def quadrature(self) -> QuadratureSpec:
+        config = self.config
+        return QuadratureSpec(config.n_u, config.n_v, config.resolved_r0(), config.t0)
+
+    @cached_property
+    def potential(self) -> ConnectionPotential:
+        return ConnectionPotential.monopole(self.model, CurvatureScale(self.config.scale_mode))
 
     @cached_property
     def identity_points(self) -> ex.PointSet:
@@ -324,6 +328,9 @@ class RunConfig:
             )
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("n_samples", "n_sections", "n_u", "n_v"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_samples < 10:
             raise ConfigError("n_samples must be at least 10")
         if self.n_sections < 1:
@@ -368,20 +375,21 @@ class RunConfig:
 # Configuration files: flat "key = value" lines, '#' comments.
 # ---------------------------------------------------------------------------
 
-# Config key -> (RunConfig field, parser); the CLI flags carry the same names.
+# Config key -> (RunConfig field, parser, help text).  Each key is also a
+# flag of every command (``--scale-mode`` for ``scale_mode``).
 # ``tolerance.NAME`` keys are gathered apart and applied after every key is
 # read.
 CONFIG_KEYS = {
-    "mass": ("mass", float),
-    "seed": ("seed", int),
-    "samples": ("n_samples", int),
-    "sections": ("n_sections", int),
-    "nu": ("n_u", int),
-    "nv": ("n_v", int),
-    "r0": ("r0", float),
-    "t0": ("t0", float),
-    "scale_mode": ("scale_mode", str),
-    "out": ("output_dir", str),
+    "mass": ("mass", float, "mass parameter (geometric units)"),
+    "seed": ("seed", int, "seed for all sampled checks"),
+    "samples": ("n_samples", int, "number of sampled chart points"),
+    "sections": ("n_sections", int, "number of random test sections"),
+    "nu": ("n_u", int, "sphere quadrature: colatitude node count"),
+    "nv": ("n_v", int, "sphere quadrature: azimuth node count"),
+    "r0": ("r0", float, "sphere radius (default 3 * mass)"),
+    "t0": ("t0", float, "sphere time slice"),
+    "scale_mode": ("scale_mode", str, "curvature scaling: plain or weil"),
+    "out": ("output_dir", str, "output directory for reports and CSVs"),
 }
 
 
@@ -412,7 +420,7 @@ def config_from_sources(file_values: dict | None = None, overrides: dict | None 
     try:
         for key, value in merged.items():
             if key in CONFIG_KEYS:
-                name, parse = CONFIG_KEYS[key]
+                name, parse, _ = CONFIG_KEYS[key]
                 setattr(config, name, parse(value))
             elif key.startswith("tolerance."):
                 tolerances[key.split(".", 1)[1]] = float(value)
@@ -477,15 +485,7 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
             raise ConfigError(f"unknown check {', '.join(map(repr, unknown))}")
     started = time.perf_counter()
 
-    model = schwarzschild(config.mass)
-    inputs = GroupInputs(
-        model=model,
-        potential=ConnectionPotential.monopole(model, CurvatureScale(config.scale_mode)),
-        quadrature=QuadratureSpec(
-            n_u=config.n_u, n_v=config.n_v, r0=config.resolved_r0(), t0=config.t0
-        ),
-        config=config,
-    )
+    inputs = GroupInputs(config)
 
     ordered = []
     for group in CHECK_GROUPS:
@@ -536,17 +536,17 @@ def emit_csv(what: str, config: RunConfig, path=None) -> Path:
     if what not in CSV_KINDS:
         raise ConfigError(f"unknown CSV selector {what!r}; choose from {CSV_KINDS}")
     config.validate()
-    model = schwarzschild(config.mass)
-    mass = config.mass
+    inputs = GroupInputs(config)
+    model, mass = inputs.model, config.mass
     target = Path(path) if path is not None else Path(config.output_dir) / f"{what}.csv"
     target.parent.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
 
     if what == "integral_convergence":
         rows.append("n_u,abs_error")
-        r0 = config.resolved_r0()
+        r0, t0 = inputs.quadrature.r0, inputs.quadrature.t0
         for n_u in (4, 8, 16, 32, 64):
-            value = sphere_sum(model.symplectic_form, model, n_u, 2 * n_u, r0, config.t0)
+            value = sphere_sum(model.symplectic_form, model, n_u, 2 * n_u, r0, t0)
             rows.append(f"{n_u},{abs(value - mass)!r}")
     elif what in ("bracket_grid", "omega_coefficient"):
         if what == "bracket_grid":
@@ -564,9 +564,8 @@ def emit_csv(what: str, config: RunConfig, path=None) -> Path:
         rows.extend(",".join(map(repr, row)) for row in zip(*columns))
     elif what == "eigen_residual":
         rows.append("r,residual_abs")
-        potential = ConnectionPotential.monopole(model, CurvatureScale(config.scale_mode))
         kappa = 0.1 / mass
-        re_f, im_f = separable_radial_residual(kappa, ex.ONE, 0.0, model, potential)
+        re_f, im_f = separable_radial_residual(kappa, ex.ONE, 0.0, model, inputs.potential)
         psi = phase_section(kappa)
         radii = _geomspace(2.2 * mass, 20.0 * mass, 60)
         line = {"u": math.pi / 2, "v": math.pi, "r": radii, "t": 0.0, "m": mass}

@@ -567,8 +567,7 @@ class TestPointSet:
 
 
 def _group_inputs(model):
-    potential = ConnectionPotential.monopole(model)
-    return GroupInputs(model, potential, QuadratureSpec(), RunConfig())
+    return GroupInputs(RunConfig(mass=model.mass))
 
 
 # A builder over the model and a field name, for a node and for each record

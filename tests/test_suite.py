@@ -18,6 +18,7 @@ from warpsymp import hamiltonian, prequantum, suite
 from warpsymp.cli import _config_from_args, build_parser, main
 from warpsymp.suite import (
     CHECK_CATALOGUE,
+    CONFIG_KEYS,
     DEFAULT_TOLERANCES,
     ConfigError,
     RunConfig,
@@ -242,6 +243,22 @@ class TestRunSuite:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    def test_commutator_group_takes_one_gradient_per_operator(self, monkeypatch):
+        """Both operator variants apply one covariant derivative of psi per
+        operator: 10 for the 4 coordinates and 6 brackets, 24 of the
+        applied sections in the commutators and 2 for the closed-form
+        displays (46 when each variant built its own)."""
+        calls = []
+        covariant_derivative = prequantum.covariant_derivative
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return covariant_derivative(*args, **kwargs)
+
+        monkeypatch.setattr(prequantum, "covariant_derivative", counting)
+        run_suite(RunConfig(**SMALL), only=suite.GROUP_CHECKS["commutators"])
+        assert len(calls) == 36
+
     def test_commutator_roots_do_not_scale_with_sections(self, monkeypatch):
         """The test sections are one family, so the commutator group hands
         the evaluator the same roots, and the same scheduled nodes, however
@@ -335,6 +352,14 @@ class TestSelection:
         (check,) = run_suite(RunConfig(**SMALL), only="bracket_uv").checks
         assert check["pass"]
 
+    def test_gradient_relation_builds_no_connection_potential(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the connection potential was built")
+
+        monkeypatch.setattr(prequantum.ConnectionPotential, "monopole", staticmethod(refuse))
+        (check,) = run_suite(RunConfig(**SMALL), only="gradient_relation").checks
+        assert check["pass"]
+
     def test_one_commutator_schedules_fewer_nodes_than_its_group(self, monkeypatch):
         counts = []
         monkeypatch.setattr(ex, "_schedule", counting_schedule(ex._schedule, counts))
@@ -380,6 +405,12 @@ class TestRunConfig:
             RunConfig(seed=-1).validate()
         with pytest.raises(ConfigError):
             RunConfig(seed=1.5).validate()
+
+    @pytest.mark.parametrize("field", ["n_samples", "n_sections", "n_u", "n_v"])
+    def test_non_integer_count_is_refused(self, field):
+        value = {"n_samples": 12.5, "n_sections": 1.5, "n_u": 32.5, "n_v": 64.0}[field]
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            RunConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize(
         "n_u, n_v", [(1, 64), (32, 3), (1025, 64), (32, 4097), (1024, 1025), (100000, 4)]
@@ -501,6 +532,31 @@ class TestEmitCsv:
             emit_csv("everything", RunConfig(output_dir=str(tmp_path)))
 
 
+# each command with its required arguments
+COMMANDS = (
+    ["verify"],
+    ["check", "gradient_relation"],
+    ["integrate"],
+    ["prequant", "--commutators"],
+    ["emit-csv", "bracket_grid"],
+)
+
+
+# one flag per config key, with a value that differs from the default
+FLAGS = [
+    ("--mass", "2.5", "mass", 2.5),
+    ("--seed", "7", "seed", 7),
+    ("--samples", "25", "n_samples", 25),
+    ("--sections", "4", "n_sections", 4),
+    ("--scale-mode", "weil", "scale_mode", "weil"),
+    ("--out", "results", "output_dir", "results"),
+    ("--r0", "7.5", "r0", 7.5),
+    ("--nu", "8", "n_u", 8),
+    ("--nv", "16", "n_v", 16),
+    ("--t0", "1.5", "t0", 1.5),
+]
+
+
 class TestCli:
     def test_verify_writes_report_and_passes(self, tmp_path, capsys):
         code = main(
@@ -537,6 +593,32 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "integral=" in out and "error_estimate=" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--nu", "16", "--nv", "32", "--r0", "4.123"],
+            ["--tolerance", "sphere_integral_mass=1e-30"],
+        ],
+        ids=["default", "quadrature", "failing"],
+    )
+    def test_integrate_prints_the_verify_entry(self, flags, capsys):
+        """integrate is the sphere-class check of a full verify at the same
+        configuration: the same numbers and the same verdict."""
+        code = main(["integrate", *flags])
+        printed = capsys.readouterr().out
+        config = _config_from_args(build_parser().parse_args(["verify", *flags]))
+        report = run_suite(config)
+        (entry,) = [c for c in report.checks if c["check_name"] == "sphere_integral_mass"]
+        assert printed == (
+            f"integral={entry['details']['value']!r} mass={config.mass!r} "
+            f"|difference|={entry['worst_error']:.3e}\n"
+            f"error_estimate={entry['details']['error_estimate']:.3e} "
+            f"n_u={config.n_u} n_v={config.n_v}\n"
+        )
+        assert code == (0 if entry["pass"] else 1)
+        assert code == (1 if flags[:1] == ["--tolerance"] else 0)
 
     def test_prequant_requires_selector(self, capsys):
         assert main(["prequant"]) == 2
@@ -710,6 +792,25 @@ class TestCli:
         assert main(args) == 0
         assert json.loads(report.read_text())["body"] == fresh
 
+    def test_unreadable_config_is_an_io_error(self, tmp_path, capsys):
+        assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["verify", "--samples", "10", "--sections", "1"], ["emit-csv", "bracket_grid"]]
+    )
+    def test_unwritable_out_is_an_io_error(self, command, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*command, "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    def test_unknown_scale_mode_is_a_config_error(self, capsys):
+        assert main(["integrate", "--scale-mode", "foo"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: scale_mode")
+
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--mass", "-3"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -728,24 +829,27 @@ class TestCli:
             main(["check", "not_a_check"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize(
-        "flag, value, field, expected",
-        [
-            ("--mass", "2.5", "mass", 2.5),
-            ("--seed", "7", "seed", 7),
-            ("--samples", "25", "n_samples", 25),
-            ("--sections", "4", "n_sections", 4),
-            ("--scale-mode", "weil", "scale_mode", "weil"),
-            ("--out", "results", "output_dir", "results"),
-            ("--r0", "7.5", "r0", 7.5),
-            ("--nu", "8", "n_u", 8),
-            ("--nv", "16", "n_v", 16),
-        ],
-    )
+    @pytest.mark.parametrize("flag, value, field, expected", FLAGS)
     def test_flag_reaches_its_config_field(self, flag, value, field, expected):
-        config = _config_from_args(build_parser().parse_args(["integrate", flag, value]))
-        assert getattr(config, field) == expected
+        for command in COMMANDS:
+            config = _config_from_args(build_parser().parse_args([*command, flag, value]))
+            assert getattr(config, field) == expected, command
         assert getattr(RunConfig(), field) != expected
+
+    def test_every_config_key_is_a_flag_of_every_command(self):
+        """The flags are the config keys, --config and --tolerance, on every
+        command, and FLAGS tests each key."""
+        assert sorted(flag[2:].replace("-", "_") for flag, *_ in FLAGS) == sorted(CONFIG_KEYS)
+        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert sorted(subparsers.choices) == sorted(command[0] for command in COMMANDS)
+        for command in COMMANDS:
+            dests = {
+                action.dest
+                for action in subparsers.choices[command[0]]._actions
+                if action.option_strings and action.dest != "help"
+            }
+            selectors = {"commutators", "integrality", "operators"} if command[0] == "prequant" else set()
+            assert dests == {*CONFIG_KEYS, "config", "tolerance", *selectors}, command
 
     def test_config_file_flow(self, tmp_path, capsys):
         config_file = tmp_path / "run.cfg"
