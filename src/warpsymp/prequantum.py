@@ -55,7 +55,7 @@ from .hamiltonian import (
     surface_integral,
 )
 from .reports import CheckResult, peak, selector, worst_point
-from .sampling import Stream
+from .sampling import unit_draws
 from .spacetime import FOUR_PI, SpacetimeModel, darboux_chart
 
 
@@ -291,16 +291,15 @@ def random_sections(mass: float, count: int, seed: int) -> SectionFamily:
     Low-degree polynomials in rescaled coordinates multiplied by a phase
     exp(i (j v + kappa t)) with integer azimuthal winding; magnitudes stay
     of order one on the operator sampling window so stacked operator
-    applications do not amplify roundoff.  Each member draws six
-    polynomial coefficients, the winding j and kappa.
+    applications do not amplify roundoff.  Each member takes eight unit
+    draws: six coefficients in [-1, 1), the winding j in -2..2 and kappa.
     """
-    stream = Stream(seed)
+    units = unit_draws(seed, 8 * count)
     draws = []
-    for _ in range(count):
-        coefficients = stream.uniform(-1.0, 1.0, 6)
-        winding = stream.integers(-2, 3)
-        (kappa,) = stream.uniform(-0.3, 0.3, 1)
-        draws.append((*coefficients, winding, kappa / mass))
+    for k in range(0, len(units), 8):
+        *coefficients, winding, kappa = units[k : k + 8]
+        coefficients = [-1.0 + 2.0 * x for x in coefficients]
+        draws.append((*coefficients, -2 + math.floor(5.0 * winding), (-0.3 + 0.6 * kappa) / mass))
     scale_r = ex.quotient(ex.R, ex.const(5.0 * mass))
     scale_t = ex.quotient(ex.T, ex.const(5.0 * mass))
     scale_u = ex.quotient(ex.U, ex.const(math.pi))

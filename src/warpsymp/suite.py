@@ -318,6 +318,10 @@ class RunConfig:
         )
 
     def validate(self):
+        # bool is an int, but no field or tolerance takes one
+        for name, value in [*vars(self).items(), *self.tolerances.items()]:
+            if isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass > 0):
             raise ConfigError(f"mass must be positive and finite, got {self.mass!r}")
         top = max(window.r_max_factor for window in (SampleWindow(), OPERATOR_WINDOW))
@@ -545,8 +549,12 @@ def emit_csv(what: str, config: RunConfig, path=None) -> Path:
     if what == "integral_convergence":
         rows.append("n_u,abs_error")
         r0, t0 = inputs.quadrature.r0, inputs.quadrature.t0
-        for n_u in (4, 8, 16, 32, 64):
-            value = sphere_sum(model.symplectic_form, model, n_u, 2 * n_u, r0, t0)
+        # integrate's fine pass, halved while n_u >= 4 and both stay whole
+        counts = [(2 * config.n_u, 2 * config.n_v)]
+        while counts[-1][0] >= 8 and counts[-1][0] % 2 == counts[-1][1] % 2 == 0:
+            counts.append((counts[-1][0] // 2, counts[-1][1] // 2))
+        for n_u, n_v in reversed(counts):
+            value = sphere_sum(model.symplectic_form, model, n_u, n_v, r0, t0)
             rows.append(f"{n_u},{abs(value - mass)!r}")
     elif what in ("bracket_grid", "omega_coefficient"):
         if what == "bracket_grid":

@@ -7,9 +7,9 @@ generates methods at start-up; exponents are ``expressions.Rational``
 pairs, so no command imports ``fractions`` (and ``decimal`` with its C
 library).  Expression nodes keep their fields, and nothing else, in the
 instance dict: the benchmark tracer reads a node's fields through ``vars``.
-The commands draw their sample points and test sections from the package's
-own stream, so none of them imports ``numpy.random`` and the extension
-modules and OpenSSL bindings that it loads; and they compute their
+The commands draw their sample points and test sections from the standard
+library's ``random``, so none of them imports ``numpy.random`` and the
+extension modules and OpenSSL bindings that it loads; and they compute their
 Gauss-Legendre rules in the package, so none imports ``numpy.polynomial``
 either.  They evaluate, solve and integrate with the standard library, so
 none imports ``numpy`` at all: its import was the largest start-up cost of a

@@ -361,18 +361,18 @@ def assert_scan_matches(scanned, concrete, residuals=(0,), residual_tol=1e-12):
 # that members built from the family keep the seeded sections' trees; the
 # im parts swap cos for sin.
 SEED_414_SECTIONS = (
-    "(* (+ (* 0.09545965138800727 (/ u 3.141592653589793)) "
-    "(* 0.10136050407640784 (/ v 6.283185307179586)) (* 0.014569154504182613 (/ r 5.0)) "
-    "(* -0.06987073266005717 (/ t 5.0)) (* 0.9241267862832399 (pow (/ r 5.0) 2)) "
-    "-0.11033044150696991) (cos (+ (* -2.0 v) (* 0.050807438007314465 t))))",
-    "(* (+ (* -0.3856509268256445 (/ u 3.141592653589793)) "
-    "(* -0.7721433199586878 (/ v 6.283185307179586)) (* -0.9270042563383558 (/ r 5.0)) "
-    "(* -0.8309760841919305 (/ t 5.0)) (* 0.26484438522400944 (pow (/ r 5.0) 2)) "
-    "0.20074934827298985) (cos (+ (* 2.0 v) (* -0.07943771284292112 t))))",
-    "(* (+ (* 0.11009575732947785 (/ u 3.141592653589793)) "
-    "(* 0.010594355742437722 (/ v 6.283185307179586)) (* -0.3107232772300381 (/ r 5.0)) "
-    "(* -0.3513205439767877 (/ t 5.0)) (* -0.395901003927396 (pow (/ r 5.0) 2)) "
-    "-0.8123382285265794) (cos (* 0.23250093577465242 t)))",
+    "(* (+ (* -0.3029549892744339 (/ u 3.141592653589793)) "
+    "(* 0.8859706015701985 (/ v 6.283185307179586)) (* 0.48574247891303757 (/ r 5.0)) "
+    "(* -0.5319988188828488 (/ t 5.0)) (* -0.4615912989750557 (pow (/ r 5.0) 2)) "
+    "-0.155221822155589) (cos (+ (* -2.0 v) (* -0.14581086423603473 t))))",
+    "(* (+ (* 0.8668937957806804 (/ u 3.141592653589793)) "
+    "(* 0.890975158080832 (/ v 6.283185307179586)) (* 0.39605640924279184 (/ r 5.0)) "
+    "(* -0.7427125472937233 (/ t 5.0)) (* -0.3105770291466048 (pow (/ r 5.0) 2)) "
+    "0.09189030448199587) (cos (+ (* 2.0 v) (* 0.2987584686234888 t))))",
+    "(* (+ (* -0.6781731842826744 (/ u 3.141592653589793)) "
+    "(* 0.20877382044002357 (/ v 6.283185307179586)) (* -0.40119625581663265 (/ r 5.0)) "
+    "(* -0.3812445876113051 (/ t 5.0)) (* -0.11222798933982236 (pow (/ r 5.0) 2)) "
+    "-0.4953186438263988) (cos (+ (* 2.0 v) (* -0.28272458934609224 t))))",
 )
 
 

@@ -1,36 +1,25 @@
-"""Seeded sampling: the in-package stream is numpy's default generator bit
-for bit, and one batched draw reproduces the per-point stream."""
+"""Seeded sampling: every draw is a unit draw of ``random.Random(seed)``,
+and one batched draw reproduces the per-point stream."""
 
 import math
+import random
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from warpsymp.expressions import ChartPoint, PointSet
 from warpsymp.prequantum import random_sections
-from warpsymp.sampling import OPERATOR_WINDOW, SampleWindow, Stream, sample_points
+from warpsymp.sampling import OPERATOR_WINDOW, SampleWindow, sample_points, unit_draws
 
-# word-splitting edge cases of the seed: one word, two words, a full pool of
-# four words, and more words than the pool holds
-EDGE_SEEDS = [
-    2**31,
-    2**32 - 1,
-    2**32,
-    2**32 + 5,
-    2**64,
-    2**70 + 11,
-    987654321,
-    2**128 + 1,
-    2**200 + 3,
-    2**256 - 1,
-    10**40,
-]
+# each seeded draw of the package, called with a seed and a count
+DRAWS = {
+    "points": lambda seed, count: sample_points(1.0, count, seed),
+    "sections": lambda seed, count: random_sections(1.0, count, seed),
+}
 
 
 def reference_points(mass, count, seed, window):
-    """One rng.uniform call per coordinate and point, in point order."""
-    rng = np.random.default_rng(seed)
+    """One ``uniform`` call per coordinate and point, in point order."""
+    rng = random.Random(seed)
     r_low = 2.0 * mass * (1.0 + window.r_margin)
     r_high = window.r_max_factor * mass
     t_half = window.t_half_width_factor * mass
@@ -42,17 +31,6 @@ def reference_points(mass, count, seed, window):
         time = rng.uniform(-t_half, t_half)
         points.append(ChartPoint(u=colatitude, v=azimuth, r=radius, t=time, m=mass))
     return points
-
-
-def assert_interleaved_draws_match(seed, members):
-    """The draws of ``random_sections``, member by member, then a batch."""
-    rng = np.random.default_rng(seed)
-    stream = Stream(seed)
-    for _ in range(members):
-        assert stream.uniform(-1.0, 1.0, 6) == rng.uniform(-1.0, 1.0, 6).tolist()
-        assert stream.integers(-2, 3) == rng.integers(-2, 3)
-        assert stream.uniform(-0.3, 0.3, 1)[0] == rng.uniform(-0.3, 0.3)
-    assert np.array_equal(np.reshape(stream.random(4 * 7), (7, 4)), rng.random((7, 4)))
 
 
 @pytest.mark.parametrize("window", [SampleWindow(), OPERATOR_WINDOW], ids=["identity", "operator"])
@@ -84,57 +62,69 @@ def test_points_are_a_point_set_inside_the_window():
 
 
 class TestStream:
-    def test_first_seeds_match_numpy(self):
-        for seed in range(200):
-            assert_interleaved_draws_match(seed, members=3)
-
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_multiword_seeds_match_numpy(self, seed):
-        assert_interleaved_draws_match(seed, members=5)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**256 - 1), st.integers(1, 6))
-    def test_any_seed_matches_numpy(self, seed, members):
-        assert_interleaved_draws_match(seed, members)
+    """``unit_draws``, the one stream behind the point and section draws."""
 
     def test_pinned_values_for_seed_1234(self):
-        # the values numpy 2.4 gives; a change here is a change of numpy's stream
-        stream = Stream(1234)
-        assert stream.random(3) == [
-            0.9766997666981422,
-            0.3801957350196178,
-            0.9232462337639554,
+        # the values CPython's Mersenne Twister gives, which Python promises
+        # to repeat for an integer seed; a change here changes every report
+        assert unit_draws(1234, 3) == [
+            0.9664535356921388,
+            0.4407325991753527,
+            0.007491470058587191,
         ]
-        assert [stream.integers(-2, 3), stream.integers(-2, 3)] == [-2, -1]
-        assert stream.uniform(-0.3, 0.3, 1) == [-0.10854176495148146]
+        assert sample_points(1.0, 1, 1234)[0].as_dict() == {
+            "u": 1.385787643783316,
+            "v": 0.05692046520011909,
+            "r": 87.73048498536885,
+            "t": 4.109759624491241,
+            "m": 1.0,
+        }
+        assert random_sections(1.0, 1, 1234).draws == (
+            (
+                0.9329070713842775,
+                -0.11853480164929464,
+                -0.9850170598828256,
+                0.8219519248982483,
+                0.878537994727528,
+                0.16445514611789824,
+                1.0,
+                -0.24963706389774962,
+            ),
+        )
 
-    def test_random_sections_draws_match_numpy(self):
-        for mass, count, seed in ((1.0, 6, 414), (2.5, 10, 7), (1.0, 100, 2**40 + 3)):
-            rng = np.random.default_rng(seed)
-            expected = np.array(
-                [
-                    [*rng.uniform(-1.0, 1.0, 6), rng.integers(-2, 3), rng.uniform(-0.3, 0.3) / mass]
-                    for _ in range(count)
-                ]
-            )
-            assert np.array_equal(random_sections(mass, count, seed).draws, expected)
+    @pytest.mark.parametrize(
+        "mass, count, seed", [(1.0, 6, 414), (2.5, 10, 7), (1.0, 100, 2**40 + 3)]
+    )
+    def test_section_draws_match_per_member_loop(self, mass, count, seed):
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(count):
+            coefficients = [-1.0 + (1.0 - -1.0) * rng.random() for _ in range(6)]
+            winding = -2 + math.floor(5 * rng.random())
+            kappa = -0.3 + (0.3 - -0.3) * rng.random()
+            expected.append((*coefficients, winding, kappa / mass))
+        assert random_sections(mass, count, seed).draws == tuple(expected)
+
+    def test_every_winding_is_drawn(self):
+        windings = [draw[6] for draw in random_sections(1.0, 100, 3).draws]
+        assert set(windings) == {-2.0, -1.0, 0.0, 1.0, 2.0}
 
     def test_negative_seed_is_refused(self):
-        with pytest.raises(ValueError):
-            Stream(-1)
+        # random.Random would take its absolute value
+        for draw in DRAWS.values():
+            with pytest.raises(ValueError, match="non-negative, got -1 and"):
+                draw(-1, 3)
 
     def test_non_integer_seed_is_refused(self):
-        with pytest.raises(TypeError):
-            Stream(1.0)
+        # random.Random would hash it
+        for draw in DRAWS.values():
+            with pytest.raises(TypeError):
+                draw(1.0, 3)
 
     def test_negative_count_is_refused(self):
-        with pytest.raises(ValueError):
-            Stream(3).random(-1)
-
-    @pytest.mark.parametrize("low, high", [(0, 1), (3, 3), (0, 2**32)])
-    def test_integer_range_outside_the_lemire_path_is_refused(self, low, high):
-        with pytest.raises(ValueError):
-            Stream(3).integers(low, high)
+        for draw in DRAWS.values():
+            with pytest.raises(ValueError, match="non-negative, got 3 and -"):
+                draw(3, -1)
 
 
 class TestSampleWindow:

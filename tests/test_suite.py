@@ -433,6 +433,26 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="fixed"):
                 RunConfig(tolerances={name: 1.0}).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mass", True),
+            ("seed", False),
+            ("n_samples", True),
+            ("n_sections", True),
+            ("n_u", True),
+            ("n_v", True),
+            ("r0", True),
+            ("t0", False),
+            ("tolerances", {"gradient_relation": True}),
+        ],
+    )
+    def test_boolean_is_refused_as_a_number(self, field, value):
+        # bool is an int, so the report would echo true or false
+        name, shown = ("gradient_relation", True) if field == "tolerances" else (field, value)
+        with pytest.raises(ConfigError, match=f"{name} must be a number, got {shown}"):
+            RunConfig(**{field: value}).validate()
+
     def test_mass_scaled_defaults(self):
         config = RunConfig(mass=4.0)
         assert config.resolved_r0() == 12.0
@@ -501,6 +521,33 @@ class TestEmitCsv:
         for previous, current in zip(errors, errors[1:]):
             assert current <= max(previous, floor)  # monotone within the floor
         assert min(errors) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n_u, n_v, passes",
+        [
+            ("8", "16", [(4, 8), (8, 16), (16, 32)]),
+            ("12", "20", [(6, 10), (12, 20), (24, 40)]),
+            ("5", "10", [(5, 10), (10, 20)]),
+            ("2", "4", [(4, 8)]),
+        ],
+    )
+    def test_integral_convergence_halves_the_fine_pass(
+        self, n_u, n_v, passes, tmp_path, monkeypatch
+    ):
+        """Rows halve integrate's fine pass (2 n_u, 2 n_v) while n_u stays
+        at least 4 and both counts stay whole, in ascending order."""
+        summed = []
+
+        def recording(form, model, n_u, n_v, r0, t0):
+            summed.append((n_u, n_v))
+            return hamiltonian.sphere_sum(form, model, n_u, n_v, r0, t0)
+
+        monkeypatch.setattr(suite, "sphere_sum", recording)
+        argv = ["emit-csv", "integral_convergence", "--nu", n_u, "--nv", n_v]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert summed == passes
+        lines = (tmp_path / "integral_convergence.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n, _ in passes]
 
     def test_omega_coefficient_values(self, tmp_path):
         config = RunConfig(output_dir=str(tmp_path), **FAST)
