@@ -3,11 +3,12 @@
 Every tensor coefficient in this package is an immutable expression tree
 over the chart coordinates (u, v, r, t) and the mass parameter, with exact
 symbolic differentiation and guarded numeric evaluation.  Simplification is
-deliberately shallow: constant folding plus the x+0, x*0, x*1 rules.
-Identities between expressions are established numerically at sampled
-chart points, never by tree canonicalisation.  A power's exponent is an
-exact ``Rational`` pair, whose float is numerator / denominator, as a
-``fractions.Fraction``'s is; no command imports ``fractions``.
+deliberately shallow: constant folding plus the x+0, x*0, x*1 and
+exp(ln x) = x rules.  Identities between expressions are established
+numerically at sampled chart points, never by tree canonicalisation.  A
+power's exponent is an exact ``Rational`` pair, whose float is numerator /
+denominator, as a ``fractions.Fraction``'s is; no command imports
+``fractions``.
 
 Nodes are immutable: each node class lists its fields in ``_fields``, and
 two nodes are equal (with equal hashes) when they have the same type and
@@ -306,15 +307,15 @@ class Sum(Expression):
 
     def _apply(self, values, inputs):
         if not any(map(_is_batch, values)):
-            return _cascade(values[0], values[1:])
+            return _fsum(values)
         columns = [value if _is_batch(value) else repeat(value) for value in _tiled(values)]
-        if len(columns) > 2:
-            return list(map(_cascade, columns[0], zip(*columns[1:])))
-        # the two-term cascade written out, saving a call per point
-        return [
-            (s := x + y) + (0.0 + ((x - (s - (e := s - x))) + (y - e)))
-            for x, y in zip(*columns)
-        ]
+        try:
+            sums = list(map(math.fsum, zip(*columns)))
+            if math.inf not in sums and -math.inf not in sums:
+                return sums
+        except (OverflowError, ValueError):
+            pass
+        return list(map(_fsum, zip(*columns)))
 
     def _rule(self, coordinate):
         return add(*[term._diff(coordinate) for term in self.terms])
@@ -559,24 +560,25 @@ def _tiled(values: list) -> list:
 def _combine(operation, a, b):
     """``operation(a, b)`` at each point; a float stands for itself at
     every point."""
-    if not (_is_batch(a) or _is_batch(b)):
-        return operation(a, b)
-    a, b = (x if _is_batch(x) else repeat(x) for x in _tiled([a, b]))
+    if a.__class__ is float:
+        if b.__class__ is float:
+            return operation(a, b)
+        return list(map(operation, repeat(a), b))
+    if b.__class__ is float:
+        return list(map(operation, a, repeat(b)))
+    if len(a) != len(b):
+        a, b = _tiled([a, b])
     return list(map(operation, a, b))
 
 
-def _cascade(total, terms):
-    """total + sum(terms) by the TwoSum cascade (Sum2 of Ogita, Rump &
-    Oishi, SIAM J. Sci. Comput. 2005): the rounding error of each partial
-    sum is recovered exactly and added back at the end, as accurate as
-    summing in twice the working precision."""
-    error = 0.0
-    for value in terms:
-        partial = total + value
-        excess = partial - total
-        error = error + ((total - (partial - excess)) + (value - excess))
-        total = partial
-    return total + error
+def _fsum(terms) -> float:
+    """``math.fsum`` (Shewchuk, Discrete Comput. Geom. 18, 1997), correctly
+    rounded; NaN where a term is not finite or the sum overflows."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+    return total if math.isfinite(total) else math.nan
 
 
 def _batch_input(value):
@@ -717,20 +719,18 @@ def const(value: float) -> Constant:
     return Constant(float(value))
 
 
-def _iter_sum_terms(terms):
-    for term in terms:
-        term = _coerce(term)
-        if isinstance(term, Sum):
-            yield from _iter_sum_terms(term.terms)
-        else:
-            yield term
-
-
 def add(*terms) -> Expression:
     flat = []
     constant_part = 0.0
-    for term in _iter_sum_terms(terms):
-        if isinstance(term, Constant):
+    # depth first through nested sums, left to right
+    pending = list(reversed(terms))
+    while pending:
+        term = pending.pop()
+        if not isinstance(term, Expression):
+            term = _coerce(term)
+        if isinstance(term, Sum):
+            pending += reversed(term.terms)
+        elif isinstance(term, Constant):
             constant_part += term.value
         else:
             flat.append(term)
@@ -743,20 +743,18 @@ def add(*terms) -> Expression:
     return Sum(tuple(flat))
 
 
-def _iter_product_factors(factors):
-    for factor in factors:
-        factor = _coerce(factor)
-        if isinstance(factor, Product):
-            yield from _iter_product_factors(factor.factors)
-        else:
-            yield factor
-
-
 def mul(*factors) -> Expression:
     flat = []
     constant_part = 1.0
-    for factor in _iter_product_factors(factors):
-        if isinstance(factor, Constant):
+    # depth first through nested products, left to right
+    pending = list(reversed(factors))
+    while pending:
+        factor = pending.pop()
+        if not isinstance(factor, Expression):
+            factor = _coerce(factor)
+        if isinstance(factor, Product):
+            pending += reversed(factor.factors)
+        elif isinstance(factor, Constant):
             constant_part *= factor.value
         else:
             flat.append(factor)
@@ -821,6 +819,8 @@ def exp(arg) -> Expression:
     arg = _coerce(arg)
     if isinstance(arg, Constant):
         return const(math.exp(arg.value))
+    if isinstance(arg, Log):
+        return arg.arg
     return Exp(arg)
 
 

@@ -193,10 +193,12 @@ def _scan(parts, family, points) -> list:
 
 
 def covariant_derivative(
-    x: VectorField, psi: Section, potential: ConnectionPotential
+    x: VectorField, psi: Section, potential: ConnectionPotential, paired: Expression | None = None
 ) -> Section:
-    """nabla_X psi = X(psi) - i theta(X) psi, componentwise on (re, im)."""
-    paired = pairing(potential.theta, x)
+    """nabla_X psi = X(psi) - i theta(X) psi, componentwise on (re, im);
+    ``paired`` is theta(X) where the caller has built it already."""
+    if paired is None:
+        paired = pairing(potential.theta, x)
     return Section(
         ex.add(x.apply(psi.re), ex.mul(paired, psi.im)),
         ex.add(x.apply(psi.im), ex.mul(ex.NEG_ONE, paired, psi.re)),
@@ -209,12 +211,13 @@ class PrequantumOperator(NamedTuple):
     ``hermitian=True`` gives  i hbar nabla_{H_f} - f, the assignment under
     which brackets become commutators; ``hermitian=False`` drops the
     imaginary unit (hbar nabla_{H_f} - f), breaking that correspondence, and
-    exists so the reports can show the breakage explicitly.  ``hbar`` is
-    the potential's, at the model's mass.
+    exists so the reports can show the breakage explicitly.  ``paired`` is
+    theta(H_f); ``hbar`` is the potential's, at the model's mass.
     """
 
     source: Expression
     field: VectorField
+    paired: Expression
     potential: ConnectionPotential
     hbar: float
     hermitian: bool = True
@@ -223,7 +226,7 @@ class PrequantumOperator(NamedTuple):
         """The (i) hbar nabla_{H_f} piece of the operator alone; ``gradient``
         is nabla_{H_f} psi where the caller has built it already."""
         if gradient is None:
-            gradient = covariant_derivative(self.field, psi, self.potential)
+            gradient = covariant_derivative(self.field, psi, self.potential, self.paired)
         if self.hermitian:
             return gradient.times_i_scaled(ex.const(self.hbar))
         return gradient.scaled_real(ex.const(self.hbar))
@@ -239,7 +242,8 @@ def prequantum_operator(
     hermitian: bool = True,
 ) -> PrequantumOperator:
     hbar = potential.scale.ratio * model.mass
-    return PrequantumOperator(f, hamiltonian_field(f, model), potential, hbar, hermitian)
+    field = hamiltonian_field(f, model)
+    return PrequantumOperator(f, field, pairing(potential.theta, field), potential, hbar, hermitian)
 
 
 def apply_operator(
@@ -378,10 +382,10 @@ def commutator_suite(
     (None for all six), and the operators of the other pairs are not built.
 
     Pairs whose bracket folds to zero are measured absolutely, the others
-    relative to the largest left-hand magnitude over the sample.  The
-    residual of the nonhermitian operator variant is recorded in the
-    details; it does not satisfy the relation and is never asserted.  The
-    nonzero commutators are also compared with their closed forms, i hbar
+    relative to the largest left-hand magnitude over the sample.  For the
+    latter, the residual of the nonhermitian operator variant, which does
+    not satisfy the relation, is recorded in the details and never
+    asserted.  These pairs are also compared with their closed forms, i hbar
     times the hat of the bracket's closed form read off the Darboux chart.
     """
     wanted = selector(only)
@@ -398,15 +402,21 @@ def commutator_suite(
     }
     # the coordinates the selected pairs hold, in order
     used = {name: coordinates[name] for name in coordinates if any(name in pair for pair in pairs)}
-    # per variant: the operators of those coordinates (keyed by name) and of
-    # their brackets (keyed by pair); the variants share each field
+    # per variant, sharing each field: the operators of those coordinates (by
+    # name) and of their brackets (by pair), nonhermitian for nonzero brackets
     operators = {
         key: prequantum_operator(g, model, potential) for key, g in {**used, **brackets}.items()
     }
-    variants = {
-        True: operators,
-        False: {key: op._replace(hermitian=False) for key, op in operators.items()},
+    nonhermitian = {
+        key: operators[key]._replace(hermitian=False)
+        for pair in pairs if not ex.is_zero(brackets[pair]) for key in (*pair, pair)
     }
+    variants = {True: operators, False: nonhermitian}
+    # pair by pair, both variants together: the evaluator computes the nodes
+    # the variants share once, and can free them soon after
+    runs = [
+        (pair, hermitian) for pair in pairs for hermitian, ops in variants.items() if pair in ops
+    ]
     hbar = potential.scale.ratio * model.mass
     relation = ex.const(-1.0 / hbar)
     display_factor = ex.const(hbar)
@@ -414,51 +424,46 @@ def commutator_suite(
     def parts(psi):
         # nabla_{H_g} psi once per operator, for both variants
         gradients = {
-            key: covariant_derivative(op.field, psi, potential) for key, op in operators.items()
+            key: covariant_derivative(op.field, psi, potential, op.paired)
+            for key, op in operators.items()
         }
         applied = {
-            hermitian: {name: ops[name].apply(psi, gradients[name]) for name in used}
+            hermitian: {name: ops[name].apply(psi, gradients[name]) for name in used if name in ops}
             for hermitian, ops in variants.items()
         }
         built = []
-        # pair by pair, both variants together: the evaluator computes the
-        # nodes the variants share once, and can free them soon after
-        for a, b in pairs:
-            for hermitian, ops in variants.items():
-                first = applied[hermitian]
-                lhs = ops[a, b].apply(psi, gradients[a, b])
-                commutator = ops[a].apply(first[b]) - ops[b].apply(first[a])
-                rhs = commutator.times_i_scaled(relation)
-                built += [lhs - rhs, lhs, rhs]
-                if hermitian and (a, b) in displays:
-                    display = displays[a, b].apply(psi).times_i_scaled(display_factor)
-                    built += [commutator - display, display]
+        for (a, b), hermitian in runs:
+            ops, first = variants[hermitian], applied[hermitian]
+            lhs = ops[a, b].apply(psi, gradients[a, b])
+            commutator = ops[a].apply(first[b]) - ops[b].apply(first[a])
+            rhs = commutator.times_i_scaled(relation)
+            built += [lhs - rhs, lhs, rhs]
+            if hermitian and (a, b) in displays:
+                display = displays[a, b].apply(psi).times_i_scaled(display_factor)
+                built += [commutator - display, display]
         return built
 
     # the parts in the order they were built, one (member, point) list each
     magnitudes = iter(_scan(parts, sections, points))
     measured, display_residuals = {}, {}
-    for pair in pairs:
-        for hermitian in variants:
-            residual, lhs, rhs = itertools.islice(magnitudes, 3)
-            worst, at = worst_point(residual, points)
-            scale = peak(lhs + rhs)
-            if not ex.is_zero(brackets[pair]):
-                worst /= max(scale, 1e-300)
-            measured[hermitian, pair] = (worst, at, scale)
-            if hermitian and pair in displays:
-                display_residual, display = itertools.islice(magnitudes, 2)
-                display_residuals[pair] = peak(display_residual) / max(peak(display), 1e-300)
+    for pair, hermitian in runs:
+        residual, lhs, rhs = itertools.islice(magnitudes, 3)
+        worst, at = worst_point(residual, points)
+        scale = peak(lhs + rhs)
+        if not ex.is_zero(brackets[pair]):
+            worst /= max(scale, 1e-300)
+        measured[hermitian, pair] = (worst, at, scale)
+        if hermitian and pair in displays:
+            display_residual, display = itertools.islice(magnitudes, 2)
+            display_residuals[pair] = peak(display_residual) / max(peak(display), 1e-300)
 
     results = []
     for pair in pairs:
         error, at, scale = measured[True, pair]
         zero = ex.is_zero(brackets[pair])
-        details = {
-            "mode": "absolute" if zero else "relative",
-            "scale": scale,
-            "nonhermitian_residual": measured[False, pair][0],
-        }
+        details = {"mode": "absolute" if zero else "relative", "scale": scale}
+        if (False, pair) in measured:
+            details["nonhermitian_residual"] = measured[False, pair][0]
         if pair in display_residuals:
             details["display_residual"] = display_residuals[pair]
         threshold = absolute_threshold if zero else relative_threshold

@@ -297,6 +297,11 @@ GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHEC
 MAX_N_U, MAX_N_V, MAX_SPHERE_NODES = 1024, 4096, 1 << 20
 
 
+def _finite(value) -> bool:
+    """True for a finite int or float; ``math.isfinite`` raises for others."""
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 class RunConfig:
     """Configuration of a verification run.
 
@@ -322,7 +327,7 @@ class RunConfig:
         for name, value in [*vars(self).items(), *self.tolerances.items()]:
             if isinstance(value, bool):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass > 0):
+        if not (_finite(self.mass) and self.mass > 0):
             raise ConfigError(f"mass must be positive and finite, got {self.mass!r}")
         top = max(window.r_max_factor for window in (SampleWindow(), OPERATOR_WINDOW))
         if math.isinf(top * self.mass):
@@ -353,14 +358,14 @@ class RunConfig:
                     f"the threshold of {name!r} is fixed (structural or report-only) "
                     "and cannot be overridden"
                 )
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_finite(value) and value > 0):
                 raise ConfigError(f"tolerance for {name!r} must be positive and finite")
         if self.scale_mode not in ("plain", "weil"):
             raise ConfigError(f"scale_mode must be 'plain' or 'weil', got {self.scale_mode!r}")
         horizon = 2.0 * self.mass * (1.0 + ex.HORIZON_MARGIN)
-        if self.r0 is not None and not (math.isfinite(self.r0) and self.r0 > horizon):
+        if self.r0 is not None and not (_finite(self.r0) and self.r0 > horizon):
             raise ConfigError(f"sphere radius r0={self.r0} must be finite and exceed {horizon}")
-        if not math.isfinite(self.t0):
+        if not _finite(self.t0):
             raise ConfigError(f"sphere time t0 must be finite, got {self.t0!r}")
 
     def resolved_r0(self) -> float:

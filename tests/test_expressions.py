@@ -170,7 +170,48 @@ class TestBatchedGuards:
         assert exps == [math.inf, 0.0, math.e]
 
 
+def two_sum_cascade(terms):
+    """The sum of ``terms`` by the TwoSum cascade (Sum2 of Ogita, Rump &
+    Oishi, SIAM J. Sci. Comput. 2005), the reference for points whose sum
+    is not finite and for sums of zeros."""
+    total, error = terms[0], 0.0
+    for value in terms[1:]:
+        partial = total + value
+        excess = partial - total
+        error = error + ((total - (partial - excess)) + (value - excess))
+        total = partial
+    return total + error
+
+
 class TestBatchedEvaluation:
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            (1.0, math.inf),
+            (math.inf, -math.inf),
+            (math.nan, 1.0),
+            (1e308, 1e308),
+            (1e308, 1e308, -1e308),
+            (-0.0, -0.0),
+            (0.0, -0.0),
+            (-0.0, 0.0, -0.0),
+        ],
+    )
+    def test_non_finite_and_zero_sums_match_the_cascade(self, terms):
+        """A point with a term that is not finite, or whose sum overflows,
+        reads NaN, and a sum of zeros reads 0.0, as the TwoSum cascade
+        gives; the other points of the batch keep their sums."""
+        params = [Parameter(f"p{k}") for k in range(len(terms))]
+        tree = ex.add(*params)
+        inputs = {"u": 1.0, "v": 1.0, "r": 3.0, "t": 0.0, "m": 1.0}
+        batch = {p: [x, 0.1 * (k + 1)] for k, (p, x) in enumerate(zip(params, terms))}
+        ((bad, good),) = evaluate_many([tree], {**inputs, **batch})
+        ((alone,),) = evaluate_many([tree], {**inputs, **dict(zip(params, terms))})
+        expected = two_sum_cascade(terms)
+        assert repr(bad) == repr(alone) == repr(expected)
+        assert math.isnan(expected) or expected == 0.0
+        assert good == math.fsum(0.1 * (k + 1) for k in range(len(terms)))
+
     def test_compensated_sum_recovers_the_small_term(self):
         # the products keep the large constants out of add()'s constant fold
         tree = ex.add(ex.mul(1e16, ex.M), ex.U, ex.mul(-1e16, ex.M))
@@ -337,17 +378,8 @@ def numpy_reference(node, children):
     """A node's values from numpy ufuncs on its children's values, and
     whether the package's kernel must match them bit for bit."""
     if isinstance(node, ex.Sum):
-        # the TwoSum cascade, step by step
-        total, error = children[0], 0.0
-        for value in children[1:]:
-            partial = np.add(total, value)
-            excess = np.subtract(partial, total)
-            lost = np.add(
-                np.subtract(total, np.subtract(partial, excess)), np.subtract(value, excess)
-            )
-            error = np.add(error, lost)
-            total = partial
-        return np.add(total, error), True
+        # the correctly rounded sum at each point
+        return np.array([math.fsum(row) for row in zip(*children)]), True
     if isinstance(node, ex.Product):
         out = children[0]
         for value in children[1:]:
@@ -402,9 +434,9 @@ class TestMergedSchedule:
         assert len(scheduled(nan, ex.Constant(math.nan), nan)) == 2
 
     def test_reordered_sums_keep_their_own_cascades(self):
-        """The terms of a sum keep their order, so the TwoSum cascade of
-        each sum sees its own terms in its own order; these two orders
-        round apart."""
+        """The terms of a sum keep their order, so two orders of the same
+        terms are two sums, each scheduled and summed on its own; both are
+        correctly rounded, so they agree."""
         terms = [ex.mul(c, ex.M) for c in (3e10, 1e-15, -3e10, 9e-12, -5e-16)]
         forward, backward = ex.add(*terms), ex.add(*reversed(terms))
         sums = [node for node in scheduled(forward, backward) if isinstance(node, ex.Sum)]
@@ -412,7 +444,7 @@ class TestMergedSchedule:
         inputs = {**self.INPUTS, "u": 1.0, "r": 3.0}
         values = evaluate_many([forward, backward], inputs)
         assert values == [evaluate_many([root], inputs)[0] for root in (forward, backward)]
-        assert values == [[9.000499999999999e-12], [9.0005e-12]]
+        assert values == [[9.000499999999999e-12], [9.000499999999999e-12]]
 
     def test_guard_in_a_duplicated_subtree_raises_its_own_message(self):
         """The walk visits the last operand first, so the log under the
@@ -816,6 +848,10 @@ class TestFoldingRules:
 
     def test_multiplication_by_zero_collapses(self):
         assert ex.is_zero(ex.sin(ex.U) * ex.const(0))
+
+    def test_exp_of_log_folds(self):
+        x = ex.power(ex.add(ex.ONE, ex.quotient(ex.M, ex.R)), ex.Rational(1, 2))
+        assert ex.exp(ex.log(x)) is x
 
     def test_constants_fold(self):
         assert ex.add(ex.const(2), ex.const(3)).value == 5.0

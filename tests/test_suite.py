@@ -245,9 +245,11 @@ class TestRunSuite:
 
     def test_commutator_group_takes_one_gradient_per_operator(self, monkeypatch):
         """Both operator variants apply one covariant derivative of psi per
-        operator: 10 for the 4 coordinates and 6 brackets, 24 of the
-        applied sections in the commutators and 2 for the closed-form
-        displays (46 when each variant built its own)."""
+        operator: 10 for the 4 coordinates and 6 brackets, 12 of the
+        applied sections in the hermitian commutators, 4 in the
+        nonhermitian ones of uv and rt, and 2 for the closed-form displays
+        (46 when each variant built its own, 36 with the nonhermitian
+        variant on all six pairs)."""
         calls = []
         covariant_derivative = prequantum.covariant_derivative
 
@@ -257,7 +259,23 @@ class TestRunSuite:
 
         monkeypatch.setattr(prequantum, "covariant_derivative", counting)
         run_suite(RunConfig(**SMALL), only=suite.GROUP_CHECKS["commutators"])
-        assert len(calls) == 36
+        assert len(calls) == 28
+
+    def test_commutator_group_pairs_theta_once_per_operator(self, monkeypatch):
+        """Each operator carries theta(H_f), so the commutator group pairs
+        theta with a field once for each of its 12 operators: 4
+        coordinates, 6 brackets and 2 closed-form displays (36 when each
+        covariant derivative paired it again)."""
+        calls = []
+        pairing = prequantum.pairing
+
+        def counting(*args):
+            calls.append(1)
+            return pairing(*args)
+
+        monkeypatch.setattr(prequantum, "pairing", counting)
+        run_suite(RunConfig(**SMALL), only=suite.GROUP_CHECKS["commutators"])
+        assert len(calls) == 12
 
     def test_commutator_roots_do_not_scale_with_sections(self, monkeypatch):
         """The test sections are one family, so the commutator group hands
@@ -305,7 +323,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(prequantum, "_scan", counting)
         assert run_suite(RunConfig()).all_passed
-        assert shapes == [6, 40, 10]
+        assert shapes == [6, 28, 10]
 
     def test_bracket_cross_zeros_has_no_worst_point_at_defaults(self):
         # every cross bracket folds to the zero constant, so no point exceeds 0
@@ -373,18 +391,20 @@ class TestSelection:
         """A default run evaluates each group in one batch, as before
         selection, and the evaluator merges structurally equal nodes: at
         most 31 evaluate_many calls and 1,843 scheduled nodes (2,846 before
-        merging)."""
+        merging, 1,843 with the nonhermitian commutator variant on all six
+        pairs and exp(ln x) unfolded)."""
         counts = fresh_schedule_counts("run_suite(RunConfig())")
-        assert len(counts) <= 31 and sum(counts) <= 1843
+        assert len(counts) <= 31 and sum(counts) <= 1681
 
     def test_commutator_scan_keeps_its_batching(self):
         """prequant --commutators --sections 1 evaluates the six commutator
-        checks in one call of at most 736 scheduled nodes (1,393 before
-        merging)."""
+        checks in one call of at most 634 scheduled nodes (1,393 before
+        merging, 736 with the nonhermitian variant on all six pairs and
+        exp(ln x) unfolded)."""
         counts = fresh_schedule_counts(
             "run_suite(RunConfig(n_sections=1), only=GROUP_CHECKS['commutators'])"
         )
-        assert len(counts) == 1 and sum(counts) <= 736
+        assert len(counts) == 1 and sum(counts) <= 634
 
 
 class TestRunConfig:
@@ -410,6 +430,13 @@ class TestRunConfig:
     def test_non_integer_count_is_refused(self, field):
         value = {"n_samples": 12.5, "n_sections": 1.5, "n_u": 32.5, "n_v": 64.0}[field]
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            RunConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value", [("r0", "3"), ("t0", "0"), ("r0", [3.0]), ("t0", None)]
+    )
+    def test_non_number_sphere_position_is_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field}.* must be finite"):
             RunConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize(
