@@ -308,13 +308,20 @@ class Sum(Expression):
     def _apply(self, values, inputs):
         if not any(map(_is_batch, values)):
             return _fsum(values)
+        if len(values) == 2:
+            # IEEE a + b is rounded once, as fsum's sum is, but fsum gives
+            # 0.0 for -0.0 + -0.0; a batch with a non-finite sum takes _fsum
+            sums = _combine(operator.add, *values)
+            if math.isfinite(sum(sums)):
+                return [x + 0.0 for x in sums] if 0.0 in sums else sums
         columns = [value if _is_batch(value) else repeat(value) for value in _tiled(values)]
-        try:
-            sums = list(map(math.fsum, zip(*columns)))
-            if math.inf not in sums and -math.inf not in sums:
-                return sums
-        except (OverflowError, ValueError):
-            pass
+        if len(values) > 2:
+            try:
+                sums = list(map(math.fsum, zip(*columns)))
+                if math.inf not in sums and -math.inf not in sums:
+                    return sums
+            except (OverflowError, ValueError):
+                pass
         return list(map(_fsum, zip(*columns)))
 
     def _rule(self, coordinate):

@@ -19,8 +19,8 @@ chart alone.
 Sphere integrals of 2-forms use tensor-product Gauss-Legendre nodes in the
 colatitude and a midpoint rule on the periodic azimuth (spectrally accurate
 there), with an error estimate from node doubling.  The Gauss-Legendre rule
-is computed here by Newton iteration on P_n, in O(n^2) work and without
-LAPACK.
+is computed here by one recurrence pass for P_n and Newton on its local
+Taylor polynomials, in O(n^2) work and without LAPACK.
 """
 
 from __future__ import annotations
@@ -299,6 +299,9 @@ class QuadratureSpec:
     __slots__ = ("n_u", "n_v", "r0", "t0")
 
     def __init__(self, n_u: int = 32, n_v: int = 64, r0: float = 3.0, t0: float = 0.0):
+        for name, count in (("n_u", n_u), ("n_v", n_v)):
+            if not isinstance(count, int):
+                raise TypeError(f"{name} must be an integer node count, got {count!r}")
         if n_u < 2:
             raise ValueError("need at least 2 colatitude nodes")
         if n_v < 4:
@@ -312,24 +315,88 @@ class QuadratureSpec:
         raise AttributeError(f"cannot assign {name!r}: a QuadratureSpec is immutable")
 
 
-# Newton steps allowed per rule: from Tricomi's guesses every n up to 2048
-# reaches roundoff within 4.  A step under 2 ulp of 1 is roundoff.
-_NEWTON_STEPS = 10
+# Bounds of the refinement.  From Tricomi's guesses every rule of 1 to 400
+# nodes, and those sampled up to 2048, certifies each node in one recurrence
+# pass, with at most 6 Taylor terms past the first-order one and 3 Newton
+# steps on their sum.  A Newton step under 2 ulp of 1 is roundoff, and so is
+# a Taylor term under 1/8 ulp of the first-order one.  A node not certified
+# gets another pass from its latest estimate; one still left after
+# _RECURRENCE_PASSES is an error.
+_NEWTON_STEPS = 4
 _ROUNDOFF_STEP = 2.0 * sys.float_info.epsilon
+_ROUNDOFF_TERM = 0.125 * sys.float_info.epsilon
+_TAYLOR_TERMS = 12
+_RECURRENCE_PASSES = 3
 
 
 def _legendre_with_derivative(n: int, nodes: list):
     """P_n(x) and P_n'(x) at each x of ``nodes`` (|x| < 1), by the
-    three-term recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
-    ratios = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
+    three-term recurrence P_{k+1} = x P_k + k/(k + 1) (x P_k - P_{k-1})."""
+    ratios = [k / (k + 1) for k in range(1, n)]
     values, slopes = [], []
     for x in nodes:
         previous, current = 1.0, x
-        for a, b in ratios:
-            previous, current = current, x * current * a - previous * b
+        for ratio in ratios:
+            scaled = x * current
+            previous, current = current, scaled + ratio * (scaled - previous)
         values.append(current)
-        slopes.append(n * (previous - x * current) / (1.0 - x * x))
+        slopes.append(n * (previous - x * current) / ((1.0 - x) * (1.0 + x)))
     return values, slopes
+
+
+def _taylor_root(x: float, value: float, slope: float, ode: list):
+    """The root of P_n near x and P_n' there, from P_n(x) and P_n'(x).
+
+    With h = -P_n(x)/P_n'(x), Newton's first step, the Taylor terms
+    t_k = P_n^(k)(x) h^k / k! follow from the Legendre ODE
+    (1 - x^2) P^(k+2) = 2(k+1) x P^(k+1) - (n(n+1) - k(k+1)) P^(k) as
+    t_{k+2} = (a_k x h t_{k+1} - b_k h^2 t_k) / (1 - x^2), with
+    (a_k, b_k) = ``ode[k]``, until two in a row fall below roundoff of t_1.
+    Newton on sum_k t_k z^k from z = 1 then gives the root x + z h, and
+    the sum's derivative there, over h, gives P_n'.  Where the root is not
+    certified (a last step over 2 ulp of 1, or a last kept term above
+    roundoff at the root) the slope is None and the root the latest estimate.
+    """
+    if value == 0.0:
+        return x, slope
+    h = -value / slope
+    s = (1.0 - x) * (1.0 + x)
+    first, second = x * h / s, h * h / s
+    bound = _ROUNDOFF_TERM * abs(value)
+    terms = [value, -value]
+    older, old = terms
+    small = False
+    for a, b in ode:
+        older, old = old, a * first * old - b * second * older
+        terms.append(old)
+        if abs(old) > bound:
+            small = False
+        elif small:
+            break
+        else:
+            small = True
+    else:
+        return x + h, None
+    terms.reverse()
+    z = 1.0
+    for _ in range(_NEWTON_STEPS):
+        # Horner's scheme for the sum, its derivative and half its second
+        total = derivative = curvature = 0.0
+        for term in terms:
+            curvature = curvature * z + derivative
+            derivative = derivative * z + total
+            total = total * z + term
+        step = total / derivative
+        z -= step
+        if abs(step * h) <= _ROUNDOFF_STEP:
+            break
+    else:
+        return x + z * h, None
+    derivative -= 2.0 * step * curvature  # moved to the root
+    last = (len(terms) - 1) * abs(terms[0] * z ** (len(terms) - 2))
+    if last > sys.float_info.epsilon * abs(derivative):
+        return x + z * h, None
+    return x + z * h, derivative / h
 
 
 @functools.lru_cache(maxsize=32)
@@ -337,26 +404,40 @@ def gauss_legendre(n: int) -> tuple:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
     [-1, 1], as tuples cached per n.
 
-    Newton iteration on P_n runs over the positive nodes at once, started
-    from Tricomi's guesses (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)),
-    and stops once no node moves by more than 2 ulp of 1; the weights are
-    2/((1 - x^2) P_n'(x)^2).  The negative half mirrors the positive one, so
-    the nodes are exactly antisymmetric and the weights exactly symmetric,
-    and an odd rule has the node 0.  O(n^2) work, against the O(n^3)
-    eigensolve of the Golub-Welsch method; Hale & Townsend (SIAM J. Sci.
-    Comput. 35, A652, 2013) survey the approach.
+    One three-term-recurrence pass evaluates P_n and P_n' at Tricomi's
+    guesses (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)) for the
+    positive nodes; each node is then refined in O(1) work on the local
+    Taylor polynomial of P_n, whose derivatives the Legendre ODE gives
+    (``_taylor_root``), and its weight is 2/((1 - x^2) P_n'(x)^2) with the
+    polynomial's slope at the root.  A node whose refinement is not
+    certified to roundoff gets another pass from its latest estimate, and
+    an ArithmeticError is raised if any is left after _RECURRENCE_PASSES.
+    The negative half mirrors the positive one, so the nodes are exactly
+    antisymmetric and the weights exactly symmetric, and an odd rule has
+    the node 0.  O(n^2) work in (n/2)(n - 1) recurrence steps, against the
+    O(n^3) eigensolve of the Golub-Welsch method; Hale & Townsend (SIAM J.
+    Sci. Comput. 35, A652, 2013) survey the approach.
     """
     if n < 1:
         raise ValueError(f"a Gauss-Legendre rule needs at least 1 node, got {n}")
     scale = 1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)
     x = [scale * math.cos(math.pi * (4 * k - 1) / (4 * n + 2)) for k in range(1, n // 2 + 1)]
-    for _ in range(_NEWTON_STEPS):
-        values, slopes = _legendre_with_derivative(n, x)
-        steps = [value / slope for value, slope in zip(values, slopes)]
-        x = [node - step for node, step in zip(x, steps)]
-        if not any(abs(step) > _ROUNDOFF_STEP for step in steps):
+    ode = [
+        (2 * (k + 1) / (k + 2), (n * (n + 1) - k * (k + 1)) / ((k + 1) * (k + 2)))
+        for k in range(min(n + 1, _TAYLOR_TERMS))
+    ]
+    slopes = [None] * len(x)
+    pending = range(len(x))
+    for _ in range(_RECURRENCE_PASSES):
+        values, derivatives = _legendre_with_derivative(n, [x[i] for i in pending])
+        for i, value, derivative in zip(pending, values, derivatives):
+            x[i], slopes[i] = _taylor_root(x[i], value, derivative, ode)
+        pending = [i for i in pending if slopes[i] is None]
+        if not pending:
             break
-    weights = [2.0 / ((1.0 - node * node) * slope * slope) for node, slope in zip(x, slopes)]
+    else:
+        raise ArithmeticError(f"{len(pending)} nodes of the {n}-point rule did not converge")
+    weights = [2.0 / ((1.0 - node) * (1.0 + node) * slope * slope) for node, slope in zip(x, slopes)]
     middle_x, middle_w = [], []
     if n % 2:
         _, (slope,) = _legendre_with_derivative(n, [0.0])

@@ -291,9 +291,9 @@ DEFAULT_TOLERANCES = {name: check.tolerance for name, check in _CHECKS.items()}
 GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHECK_GROUPS}
 
 # Sphere quadrature bounds.  The fine pass doubles both counts: its
-# Gauss-Legendre rule costs O((2 n_u)^2) Newton work, and an integrand that
-# depends on v is evaluated on a grid of 4 n_u n_v floats (a v-independent
-# one on a column of 2 n_u, summed without building the grid).
+# Gauss-Legendre rule costs O((2 n_u)^2) recurrence work, and an integrand
+# that depends on v is evaluated on a grid of 4 n_u n_v floats (a
+# v-independent one on a column of 2 n_u, summed without building the grid).
 MAX_N_U, MAX_N_V, MAX_SPHERE_NODES = 1024, 4096, 1 << 20
 
 

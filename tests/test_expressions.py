@@ -212,6 +212,44 @@ class TestBatchedEvaluation:
         assert math.isnan(expected) or expected == 0.0
         assert good == math.fsum(0.1 * (k + 1) for k in range(len(terms)))
 
+    def test_two_term_sums_match_fsum(self, monkeypatch):
+        """A two-term sum reads what ``math.fsum`` of its terms gives, bit for
+        bit, at random and special floats, and NaN where that sum is not
+        finite; a float term stands for itself at every point.  A batch whose
+        sums are all finite and moderate never needs the per-point fsum."""
+        rng = np.random.default_rng(22)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.1,
+                   1e16, -1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+                   math.inf, -math.inf, math.nan]
+        scales = 10.0 ** rng.integers(-300, 300, 200)
+        randoms = [float(x) for x in rng.standard_normal(200) * scales]
+        column = special + randoms + [-x for x in randoms[:50]]
+        a = [x for x in column for _ in column]
+        b = column * len(column)
+
+        def reference(x, y):
+            try:
+                total = math.fsum((x, y))
+            except (OverflowError, ValueError):
+                return math.nan
+            return total if math.isfinite(total) else math.nan
+
+        p, q = Parameter("p"), Parameter("q")
+        tree = ex.add(p, q)
+        inputs = {"u": 1.0, "v": 1.0, "r": 3.0, "t": 0.0, "m": 1.0}
+
+        def summed(first, second):
+            (sums,) = evaluate_many([tree], {**inputs, p: first, q: second})
+            return list(map(repr, sums))
+
+        assert summed(a, b) == list(map(repr, map(reference, a, b)))
+        for x in special:
+            assert summed(x, column) == [repr(reference(x, y)) for y in column]
+        moderate = [(x, y) for x, y in zip(a, b) if abs(x + y) < 1e300]
+        first, second = map(list, zip(*moderate))
+        monkeypatch.setattr(ex, "_fsum", None)
+        assert summed(first, second) == list(map(repr, map(reference, first, second)))
+
     def test_compensated_sum_recovers_the_small_term(self):
         # the products keep the large constants out of add()'s constant fold
         tree = ex.add(ex.mul(1e16, ex.M), ex.U, ex.mul(-1e16, ex.M))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from warpsymp import expressions as ex
+from warpsymp import hamiltonian
 from warpsymp.exterior import KForm, exterior_derivative, interior_product
 from warpsymp.expressions import ChartPoint
 from warpsymp.hamiltonian import (
@@ -266,7 +267,7 @@ class TestBracketTable:
 
 EPS = np.finfo(float).eps
 # 2048 is the largest rule a command builds: the fine pass of n_u = 1024
-RULE_SIZES = [*range(1, 13), 32, 64, 128, 256, 512, 2048]
+RULE_SIZES = [*range(1, 13), 32, 33, 64, 128, 129, 255, 256, 512, 1024, 2048]
 
 
 def leggauss_nodes(n):
@@ -310,7 +311,7 @@ class TestGaussLegendre:
         reference = leggauss_nodes(n)
         assert np.max(np.abs(nodes[n - len(reference) :] - reference)) <= 4.5e-16
 
-    @pytest.mark.parametrize("n", [6, 32, 128])
+    @pytest.mark.parametrize("n", [6, 32, 128, 256])
     def test_weights_match_a_40_digit_reference(self, n):
         nodes, weights = map(np.array, gauss_legendre(n))
         half = slice(n // 2, None)  # the other half mirrors it
@@ -347,6 +348,48 @@ class TestGaussLegendre:
     def test_empty_rule_is_refused(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+
+def counted_recurrence(monkeypatch):
+    """Make the recurrence count its steps: one per node per degree."""
+    steps = []
+    evaluate = hamiltonian._legendre_with_derivative
+
+    def counted(n, nodes):
+        steps.append(len(nodes) * (n - 1))
+        return evaluate(n, nodes)
+
+    monkeypatch.setattr(hamiltonian, "_legendre_with_derivative", counted)
+    return steps
+
+
+class TestRecurrenceWork:
+    @pytest.mark.parametrize("n", [128, 256, 2048])
+    def test_one_recurrence_pass(self, n, monkeypatch):
+        """From Tricomi's guesses every node is certified after one pass of
+        the three-term recurrence over the n // 2 positive nodes, (n // 2)
+        (n - 1) steps; an odd rule adds n - 1 for its middle node."""
+        steps = counted_recurrence(monkeypatch)
+        gauss_legendre.__wrapped__(n)
+        assert sum(steps) <= (n // 2) * (n - 1) + n
+
+    @pytest.mark.parametrize("n", [6, 33, 256])
+    def test_unconverged_nodes_get_another_pass(self, n, monkeypatch):
+        """With one Newton step per pass the nodes whose guess is far are
+        not certified, and their second pass gives the rule to roundoff."""
+        expected = np.array(gauss_legendre(n)[1])
+        steps = counted_recurrence(monkeypatch)
+        monkeypatch.setattr(hamiltonian, "_NEWTON_STEPS", 1)
+        nodes, weights = map(np.array, gauss_legendre.__wrapped__(n))
+        assert sum(steps) > (n // 2) * (n - 1) + n % 2 * (n - 1)
+        assert np.max(np.abs(nodes - leggauss_nodes(n))) <= 4.5e-16
+        assert np.max(np.abs(weights - expected) / expected) <= 1e-12
+
+    def test_uncertified_rule_is_refused(self, monkeypatch):
+        """No node is returned without a certified last step."""
+        monkeypatch.setattr(hamiltonian, "_NEWTON_STEPS", 0)
+        with pytest.raises(ArithmeticError):
+            gauss_legendre.__wrapped__(8)
 
 
 def pointwise_sphere_sum(coefficient, mass, n_u, n_v, r0, t0):
@@ -447,6 +490,11 @@ class TestSurfaceIntegral:
             surface_integral(model.symplectic_form, QuadratureSpec(n_u=8, n_v=16, r0=1.5), model)
         with pytest.raises(ValueError):
             surface_integral(model.volume_form, QuadratureSpec(n_u=8, n_v=16, r0=3.0), model)
+
+    @pytest.mark.parametrize("counts", [{"n_u": 32.0}, {"n_u": 8, "n_v": 8.5}])
+    def test_non_integer_node_counts_are_refused(self, counts):
+        with pytest.raises(TypeError):
+            QuadratureSpec(**counts)
 
     def test_determinism(self, model):
         spec = QuadratureSpec(n_u=16, n_v=32, r0=4.0)
