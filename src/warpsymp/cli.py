@@ -1,27 +1,23 @@
-"""Command-line entry point.
+"""Command-line entry point: ``warpsymp COMMAND [NAME|WHAT] [--FLAG VALUE]...``.
 
-Commands:
-  verify                 run the full check catalogue, write report.json
-  check NAME             compute only the named catalogue check and print
-                         what verify reports for it
-  integrate              sphere integral of the symplectic form
-  prequant               commutator / operator / integrality reports
-  emit-csv WHAT          plot-data CSVs (bracket_grid, omega_coefficient,
-                         eigen_residual, integral_convergence)
-
-Every command takes one flag per configuration key (``--mass``, ``--nu``,
-``--scale-mode``, ...), ``--config`` and ``--tolerance``; flags override
-values from the optional flat key-value config file.  Every command but
-``emit-csv`` is one suite run over a selection of the catalogue.  Exit codes:
-0 all assertable checks pass, 1 a check failed, 2 configuration, usage or
-i/o error, or a model that cannot be evaluated at the sampled points.
+The commands, prequant's group switches and the flags are the tables
+COMMANDS, SWITCHES and FLAGS below, and ``warpsymp -h`` lists them.  Every
+command takes one flag per configuration key (``--mass``, ``--scale-mode``,
+...), ``--config`` and ``--tolerance``; flags override values from the
+optional flat key-value config file.  ``parse_args`` reads the command line
+off the tables and keeps each value a raw string for ``config_from_sources``,
+which parses flag and file values alike.  Every command but ``emit-csv`` is
+one suite run over a selection of the catalogue.  Exit codes: 0 all
+assertable checks pass, 1 a check failed, 2 configuration, usage (raised as
+``SystemExit(2)``) or i/o error, or a model that cannot be evaluated at the
+sampled points.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
+import types
 from pathlib import Path
 
 from .expressions import EvaluationError
@@ -40,73 +36,96 @@ from .suite import (
 )
 
 
-def _common_flags(parser):
-    parser.add_argument("--config", help="flat key = value configuration file")
-    for key, (_, parse, text) in CONFIG_KEYS.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, help=text)
-    parser.add_argument(
-        "--tolerance",
-        action="append",
-        default=None,
-        metavar="NAME=VALUE",
-        help="override one check threshold (repeatable)",
-    )
+# command -> (help text, its operand's metavar and choices, or None)
+COMMANDS = {
+    "verify": ("run the full check catalogue, write report.json", None),
+    "check": ("compute only check NAME, print what verify reports", ("NAME", CHECK_CATALOGUE)),
+    "integrate": ("sphere integral of the symplectic form", None),
+    "prequant": ("the reports of the check groups switched on (one or more)", None),
+    "emit-csv": (f"plot-data CSV: {', '.join(CSV_KINDS)}", ("WHAT", CSV_KINDS)),
+}
+# prequant's switches, each named after the check group it selects
+SWITCHES = {
+    "commutators": "prequant: six coordinate commutators",
+    "operators": "prequant: geometric operator identities",
+    "integrality": "prequant: sphere-class integrality report",
+}
+# every command's flags: --config, one per config key, repeatable --tolerance
+FLAGS = {
+    "config": "flat key = value configuration file",
+    **{key: text for key, (_, _, text) in CONFIG_KEYS.items()},
+    "tolerance": "NAME=VALUE overrides one check threshold (repeatable)",
+}
+USAGE = "usage: warpsymp COMMAND [NAME|WHAT] [--FLAG VALUE | --FLAG=VALUE]..."
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="warpsymp",
-        description="verification suite for the symplectic structure of a "
-        "static spherically symmetric exterior",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message):
+    print(f"{USAGE}\nwarpsymp: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    verify = commands.add_parser("verify", help="run the full check catalogue")
-    _common_flags(verify)
 
-    check = commands.add_parser("check", help="compute a single check by name")
-    check.add_argument("name", choices=CHECK_CATALOGUE, metavar="NAME")
-    _common_flags(check)
-
-    integrate = commands.add_parser("integrate", help="sphere integral of the symplectic form")
-    _common_flags(integrate)
-
-    prequant = commands.add_parser("prequant", help="prequantum operator reports")
-    _common_flags(prequant)
-    prequant.add_argument("--commutators", action="store_true", help="six coordinate commutators")
-    prequant.add_argument("--integrality", action="store_true", help="sphere-class integrality report")
-    prequant.add_argument("--operators", action="store_true", help="geometric operator identities")
-
-    emit = commands.add_parser("emit-csv", help="write plot-data CSV files")
-    emit.add_argument("what", choices=CSV_KINDS, metavar="WHAT")
-    _common_flags(emit)
-
-    return parser
+def parse_args(argv):
+    """Read a command line against COMMANDS, SWITCHES and FLAGS: the command,
+    its operand (NAME or WHAT, else None), the prequant switches given and
+    the flag values as raw strings, under their config-file keys (``mass``,
+    ``tolerance.NAME``, ...) and ``config``.  Flags are spelled in full,
+    before or after the operand; no value starts with ``--``.  ``-h`` prints
+    the help and exits 0, a usage error exits 2, and a ``--tolerance`` value
+    without ``=`` raises ConfigError."""
+    if "-h" in argv or "--help" in argv:
+        rows = [(f"{c} {o[0]}" if o else c, t) for c, (t, o) in COMMANDS.items()]
+        rows += [(f"--{k.replace('_', '-')}", t) for k, t in {**SWITCHES, **FLAGS}.items()]
+        print("\n".join([USAGE, *(f"  {name:18}{text}" for name, text in rows)]))
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(f"expected a command, one of {', '.join(COMMANDS)}")
+    operand = COMMANDS[argv[0]][1]
+    args = types.SimpleNamespace(command=argv[0], operand=None, switches=set(), values={})
+    keys = {f"--{key.replace('_', '-')}": key for key in FLAGS}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, has_value, value = arg.partition("=")
+        if not arg.startswith("--"):
+            if operand is None or args.operand is not None:
+                _usage_error(f"unexpected argument {arg!r}")
+            if arg not in operand[1]:
+                _usage_error(f"invalid {operand[0]} {arg!r}; choose from {', '.join(operand[1])}")
+            args.operand = arg
+        elif args.command == "prequant" and flag[2:] in SWITCHES and not has_value:
+            args.switches.add(flag[2:])
+        elif flag not in keys:
+            _usage_error(f"unrecognized argument {arg!r} for {args.command}")
+        else:
+            value = value if has_value else next(rest, "--")
+            if value.startswith("--"):  # also at the end of the line
+                _usage_error(f"{flag} expects a value")
+            if flag == "--tolerance":
+                name, has_value, value = value.partition("=")
+                if not has_value:
+                    raise ConfigError(f"--tolerance expects NAME=VALUE, got {name!r}")
+                args.values[f"tolerance.{name.strip()}"] = value.strip()
+            else:
+                args.values[keys[flag]] = value
+    if operand is not None and args.operand is None:
+        _usage_error(f"{args.command} needs {operand[0]}")
+    return args
 
 
 def _config_from_args(args) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-    # each flag's dest is its config key; unset flags read None, which
-    # config_from_sources skips
-    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-    for item in args.tolerance or ():
-        if "=" not in item:
-            raise ConfigError(f"--tolerance expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        overrides[f"tolerance.{name.strip()}"] = value.strip()
-    return config_from_sources(file_values, overrides)
+    overrides = dict(args.values)
+    path = overrides.pop("config", None)
+    return config_from_sources(load_config_file(path) if path else {}, overrides)
 
 
 def _selection(args):
     """The catalogue checks a suite command runs: a name, names, or None
     for all."""
     if args.command == "check":
-        return args.name
+        return args.operand
     if args.command == "integrate":  # the sphere class of the symplectic form
         return "sphere_integral_mass"
     if args.command == "prequant":
-        # each flag is named after the check group it selects
-        groups = [g for g in ("commutators", "operators", "integrality") if getattr(args, g)]
+        groups = [g for g in SWITCHES if g in args.switches]
         if not groups:
             raise ConfigError(
                 "prequant needs at least one of --commutators, --integrality, --operators"
@@ -138,12 +157,12 @@ def main(argv=None) -> int:
     garbage or not, until it calls ``gc.unfreeze()``.
     """
     gc.freeze()
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         config = _config_from_args(args)
 
         if args.command == "emit-csv":
-            print(f"wrote {emit_csv(args.what, config)}")
+            print(f"wrote {emit_csv(args.operand, config)}")
             return 0
 
         report = run_suite(config, only=_selection(args))

@@ -425,21 +425,21 @@ def config_from_sources(file_values: dict | None = None, overrides: dict | None 
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
     config = RunConfig()
-    tolerances = {}
-    try:
-        for key, value in merged.items():
-            if key in CONFIG_KEYS:
-                name, parse, _ = CONFIG_KEYS[key]
-                setattr(config, name, parse(value))
-            elif key.startswith("tolerance."):
-                tolerances[key.split(".", 1)[1]] = float(value)
-            else:
-                raise ConfigError(f"unknown configuration key {key!r}")
-    except (TypeError, ValueError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"bad configuration value: {err}") from err
-    config.tolerances = tolerances
+    for key, value in merged.items():
+        if key in CONFIG_KEYS:
+            name, parse, _ = CONFIG_KEYS[key]
+        elif key.startswith("tolerance."):
+            name, parse = None, float
+        else:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        try:
+            parsed = parse(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{key}: invalid {parse.__name__} value {value!r}") from err
+        if name is None:
+            config.tolerances[key.split(".", 1)[1]] = parsed
+        else:
+            setattr(config, name, parsed)
     config.validate()
     return config
 

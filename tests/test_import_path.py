@@ -15,7 +15,11 @@ either.  They evaluate, solve and integrate with the standard library, so
 none imports ``numpy`` at all: its import was the largest start-up cost of a
 command (about 80 ms of a verify process's set-up, and 14 MB of its peak
 RSS), and the batches the commands evaluate are small enough that numpy's
-per-call overhead outweighs its per-element speed.
+per-call overhead outweighs its per-element speed.  The command line is
+read off the package's own tables, so no command imports ``argparse`` or
+the ``gettext`` and ``locale`` it loads: that import, the parser build and
+the parse took about 8 ms of each command, more than the 6 ms of checks
+that ``integrate --nu 128 --nv 256`` runs.
 """
 
 import json
@@ -32,7 +36,8 @@ SRC = Path(warpsymp.__file__).resolve().parents[1]
 
 # modules that no command may load
 UNLOADED = (
-    "numpy", "numpy.random", "numpy.polynomial", "fractions", "decimal", "dataclasses", "copy"
+    "numpy", "numpy.random", "numpy.polynomial", "fractions", "decimal", "dataclasses", "copy",
+    "argparse", "gettext", "locale",
 )
 
 LIST_DATACLASSES = """
@@ -103,8 +108,8 @@ def test_cli_import_defines_no_dataclass():
 
 def test_commands_do_not_import_numpy_random():
     """Nor ``numpy`` itself, ``numpy.polynomial``, ``fractions``,
-    ``decimal``, ``dataclasses`` or ``copy``: every command runs in one
-    fresh interpreter."""
+    ``decimal``, ``dataclasses``, ``copy``, ``argparse``, ``gettext`` or
+    ``locale``: every command runs in one fresh interpreter."""
     result = json.loads(run_python(RUN_COMMANDS % (UNLOADED,))[-1])
     assert result == {"codes": [0] * 8, **dict.fromkeys(UNLOADED, False)}
 

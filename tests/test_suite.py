@@ -14,8 +14,8 @@ import pytest
 
 import warpsymp
 from warpsymp import expressions as ex
-from warpsymp import hamiltonian, prequantum, suite
-from warpsymp.cli import _config_from_args, build_parser, main
+from warpsymp import cli, hamiltonian, prequantum, suite
+from warpsymp.cli import _config_from_args, main, parse_args
 from warpsymp.suite import (
     CHECK_CATALOGUE,
     CONFIG_KEYS,
@@ -682,7 +682,7 @@ class TestCli:
         configuration: the same numbers and the same verdict."""
         code = main(["integrate", *flags])
         printed = capsys.readouterr().out
-        config = _config_from_args(build_parser().parse_args(["verify", *flags]))
+        config = _config_from_args(parse_args(["verify", *flags]))
         report = run_suite(config)
         (entry,) = [c for c in report.checks if c["check_name"] == "sphere_integral_mass"]
         assert printed == (
@@ -906,24 +906,110 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, field, expected", FLAGS)
     def test_flag_reaches_its_config_field(self, flag, value, field, expected):
         for command in COMMANDS:
-            config = _config_from_args(build_parser().parse_args([*command, flag, value]))
+            config = _config_from_args(parse_args([*command, flag, value]))
             assert getattr(config, field) == expected, command
         assert getattr(RunConfig(), field) != expected
 
     def test_every_config_key_is_a_flag_of_every_command(self):
         """The flags are the config keys, --config and --tolerance, on every
-        command, and FLAGS tests each key."""
+        command, prequant's switches are flags of prequant alone, and FLAGS
+        tests each key."""
         assert sorted(flag[2:].replace("-", "_") for flag, *_ in FLAGS) == sorted(CONFIG_KEYS)
-        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
-        assert sorted(subparsers.choices) == sorted(command[0] for command in COMMANDS)
+        assert sorted(cli.COMMANDS) == sorted(command[0] for command in COMMANDS)
+        assert list(cli.FLAGS) == ["config", *CONFIG_KEYS, "tolerance"]
+        every_flag = [arg for flag, value, *_ in FLAGS for arg in (flag, value)]
+        switches = [f"--{name}" for name in cli.SWITCHES]
+        assert sorted(switches) == ["--commutators", "--integrality", "--operators"]
         for command in COMMANDS:
-            dests = {
-                action.dest
-                for action in subparsers.choices[command[0]]._actions
-                if action.option_strings and action.dest != "help"
-            }
-            selectors = {"commutators", "integrality", "operators"} if command[0] == "prequant" else set()
-            assert dests == {*CONFIG_KEYS, "config", "tolerance", *selectors}, command
+            args = parse_args([*command, *every_flag, "--config", "run.cfg", "--tolerance", "a=1"])
+            assert set(args.values) == {*CONFIG_KEYS, "config", "tolerance.a"}, command
+            if command[0] == "prequant":
+                assert parse_args([*command, *switches]).switches == set(cli.SWITCHES)
+            else:
+                with pytest.raises(SystemExit):
+                    parse_args([*command, switches[0]])
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_key_equals_value_is_key_space_value(self, command):
+        spaced = [arg for flag, value, *_ in FLAGS for arg in (flag, value)]
+        joined = [f"{flag}={value}" for flag, value, *_ in FLAGS]
+        spaced += ["--tolerance", "gradient_relation=1e-3"]
+        joined += ["--tolerance=gradient_relation=1e-3"]
+        assert parse_args([*command, *joined]) == parse_args([*command, *spaced])
+
+    @pytest.mark.parametrize("argv", [["--t0", "-1.5"], ["--t0=-1.5"], ["--t0", "-.5e1", "--t0", "-1.5"]])
+    def test_negative_values_are_accepted(self, argv):
+        assert _config_from_args(parse_args(["integrate", *argv])).t0 == -1.5
+
+    def test_operand_after_flags(self, capsys):
+        args = parse_args(["check", "--samples", "15", "observer_unit_norm"])
+        assert (args.operand, args.values) == ("observer_unit_norm", {"samples": "15"})
+        assert main(["check", "--samples", "15", "observer_unit_norm"]) == 0
+        assert capsys.readouterr().out.startswith("[PASS] observer_unit_norm")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["--mass", "2", "verify"],
+            ["verify", "--bogus", "1"],
+            ["verify", "--seed"],
+            ["verify", "--seed", "--mass", "2"],
+            ["check"],
+            ["check", "not_a_check"],
+            ["check", "gradient_relation", "bracket_uv"],
+            ["verify", "extra"],
+            ["verify", "-x"],
+            ["emit-csv", "--mass", "2"],
+            ["verify", "--commutators"],
+            ["integrate", "--operators"],
+            ["prequant", "--commutators=yes"],
+        ],
+        ids=[
+            "no-command", "unknown-command", "flag-before-command", "unknown-flag",
+            "no-value-at-end", "no-value-before-flag", "no-operand",
+            "invalid-operand", "extra-operand", "operand-of-verify", "single-dash",
+            "emit-csv-without-what", "switch-on-verify", "switch-on-integrate",
+            "switch-with-value",
+        ],
+    )
+    def test_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: warpsymp ") and error.startswith("warpsymp: error: ")
+
+    def test_abbreviated_flag_is_refused(self, capsys):
+        """argparse took ``--sam`` for ``--samples``; the table takes only
+        full names."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "observer_unit_norm", "--sam", "12"])
+        assert excinfo.value.code == 2
+        assert "unrecognized argument '--sam'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["check", "-h"], ["prequant", "--commutators", "--help"]]
+    )
+    def test_help_lists_every_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        printed = capsys.readouterr().out
+        listed = {line.split()[0] for line in printed.splitlines()[1:]}
+        flags = {f"--{key.replace('_', '-')}" for key in [*cli.FLAGS, *cli.SWITCHES]}
+        assert listed == {*cli.COMMANDS, *flags}
+        assert {flag for flag, *_ in FLAGS} < flags
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_value_names_its_key(self, source, tmp_path, capsys):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("seed = 1.5\n")
+        flags = ["--seed", "1.5"] if source == "flag" else ["--config", str(config_file)]
+        assert main(["verify", *flags, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "configuration error: seed: invalid int value '1.5'\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_config_file_flow(self, tmp_path, capsys):
         config_file = tmp_path / "run.cfg"
