@@ -10,22 +10,23 @@ power's exponent is an exact ``Rational`` pair, whose float is numerator /
 denominator, as a ``fractions.Fraction``'s is; no command imports
 ``fractions``.
 
-Nodes are immutable: each node class lists its fields in ``_fields``, and
-two nodes are equal (with equal hashes) when they have the same type and
-equal fields, so expressions compare structurally and are safe to share
-between threads.  ``vars(node)`` holds exactly the fields.  Each node caches
-its partial derivatives in a slot outside the fields, so differentiating the
-same node twice returns the same tree and derivative DAGs stay shared.
+Nodes are immutable and interned (hash-consing: Filliâtre & Conchon,
+"Type-safe modular hash-consing", ML Workshop 2006).  Each node class lists
+its fields in ``_fields``, and building a node returns the node already
+built with the same class and fields, its children compared by identity.
+So structurally equal nodes are one object, identity is equality, and
+nodes are safe to share between threads.  A constant keys by its sign too,
+so 0.0 and -0.0 are two nodes, and a NaN constant by its float object.  The
+table keeps every node for the life of the process.  ``vars(node)`` holds
+exactly the fields.  Each node caches its partial derivatives in a slot
+outside the fields, so differentiating a node twice, from any builder,
+returns the same tree and derivative DAGs stay shared.
 
 Evaluation has one path, ``evaluate_many``: it orders the DAG under several
-roots topologically and computes each distinct node once over a flat batch
-of points, with the ``math`` module's kernels.  Structurally equal nodes
-(same class, fields and operands in the same order, and a zero constant
-the same sign), shared or built separately, share one value: the schedule
-merges them, and the nodes, their equality and their derivative caches are
-left as they are.  A value that is constant over the batch stays a float;
-any other value is a list with one float per point.  ``Expression.evaluate``
-is its one-point call.
+roots topologically and computes each node once over a flat batch of
+points, with the ``math`` module's kernels.  A value that is constant over
+the batch stays a float; any other value is a list with one float per
+point.  ``Expression.evaluate`` is its one-point call.
 
 Besides the chart coordinates and the mass, a tree may read parameters:
 ``Parameter`` leaves are constant on the chart, so a family of expressions
@@ -133,43 +134,47 @@ class PointSet:
         return ChartPoint(self.u[key], self.v[key], self.r[key], self.t[key], self.m)
 
 
+# Every node built, under its class and fields: the table that makes
+# structurally equal nodes one object.  Children key by identity, since they
+# are interned already.  A plain dict, so that each node and its derivative
+# memo live as long as the process.
+_NODES = {}
+
+
+def _interned(cls, key, values):
+    """The node under ``key``, built from the field ``values`` if there is
+    none; ``setdefault`` keeps one node when two threads build it at once."""
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        node = _NODES.setdefault(key, node)
+    return node
+
+
 class Expression:
     """Base class of all expression-tree nodes.
 
     ``_fields`` names a node class's fields in order; the constructor takes
-    them positionally, and equality, hash and repr read them.
-    ``children`` are the operand nodes, and ``_data`` names the fields that
-    are not children; ``_apply`` computes the node from their values (each
-    a float or a list of one float per point of the batch) and the chart
-    inputs, and ``_rule`` is the node's differentiation rule.
+    them positionally and returns the interned node, and repr reads them.
+    Equality and hash are identity's.  ``children`` are the operand nodes;
+    ``_apply`` computes the node from their values (each a float or a list
+    of one float per point of the batch) and the chart inputs, and
+    ``_rule`` is the node's differentiation rule.
     """
 
     __slots__ = ("_derivatives",)
     _fields = ()
-    _data = ()
     children = ()
 
-    def __init__(self, *values):
-        fields = self._fields
-        if len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        # object.__setattr__ stores the fields without building a dict per
-        # node; a counted loop costs less than zip for one or two fields
-        index = 0
-        for name in fields:
-            object.__setattr__(self, name, values[index])
-            index += 1
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        return _interned(cls, (cls, *values), values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: expression nodes are immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
@@ -190,7 +195,7 @@ class Expression:
 
     def _diff(self, coordinate: str) -> "Expression":
         """``_rule`` memoised per coordinate in the ``_derivatives`` slot,
-        which the fields, equality and hash do not see."""
+        which the fields and repr do not see."""
         cache = getattr(self, "_derivatives", None)
         if cache is None:
             cache = {}
@@ -244,7 +249,16 @@ class Expression:
 
 
 class Constant(Expression):
-    _fields = _data = ("value",)
+    """A float constant; an int value is stored as its float."""
+
+    _fields = ("value",)
+
+    def __new__(cls, value):
+        if not isinstance(value, (int, float)):
+            raise TypeError(f"a constant takes an int or a float, not {type(value).__name__}")
+        value = float(value)
+        # the sign keeps 0.0 and -0.0 apart; a NaN keys by its float object
+        return _interned(cls, (cls, value, math.copysign(1.0, value)), (value,))
 
     def _apply(self, values, inputs):
         return self.value
@@ -257,7 +271,7 @@ class Constant(Expression):
 
 
 class Coordinate(Expression):
-    _fields = _data = ("name",)
+    _fields = ("name",)
 
     def _apply(self, values, inputs):
         return inputs[self.name]
@@ -286,7 +300,7 @@ class Parameter(Expression):
     """A named number that is constant on the chart.  The value is read
     from the input mapping under the parameter itself."""
 
-    _fields = _data = ("name",)
+    _fields = ("name",)
 
     def _apply(self, values, inputs):
         return inputs[self]
@@ -419,7 +433,6 @@ class Power(Expression):
     """base raised to a fixed rational exponent."""
 
     _fields = ("base", "exponent")
-    _data = ("exponent",)
 
     @property
     def children(self):
@@ -614,27 +627,13 @@ def chart_inputs(at) -> dict:
     return inputs
 
 
-def _merge_key(node, keys):
-    """The key under which ``_schedule`` merges structurally equal nodes:
-    the class, ``keys`` (the schedule positions of the children, in operand
-    order) and the fields named in ``_data``.  A constant keys by its sign
-    too, so 0.0 and -0.0 stay apart, and a NaN constant by its identity, so
-    it never merges."""
-    cls = node.__class__
-    if cls is Constant:
-        value = node.value
-        return (Constant, id(node) if value != value else (value, math.copysign(1.0, value)))
-    return (cls, keys, *[getattr(node, name) for name in cls._data])
-
-
 def _schedule(roots):
-    """Post-order of the DAG under ``roots``, children last first, with
-    structurally equal nodes merged: each distinct node once, at its first
-    occurrence, with the positions of its children.  Also returns the
-    number of consumers of each position, where each root counts one extra
-    so that its value outlives the walk, and the positions of the roots."""
+    """Post-order of the DAG under ``roots``, children last first: each node
+    once, at its first occurrence, with the positions of its children.  Also
+    returns the number of consumers of each position, where each root counts
+    one extra so that its value outlives the walk, and the positions of the
+    roots."""
     order, uses = [], []
-    merged = {}  # merge key -> position
     position = {}  # id(node) -> position
     stack = [(root, None) for root in reversed(roots)]
     while stack:
@@ -648,13 +647,11 @@ def _schedule(roots):
                         stack.append((child, None))
             continue
         keys = tuple(map(position.__getitem__, map(id, children)))
-        at = merged.setdefault(_merge_key(node, keys), len(order))
-        if at == len(order):
-            order.append((node, keys))
-            uses.append(0)
-            for key in keys:
-                uses[key] += 1
-        position[id(node)] = at
+        position[id(node)] = len(order)
+        order.append((node, keys))
+        uses.append(0)
+        for key in keys:
+            uses[key] += 1
     outputs = [position[id(root)] for root in roots]
     for at in outputs:
         uses[at] += 1
@@ -672,10 +669,10 @@ def evaluate_many(roots, at) -> list:
     batch (with none, the batch is one point); each length must divide
     every longer one, and a shorter sequence stands for its values repeated
     whole, such as a point set repeated
-    for each member of a section family.  Each distinct node is computed
-    once: structurally equal nodes, shared or built separately, share one
-    value (``_schedule``).  A value constant over the batch stays a float,
-    and an intermediate value is dropped after its last consumer.  Returns
+    for each member of a section family.  Each node is computed once, and
+    nodes are interned, so structurally equal nodes are one node.  A value
+    constant over the batch stays a float, and an intermediate value is
+    dropped after its last consumer.  Returns
     one list per root, with one float per point.  Arithmetic follows IEEE
     rules: infinities and NaN propagate.  Raises EvaluationError if any
     point hits a guard: a zero denominator, the log of a non-positive value,
@@ -723,7 +720,7 @@ def _coerce(value) -> Expression:
 
 
 def const(value: float) -> Constant:
-    return Constant(float(value))
+    return Constant(value)
 
 
 def add(*terms) -> Expression:

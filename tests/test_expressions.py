@@ -5,6 +5,8 @@ Richardson extrapolation, kept independent of the symbolic rules it checks.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -441,15 +443,16 @@ def scheduled(*roots):
 
 
 class TestMergedSchedule:
-    """The evaluator computes each distinct node once per call: nodes that
-    are structurally equal share one value, built separately or not."""
+    """The evaluator computes each node once per call, and nodes are
+    interned: structurally equal nodes, built separately or not, are one
+    node with one value."""
 
     INPUTS = {"u": [0.3, 0.7, 1.1], "v": 1.0, "r": [3.0, 4.0, 5.0], "t": 0.5, "m": 1.0}
 
     def test_equal_subtrees_are_scheduled_once(self):
         first = ex.mul(ex.sin(ex.U), ex.exp(ex.R))
         second = ex.mul(ex.sin(ex.U), ex.exp(ex.R))
-        assert first is not second and first.factors[0] is not second.factors[0]
+        assert first is second
         tree = ex.quotient(first, ex.add(second, ex.T))
         # u, sin u, r, exp r, the product, t, the sum, the quotient
         assert len(scheduled(tree)) == 8
@@ -459,7 +462,8 @@ class TestMergedSchedule:
 
     def test_signed_zero_constants_keep_their_signs(self):
         zero, negative = ex.Constant(0.0), ex.Constant(-0.0)
-        assert zero == negative and len(scheduled(zero, negative)) == 2
+        assert zero is not negative and ex.Constant(-0.0) is negative
+        assert len(scheduled(zero, negative)) == 2
         # products built directly, since mul folds a zero factor to ZERO
         roots = [zero, negative, ex.Product((zero, ex.U)), ex.Product((negative, ex.U))]
         values = evaluate_many(roots, self.INPUTS)
@@ -468,8 +472,11 @@ class TestMergedSchedule:
         ]
 
     def test_nan_constants_are_never_merged(self):
-        nan = ex.Constant(math.nan)
-        assert len(scheduled(nan, ex.Constant(math.nan), nan)) == 2
+        """A NaN constant keys by its float object: NaN equals no float."""
+        first, second = float("nan"), float("nan")
+        nan = ex.Constant(first)
+        assert ex.Constant(first) is nan and ex.Constant(second) is not nan
+        assert len(scheduled(nan, ex.Constant(second), nan)) == 2
 
     def test_reordered_sums_keep_their_own_cascades(self):
         """The terms of a sum keep their order, so two orders of the same
@@ -513,6 +520,54 @@ class TestMergedSchedule:
         except (EvaluationError, OverflowError):
             assume(False)
         assert evaluate_many(trees, points) == apart
+
+
+class TestInterning:
+    """Building a node returns the one node of its structure."""
+
+    INPUTS = {"u": [0.3, 0.7, 1.1], "v": 1.0, "r": 3.0, "t": 0.5, "m": 1.0}
+
+    def test_constant_holds_a_float(self):
+        two = ex.Constant(2)
+        assert type(two.value) is float and two is ex.const(2.0)
+        assert evaluate_many([two], self.INPUTS) == [[2.0] * 3]
+        assert evaluate_many([ex.Product((two, ex.U))], self.INPUTS) == [[0.6, 1.4, 2.2]]
+
+    @pytest.mark.parametrize("value", ["2", None, 1j], ids=["str", "None", "complex"])
+    def test_constant_refuses_what_is_not_a_real_number(self, value):
+        with pytest.raises(TypeError, match="^a constant takes an int or a float, not "):
+            ex.Constant(value)
+
+    def test_models_share_their_nodes_and_derivatives(self):
+        first, second = schwarzschild(1.0), schwarzschild(1.0)
+        pairs = list(zip(first.symplectic_form.terms, second.symplectic_form.terms))
+        assert pairs and all(a is b for (_, a), (_, b) in pairs)
+        (_, a), (_, b) = pairs[0]
+        derivative = a.diff("r")
+        assert b.diff("r") is derivative and b._derivatives["r"] is derivative
+
+    def test_threads_building_one_tree_get_one_node(self):
+        """Four threads build the same new nodes at once, switching often,
+        and get the same objects."""
+        barrier = threading.Barrier(4, timeout=30)
+        built = []
+
+        def build():
+            barrier.wait()
+            built.append([ex.mul(Parameter(f"race {k}"), ex.sin(ex.U)) for k in range(500)])
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(built) == 4
+        assert all(node is first for nodes in built for node, first in zip(nodes, built[0]))
 
 
 class TestChartPoint:

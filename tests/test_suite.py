@@ -46,9 +46,41 @@ def counting_schedule(schedule, counts):
     return counting
 
 
+def counting_calls(function, counts, measure):
+    """``function``, appending to ``counts`` ``measure`` of the arguments
+    of each call."""
+
+    def counting(*args):
+        counts.append(measure(*args))
+        return function(*args)
+
+    return counting
+
+
+def reached_by_identity(roots):
+    """The number of nodes under ``roots``, told apart by identity."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+def in_fresh_interpreter(script):
+    """The JSON that ``script`` prints, run in a fresh interpreter, where
+    the first run builds the first model and the first nodes."""
+    completed = subprocess.run(
+        [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=300
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
 def fresh_schedule_counts(statement):
     """The nodes of each ``_schedule`` call while ``statement`` runs in a
-    fresh interpreter, where the first run builds the first model."""
+    fresh interpreter."""
     script = inspect.getsource(counting_schedule) + textwrap.dedent(
         """
         import json
@@ -59,15 +91,7 @@ def fresh_schedule_counts(statement):
         ex._schedule = counting_schedule(ex._schedule, counts)
         """
     )
-    completed = subprocess.run(
-        [sys.executable, "-c", f"{script}{statement}\nprint(json.dumps(counts))"],
-        cwd=SRC,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-    return json.loads(completed.stdout)
+    return in_fresh_interpreter(f"{script}{statement}\nprint(json.dumps(counts))")
 
 
 # checks whose verdict is structural or report-only: no tolerance override
@@ -280,8 +304,7 @@ class TestRunSuite:
     def test_commutator_roots_do_not_scale_with_sections(self, monkeypatch):
         """The test sections are one family, so the commutator group hands
         the evaluator the same roots, and the same scheduled nodes, however
-        many sections it draws.  Node counts compare across runs because
-        each model builds its own metric inverse."""
+        many sections it draws."""
         roots, nodes = [], []
         evaluate_many = ex.evaluate_many
 
@@ -302,9 +325,9 @@ class TestRunSuite:
         assert counts[0] == counts[1] and min(counts[0]) > 0
 
     def test_each_run_schedules_the_nodes_of_the_first(self):
-        """Each metric keeps its own determinant and inverse, so a later run
-        in one process shares nodes as the first run does.  The runs go in a
-        fresh interpreter, where the first run builds the first model."""
+        """A later run in one process reuses the first run's nodes, and
+        schedules them as the first run does.  The runs go in a fresh
+        interpreter, where the first run builds the first model."""
         counts = fresh_schedule_counts(
             "for _ in range(3):\n    run_suite(RunConfig(), only=['commutator_uv'])"
         )
@@ -389,18 +412,44 @@ class TestSelection:
 
     def test_default_run_keeps_its_batching(self):
         """A default run evaluates each group in one batch, as before
-        selection, and the evaluator merges structurally equal nodes: at
-        most 31 evaluate_many calls and 1,843 scheduled nodes (2,846 before
-        merging, 1,843 with the nonhermitian commutator variant on all six
-        pairs and exp(ln x) unfolded)."""
+        selection, and structurally equal nodes are one node: at most 31
+        evaluate_many calls and 1,681 scheduled nodes (2,846 before equal
+        nodes were shared, 1,843 with the nonhermitian commutator variant on
+        all six pairs and exp(ln x) unfolded)."""
         counts = fresh_schedule_counts("run_suite(RunConfig())")
         assert len(counts) <= 31 and sum(counts) <= 1681
+
+    def test_default_run_schedules_every_node_it_reaches(self):
+        """Nodes are interned, so a default run reaches by identity exactly
+        the nodes it schedules (1,681; 2,444 before interning), and each node
+        is differentiated once per coordinate, whoever builds it: at most 642
+        ``_rule`` calls (1,328 before)."""
+        helpers = (counting_schedule, counting_calls, reached_by_identity)
+        script = "".join(map(inspect.getsource, helpers)) + textwrap.dedent(
+            """
+            import json
+            import warpsymp.expressions as ex
+            from warpsymp.suite import RunConfig, run_suite
+
+            scheduled, reached, rules = [], [], []
+            ex._schedule = counting_schedule(
+                counting_calls(ex._schedule, reached, reached_by_identity), scheduled
+            )
+            for cls in ex.Expression.__subclasses__():
+                cls._rule = counting_calls(vars(cls)["_rule"], rules, lambda node, x: x)
+            run_suite(RunConfig())
+            print(json.dumps([scheduled, reached, len(rules)]))
+            """
+        )
+        scheduled, reached, rules = in_fresh_interpreter(script)
+        assert reached == scheduled and sum(scheduled) <= 1681
+        assert rules <= 642
 
     def test_commutator_scan_keeps_its_batching(self):
         """prequant --commutators --sections 1 evaluates the six commutator
         checks in one call of at most 634 scheduled nodes (1,393 before
-        merging, 736 with the nonhermitian variant on all six pairs and
-        exp(ln x) unfolded)."""
+        equal nodes were shared, 736 with the nonhermitian variant on all
+        six pairs and exp(ln x) unfolded)."""
         counts = fresh_schedule_counts(
             "run_suite(RunConfig(n_sections=1), only=GROUP_CHECKS['commutators'])"
         )
