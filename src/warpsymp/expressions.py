@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Mapping
 from itertools import repeat
-from typing import NamedTuple
 
 COORDINATE_NAMES = ("u", "v", "r", "t")
 
@@ -394,11 +394,10 @@ class Quotient(Expression):
         return f"(/ {self.numerator.to_prefix()} {self.denominator.to_prefix()})"
 
 
-class Rational(NamedTuple):
-    """An exact exponent; ``power`` keeps it in lowest terms, denominator > 0."""
+class Rational(namedtuple("Rational", ("numerator", "denominator"))):
+    """An exact exponent of ints; ``power`` keeps it in lowest terms, denominator > 0."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ()
 
     def __float__(self):
         return self.numerator / self.denominator
@@ -634,25 +633,25 @@ def _schedule(roots):
     one extra so that its value outlives the walk, and the positions of the
     roots."""
     order, uses = [], []
-    position = {}  # id(node) -> position
+    position = {}  # node -> position; nodes hash and compare by identity
     stack = [(root, None) for root in reversed(roots)]
     while stack:
         node, children = stack.pop()
         if children is None:
-            if id(node) not in position:
+            if node not in position:
                 children = node.children
                 stack.append((node, children))
                 for child in children:
-                    if id(child) not in position:
+                    if child not in position:
                         stack.append((child, None))
             continue
-        keys = tuple(map(position.__getitem__, map(id, children)))
-        position[id(node)] = len(order)
+        keys = tuple(map(position.__getitem__, children))
+        position[node] = len(order)
         order.append((node, keys))
         uses.append(0)
         for key in keys:
             uses[key] += 1
-    outputs = [position[id(root)] for root in roots]
+    outputs = [position[root] for root in roots]
     for at in outputs:
         uses[at] += 1
     return order, uses, outputs
@@ -723,17 +722,28 @@ def const(value: float) -> Constant:
     return Constant(value)
 
 
+def _nested(kind, nodes, flat, constant):
+    """Walk a nested Sum's or Product's operands depth first, left to right:
+    fold the constants into ``constant`` and return it; the rest go to ``flat``."""
+    for node in nodes:
+        if isinstance(node, kind):  # a nest built by hand
+            constant = _nested(kind, node.children, flat, constant)
+        elif isinstance(node, Constant):
+            constant = constant + node.value if kind is Sum else constant * node.value
+        else:
+            flat.append(node)
+    return constant
+
+
 def add(*terms) -> Expression:
     flat = []
     constant_part = 0.0
     # depth first through nested sums, left to right
-    pending = list(reversed(terms))
-    while pending:
-        term = pending.pop()
+    for term in terms:
         if not isinstance(term, Expression):
             term = _coerce(term)
         if isinstance(term, Sum):
-            pending += reversed(term.terms)
+            constant_part = _nested(Sum, term.terms, flat, constant_part)
         elif isinstance(term, Constant):
             constant_part += term.value
         else:
@@ -751,13 +761,11 @@ def mul(*factors) -> Expression:
     flat = []
     constant_part = 1.0
     # depth first through nested products, left to right
-    pending = list(reversed(factors))
-    while pending:
-        factor = pending.pop()
+    for factor in factors:
         if not isinstance(factor, Expression):
             factor = _coerce(factor)
         if isinstance(factor, Product):
-            pending += reversed(factor.factors)
+            constant_part = _nested(Product, factor.factors, flat, constant_part)
         elif isinstance(factor, Constant):
             constant_part *= factor.value
         else:

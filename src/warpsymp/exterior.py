@@ -19,8 +19,8 @@ Everything is immutable; operations are pure functions.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .expressions import (
     COORDINATE_NAMES,
@@ -70,17 +70,16 @@ def _canonicalize(index: tuple) -> tuple:
     return sign, tuple(entries)
 
 
-class KForm(NamedTuple):
+class KForm(namedtuple("KForm", ("degree", "terms"))):
     """A degree-k antisymmetric form with expression coefficients.
 
     ``terms`` maps strictly increasing multi-indices over (u, v, r, t) to
-    coefficient expressions; indices whose coefficient folded to the zero
-    constant are dropped.  Degree 0 is a single scalar stored at the empty
-    index.
+    coefficient expressions, as a tuple of (index, Expression) pairs sorted
+    by index; indices whose coefficient folded to the zero constant are
+    dropped.  Degree 0 is a single scalar stored at the empty index.
     """
 
-    degree: int
-    terms: tuple  # ((index, Expression), ...) sorted by index
+    __slots__ = ()
 
     @staticmethod
     def from_terms(degree: int, mapping) -> "KForm":
@@ -170,10 +169,10 @@ class KForm(NamedTuple):
         return self.max_abs(point.as_dict())[0]
 
 
-class VectorField(NamedTuple):
-    """Contravariant field with one expression per coordinate direction."""
+class VectorField(namedtuple("VectorField", ("components",))):
+    """Contravariant field: ``components`` holds one Expression per axis (u, v, r, t)."""
 
-    components: tuple  # 4 Expressions ordered (u, v, r, t)
+    __slots__ = ()
 
     def apply(self, scalar: Expression) -> Expression:
         """Directional derivative of a scalar along the field."""

@@ -28,8 +28,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import namedtuple
 from itertools import repeat
-from typing import NamedTuple
 
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
@@ -209,8 +209,8 @@ def bracket_table(
 ):
     """The antisymmetric 4x4 table of coordinate brackets with its checks.
 
-    Returns (checks, table) where table maps "f,h" to the bracket expression
-    in prefix form, and checks compare the two nonzero entries relatively,
+    Returns (checks, table) where table maps "f,h" to the bracket
+    expression, and checks compare the two nonzero entries relatively,
     the four cross entries absolutely, antisymmetry, and the Jacobi residual
     for all coordinate triples.  The Jacobi residual stacks two symbolic
     derivative layers, whose roundoff is amplified near the poles, so it may
@@ -240,7 +240,7 @@ def bracket_table(
         for a, b in pairs
         if (a, b) in read
     }
-    table = {f"{a},{b}": bracket.to_prefix() for (a, b), bracket in brackets.items()}
+    table = {f"{a},{b}": bracket for (a, b), bracket in brackets.items()}
     computed = []
     if brackets:
         computed = ex.evaluate_many(
@@ -446,11 +446,11 @@ def gauss_legendre(n: int) -> tuple:
     return nodes, tuple(weights + middle_w + weights[::-1])
 
 
-class IntegralResult(NamedTuple):
-    value: float
-    error_estimate: float
-    n_u: int
-    n_v: int
+class IntegralResult(namedtuple("IntegralResult", ("value", "error_estimate", "n_u", "n_v"))):
+    """A sphere integral: ``value`` at twice the requested node counts, the ints ``n_u`` x
+    ``n_v``, and as ``error_estimate`` its difference from the pass at those counts."""
+
+    __slots__ = ()
 
 
 def sphere_sum(form: KForm, model: SpacetimeModel, n_u: int, n_v: int, r0: float, t0: float) -> float:

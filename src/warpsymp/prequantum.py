@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
-from typing import NamedTuple
 
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
@@ -117,16 +117,15 @@ class ConnectionPotential:
         )
 
 
-class Section(NamedTuple):
-    """A complex-valued field on the cut chart, stored as (re, im).
+class Section(namedtuple("Section", ("re", "im"))):
+    """A complex-valued field on the cut chart, stored as Expressions (re, im).
 
     Sections are local objects: they are only required to be evaluable on
     the chart, not to extend continuously across the azimuth cut or the
     poles.
     """
 
-    re: Expression
-    im: Expression
+    __slots__ = ()
 
     def __add__(self, other):
         if not isinstance(other, Section):
@@ -205,22 +204,20 @@ def covariant_derivative(
     )
 
 
-class PrequantumOperator(NamedTuple):
+class PrequantumOperator(
+    namedtuple("PrequantumOperator", "source field paired potential hbar hermitian", defaults=(True,))
+):
     """The operator assigned to a smooth function.
 
+    ``source`` is the function f and ``field`` its Hamiltonian field H_f.
     ``hermitian=True`` gives  i hbar nabla_{H_f} - f, the assignment under
     which brackets become commutators; ``hermitian=False`` drops the
     imaginary unit (hbar nabla_{H_f} - f), breaking that correspondence, and
     exists so the reports can show the breakage explicitly.  ``paired`` is
-    theta(H_f); ``hbar`` is the potential's, at the model's mass.
+    theta(H_f); ``hbar`` is the ``potential``'s, at the model's mass.
     """
 
-    source: Expression
-    field: VectorField
-    paired: Expression
-    potential: ConnectionPotential
-    hbar: float
-    hermitian: bool = True
+    __slots__ = ()
 
     def derivative_part(self, psi: Section, gradient: Section | None = None) -> Section:
         """The (i) hbar nabla_{H_f} piece of the operator alone; ``gradient``
@@ -560,13 +557,10 @@ def geometric_operator_report(
 # ---------------------------------------------------------------------------
 
 
-class Box(NamedTuple):
-    """A coordinate box inside the chart, for bounded L2 norms."""
+class Box(namedtuple("Box", ("u", "v", "r", "t"))):
+    """A coordinate box inside the chart, for bounded L2 norms: (low, high) per axis."""
 
-    u: tuple
-    v: tuple
-    r: tuple
-    t: tuple
+    __slots__ = ()
 
     def intervals(self):
         return (self.u, self.v, self.r, self.t)

@@ -20,7 +20,7 @@ a derived assertion, never entered by hand.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
@@ -55,9 +55,19 @@ def schwarzschild_factor() -> Expression:
     return ex.ONE - ex.const(2.0) * ex.M / ex.R
 
 
-class SpacetimeModel(NamedTuple):
+class SpacetimeModel(
+    namedtuple(
+        "SpacetimeModel",
+        "mass warp metric gravitational_field observer_field lapse volume_form flux_form"
+        " dual_flux_form symplectic_form closure_check darboux",
+        defaults=(None, None),
+    )
+):
     """A static exterior model together with its derived structure.
 
+    ``mass`` is a float, ``warp`` and ``lapse`` Expressions, ``metric`` a
+    MetricTensor, the fields VectorFields, the forms KForms and
+    ``closure_check`` a CheckResult, or None where no closure check ran.
     ``flux_form`` is the angular 2-form -(1/4pi) i_R i_X vol whose sphere
     integral measures the mass; ``dual_flux_form`` is its Hodge dual; their
     combination ``symplectic_form`` = lapse * flux + dual is the closed
@@ -69,18 +79,7 @@ class SpacetimeModel(NamedTuple):
     immutable and safe to share across threads.
     """
 
-    mass: float
-    warp: Expression
-    metric: MetricTensor
-    gravitational_field: VectorField
-    observer_field: VectorField
-    lapse: Expression
-    volume_form: KForm
-    flux_form: KForm
-    dual_flux_form: KForm
-    symplectic_form: KForm
-    closure_check: CheckResult | None = None
-    darboux: tuple | None = None
+    __slots__ = ()
 
 
 def darboux_chart(model: SpacetimeModel) -> tuple:

@@ -24,10 +24,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Callable, Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from . import expressions as ex
@@ -142,15 +142,15 @@ def _bracket_checks(g: GroupInputs, only) -> list:
     return checks
 
 
-class Check(NamedTuple):
-    name: str
-    tolerance: float
-    rule: str = BELOW
+class Check(namedtuple("Check", ("name", "tolerance", "rule"), defaults=(BELOW,))):
+    """A check's name, its default tolerance and its verdict rule."""
+
+    __slots__ = ()
 
 
-class CheckGroup(NamedTuple):
-    """One row of the catalogue: a group, the runner that computes it, and
-    the checks it emits in report order.
+class CheckGroup(namedtuple("CheckGroup", ("key", "run", "checks"))):
+    """One row of the catalogue: a group's key, the runner that computes
+    it, and the tuple of Checks it emits in report order.
 
     A runner takes the group inputs and the set of the group's check names
     to compute, and returns their results; it computes no other check of
@@ -162,9 +162,7 @@ class CheckGroup(NamedTuple):
     and re-judges it afterwards.
     """
 
-    key: str
-    run: Callable[[GroupInputs, frozenset], list]
-    checks: tuple[Check, ...]
+    __slots__ = ()
 
 
 CHECK_GROUPS = (
@@ -449,9 +447,10 @@ def config_from_sources(file_values: dict | None = None, overrides: dict | None 
 # ---------------------------------------------------------------------------
 
 
-class SuiteReport(NamedTuple):
-    body: dict
-    wall_time_seconds: float
+class SuiteReport(namedtuple("SuiteReport", ("body", "wall_time_seconds"))):
+    """The deterministic report ``body`` and, outside it, the run's wall time."""
+
+    __slots__ = ()
 
     @property
     def checks(self) -> list:

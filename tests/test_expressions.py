@@ -951,6 +951,26 @@ class TestFoldingRules:
         assert ex.mul(ex.const(2), ex.const(3)).value == 6.0
         assert ex.power(ex.const(2), 10).value == 1024.0
 
+    def test_hand_built_nests_are_expanded(self):
+        """add and mul take nested sums and products depth first, left to
+        right, however deep a nest built by hand goes."""
+        two, three = ex.Constant(2.0), ex.Constant(3.0)
+        assert ex.mul(ex.Product((ex.U, ex.Product((ex.V, two))))) is ex.Product((two, ex.U, ex.V))
+        nest = ex.Product((ex.Product((ex.U, three)), ex.V, two))
+        assert ex.mul(ex.R, nest) is ex.Product((ex.Constant(6.0), ex.R, ex.U, ex.V))
+        nest = ex.Sum((ex.U, ex.Sum((two, ex.Sum((ex.V, three))))))
+        assert ex.add(nest, ex.R) is ex.Sum((ex.U, ex.V, ex.R, ex.Constant(5.0)))
+
+    def test_constants_amid_the_operands_fold_in_order(self):
+        """Constants inside a nested node fold where they stand: folding the
+        nested node's constants first would give 2.0 and inf here."""
+        nest = ex.Sum((ex.U, ex.Constant(1e16), ex.V, ex.Constant(-1e16)))
+        # ((1 + 1e16) - 1e16) + 1 = 1, as 1e16 + 1 rounds to 1e16
+        assert ex.add(ex.ONE, nest, ex.ONE) is ex.Sum((ex.U, ex.V, ex.ONE))
+        nest = ex.Product((ex.U, ex.Constant(1e200), ex.V, ex.Constant(1e200)))
+        tiny = ex.Constant(1e-200)
+        assert ex.mul(tiny, nest, tiny) is ex.Product((ex.U, ex.V))
+
     def test_division_by_zero_constant_rejected(self):
         with pytest.raises(ValueError):
             ex.quotient(ex.R, ex.const(0))
