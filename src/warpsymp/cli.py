@@ -123,7 +123,7 @@ def _selection(args):
     if args.command == "check":
         return args.operand
     if args.command == "integrate":  # the sphere class of the symplectic form
-        return "sphere_integral_mass"
+        return GROUP_CHECKS["sphere_integral"][0]
     if args.command == "prequant":
         groups = [g for g in SWITCHES if g in args.switches]
         if not groups:

@@ -143,9 +143,20 @@ _NODES = {}
 
 def _interned(cls, key, values):
     """The node under ``key``, built from the field ``values`` if there is
-    none; ``setdefault`` keeps one node when two threads build it at once."""
+    none; ``setdefault`` keeps one node when two threads build it at once.
+    A value of the wrong type for its field (``cls._kinds``) is a TypeError,
+    checked only where a node is built."""
     node = _NODES.get(key)
     if node is None:
+        for name, value, kind in zip(cls._fields, values, cls._kinds):
+            items = (value,)
+            if kind is tuple and isinstance(value, tuple):  # a tuple of operand nodes
+                kind, items = Expression, value
+            for item in items:
+                if not isinstance(item, kind):
+                    raise TypeError(
+                        f"{cls.__name__} takes {kind.__name__} {name}, not {type(item).__name__}"
+                    )
         node = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(node, name, value)
@@ -156,8 +167,10 @@ def _interned(cls, key, values):
 class Expression:
     """Base class of all expression-tree nodes.
 
-    ``_fields`` names a node class's fields in order; the constructor takes
-    them positionally and returns the interned node, and repr reads them.
+    ``_fields`` names a node class's fields in order and ``_kinds`` gives
+    each one's type (``tuple`` for a tuple of operand nodes); the
+    constructor takes them positionally and returns the interned node, and
+    repr reads them.
     Equality and hash are identity's.  ``children`` are the operand nodes;
     ``_apply`` computes the node from their values (each a float or a list
     of one float per point of the batch) and the chart inputs, and
@@ -165,7 +178,7 @@ class Expression:
     """
 
     __slots__ = ("_derivatives",)
-    _fields = ()
+    _fields = _kinds = ()
     children = ()
 
     def __new__(cls, *values):
@@ -251,7 +264,7 @@ class Expression:
 class Constant(Expression):
     """A float constant; an int value is stored as its float."""
 
-    _fields = ("value",)
+    _fields, _kinds = ("value",), (float,)
 
     def __new__(cls, value):
         if not isinstance(value, (int, float)):
@@ -271,7 +284,7 @@ class Constant(Expression):
 
 
 class Coordinate(Expression):
-    _fields = ("name",)
+    _fields, _kinds = ("name",), (str,)
 
     def _apply(self, values, inputs):
         return inputs[self.name]
@@ -300,7 +313,7 @@ class Parameter(Expression):
     """A named number that is constant on the chart.  The value is read
     from the input mapping under the parameter itself."""
 
-    _fields = ("name",)
+    _fields, _kinds = ("name",), (str,)
 
     def _apply(self, values, inputs):
         return inputs[self]
@@ -313,7 +326,7 @@ class Parameter(Expression):
 
 
 class Sum(Expression):
-    _fields = ("terms",)
+    _fields, _kinds = ("terms",), (tuple,)
 
     @property
     def children(self):
@@ -346,7 +359,7 @@ class Sum(Expression):
 
 
 class Product(Expression):
-    _fields = ("factors",)
+    _fields, _kinds = ("factors",), (tuple,)
 
     @property
     def children(self):
@@ -371,7 +384,7 @@ class Product(Expression):
 
 
 class Quotient(Expression):
-    _fields = ("numerator", "denominator")
+    _fields, _kinds = ("numerator", "denominator"), (Expression, Expression)
 
     @property
     def children(self):
@@ -431,7 +444,7 @@ _POWER_KERNELS = {
 class Power(Expression):
     """base raised to a fixed rational exponent."""
 
-    _fields = ("base", "exponent")
+    _fields, _kinds = ("base", "exponent"), (Expression, Rational)
 
     @property
     def children(self):
@@ -458,7 +471,7 @@ class Power(Expression):
 
 
 class Exp(Expression):
-    _fields = ("arg",)
+    _fields, _kinds = ("arg",), (Expression,)
 
     @property
     def children(self):
@@ -478,7 +491,7 @@ class Exp(Expression):
 
 
 class Log(Expression):
-    _fields = ("arg",)
+    _fields, _kinds = ("arg",), (Expression,)
 
     @property
     def children(self):
@@ -498,7 +511,7 @@ class Log(Expression):
 
 
 class Sin(Expression):
-    _fields = ("arg",)
+    _fields, _kinds = ("arg",), (Expression,)
 
     @property
     def children(self):
@@ -515,7 +528,7 @@ class Sin(Expression):
 
 
 class Cos(Expression):
-    _fields = ("arg",)
+    _fields, _kinds = ("arg",), (Expression,)
 
     @property
     def children(self):

@@ -34,7 +34,7 @@ from itertools import repeat
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
 from .exterior import DIM, KForm, VectorField
-from .reports import CheckResult, selector, worst_point
+from .reports import GROUP_ROWS, selector, worst_point
 from .spacetime import SpacetimeModel, darboux_chart
 
 
@@ -176,14 +176,15 @@ def coordinate_bracket_references(model: SpacetimeModel) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None, only=None) -> list:
+def verify_hamiltonian_fields(model, points, threshold=None, seed=None, only=None) -> list:
     """Numeric solve against the chart's closed forms, relative error;
-    ``only`` names the checks to compute (None for all four)."""
+    ``only`` names the checks to compute (None for all four), and a
+    ``threshold`` left at None is each check's own tolerance."""
     wanted = selector(only)
     references = coordinate_field_references(model)
     results = []
-    for name in ex.COORDINATE_NAMES:
-        if not wanted(f"hamiltonian_{name}"):
+    for name, check in zip(ex.COORDINATE_NAMES, GROUP_ROWS["hamiltonian"]):
+        if not wanted(check):
             continue
         numeric = hamiltonian_values(ex.Coordinate(name), model, points)
         expected = zip(*ex.evaluate_many(references[name].components, points))
@@ -193,16 +194,16 @@ def verify_hamiltonian_fields(model, points, threshold=1e-10, seed=None, only=No
             for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(numeric, expected)
         ]
         worst, at = worst_point(errors, points)
-        results.append(CheckResult.judged(f"hamiltonian_{name}", threshold, worst, at, seed))
+        results.append(check.judged(worst, at, seed, threshold))
     return results
 
 
 def bracket_table(
     model,
     points,
-    relative_threshold=1e-10,
-    zero_threshold=1e-10,
-    jacobi_threshold=1e-9,
+    relative_threshold=None,
+    zero_threshold=None,
+    jacobi_threshold=None,
     seed=None,
     jacobi_points=None,
     only=None,
@@ -219,21 +220,23 @@ def bracket_table(
     ``only`` names the checks to compute (None for all five).  The table
     then holds the entries those checks read, all sixteen when antisymmetry
     is among them, and the Jacobi trees are built only for
-    ``jacobi_identity``.
+    ``jacobi_identity``.  A threshold left at None is each check's own
+    tolerance; ``zero_threshold`` serves the cross zeros and antisymmetry.
     """
     wanted = selector(only)
+    uv, rt, cross_zeros, antisymmetry, jacobi = GROUP_ROWS["bracket"]
     if jacobi_points is None:
         jacobi_points = points
     names = ex.COORDINATE_NAMES
     coordinates = {name: ex.Coordinate(name) for name in names}
     references = coordinate_bracket_references(model)
     pairs = [(a, b) for a in names for b in names]
-    nonzero = [pair for pair in (("u", "v"), ("r", "t")) if wanted(f"bracket_{''.join(pair)}")]
+    nonzero = {pair: check for pair, check in ((("u", "v"), uv), (("r", "t"), rt)) if wanted(check)}
     cross = (("u", "r"), ("u", "t"), ("v", "r"), ("v", "t"))
     read = set(nonzero)
-    if wanted("bracket_cross_zeros"):
+    if wanted(cross_zeros):
         read.update(cross)
-    if wanted("bracket_antisymmetry"):
+    if wanted(antisymmetry):
         read.update(pairs)
     brackets = {
         (a, b): poisson_bracket(coordinates[a], coordinates[b], model)
@@ -249,24 +252,22 @@ def bracket_table(
     values = dict(zip(brackets, computed))
 
     checks = []
-    for pair, expected in zip(nonzero, computed[len(brackets) :]):
+    for (pair, check), expected in zip(nonzero.items(), computed[len(brackets) :]):
         errors = [abs(x - y) / max(abs(y), 1e-300) for x, y in zip(values[pair], expected)]
         worst, at = worst_point(errors, points)
-        checks.append(
-            CheckResult.judged(f"bracket_{pair[0]}{pair[1]}", relative_threshold, worst, at, seed)
-        )
+        checks.append(check.judged(worst, at, seed, relative_threshold))
 
-    if wanted("bracket_cross_zeros"):
+    if wanted(cross_zeros):
         worst, at = worst_point([abs(x) for pair in cross for x in values[pair]], points)
-        checks.append(CheckResult.judged("bracket_cross_zeros", zero_threshold, worst, at, seed))
+        checks.append(cross_zeros.judged(worst, at, seed, zero_threshold))
 
-    if wanted("bracket_antisymmetry"):
+    if wanted(antisymmetry):
         # the largest |{a,b} + {b,a}| at each point; max keeps -inf against NaN
         sums = ([abs(x + y) for x, y in zip(values[a, b], values[b, a])] for a, b in pairs)
         worst, at = worst_point(list(map(max, repeat(-math.inf), *sums)), points)
-        checks.append(CheckResult.judged("bracket_antisymmetry", zero_threshold, worst, at, seed))
+        checks.append(antisymmetry.judged(worst, at, seed, zero_threshold))
 
-    if wanted("jacobi_identity"):
+    if wanted(jacobi):
         cyclic = []
         for triple in (("u", "v", "r"), ("u", "v", "t"), ("u", "r", "t"), ("v", "r", "t")):
             f, g, h = (coordinates[n] for n in triple)
@@ -279,7 +280,7 @@ def bracket_table(
             )
         residuals = [abs(x) for column in ex.evaluate_many(cyclic, jacobi_points) for x in column]
         worst, at = worst_point(residuals, jacobi_points)
-        checks.append(CheckResult.judged("jacobi_identity", jacobi_threshold, worst, at, seed))
+        checks.append(jacobi.judged(worst, at, seed, jacobi_threshold))
     return checks, table
 
 

@@ -54,7 +54,7 @@ from .hamiltonian import (
     poisson_bracket,
     surface_integral,
 )
-from .reports import CheckResult, peak, selector, worst_point
+from .reports import GROUP_ROWS, CheckResult, peak, selector, worst_point
 from .sampling import unit_draws
 from .spacetime import FOUR_PI, SpacetimeModel, darboux_chart
 
@@ -316,28 +316,22 @@ def random_sections(mass: float, count: int, seed: int) -> SectionFamily:
 
 
 # ---------------------------------------------------------------------------
-# Checks and reports
+# Checks and reports.  Each result is judged by its catalogue row; a
+# threshold left at None is each check's own tolerance.
 # ---------------------------------------------------------------------------
 
 
-def verify_curvature_potential(
-    model, potential, points, threshold=1e-11, seed=None
-) -> CheckResult:
+def verify_curvature_potential(model, potential, points, threshold=None, seed=None) -> CheckResult:
     """Check d(theta) equals the scaled symplectic form at sampled points."""
+    (check,) = GROUP_ROWS["curvature_potential"]
     residual = potential.curvature_residual(model)
     worst, at = worst_point(residual.max_abs(points), points)
-    return CheckResult.judged(
-        "connection_curvature_potential",
-        threshold,
-        worst,
-        at,
-        seed,
-        details={"scale_mode": potential.scale.value},
-    )
+    details = {"scale_mode": potential.scale.value}
+    return check.judged(worst, at, seed, threshold, details=details)
 
 
 def curvature_section_check(
-    model, potential, sections, points, threshold=1e-9, seed=None
+    model, potential, sections, points, threshold=None, seed=None
 ) -> CheckResult:
     """Check ([nabla_a, nabla_b] + (i/hbar) sympl(a,b)) psi = 0 on sections.
 
@@ -359,9 +353,10 @@ def curvature_section_check(
             residuals.append(commutator + psi.times_i_scaled(factor))
         return residuals
 
+    (check,) = GROUP_ROWS["curvature_sections"]
     magnitudes = itertools.chain.from_iterable(_scan(parts, sections, points))
     worst, at = worst_point(list(magnitudes), points)
-    return CheckResult.judged("connection_curvature_sections", threshold, worst, at, seed)
+    return check.judged(worst, at, seed, threshold)
 
 
 def commutator_suite(
@@ -369,8 +364,8 @@ def commutator_suite(
     potential,
     sections,
     points,
-    relative_threshold=1e-9,
-    absolute_threshold=1e-9,
+    relative_threshold=None,
+    absolute_threshold=None,
     seed=None,
     only=None,
 ) -> list:
@@ -387,9 +382,12 @@ def commutator_suite(
     """
     wanted = selector(only)
     coordinates = dict(zip(ex.COORDINATE_NAMES, ex.COORDINATES))
-    pairs = [
-        (a, b) for a, b in itertools.combinations(coordinates, 2) if wanted(f"commutator_{a}{b}")
-    ]
+    checks = {
+        pair: check
+        for pair, check in zip(itertools.combinations(coordinates, 2), GROUP_ROWS["commutators"])
+        if wanted(check)
+    }
+    pairs = list(checks)
     brackets = {(a, b): poisson_bracket(coordinates[a], coordinates[b], model) for a, b in pairs}
     references = coordinate_bracket_references(model)
     displays = {
@@ -464,13 +462,12 @@ def commutator_suite(
         if pair in display_residuals:
             details["display_residual"] = display_residuals[pair]
         threshold = absolute_threshold if zero else relative_threshold
-        name = f"commutator_{''.join(pair)}"
-        results.append(CheckResult.judged(name, threshold, error, at, seed, details=details))
+        results.append(checks[pair].judged(error, at, seed, threshold, details=details))
     return results
 
 
 def geometric_operator_report(
-    model, potential, sections, points, chain_threshold=1e-9, seed=None, only=None
+    model, potential, sections, points, chain_threshold=None, seed=None, only=None
 ) -> list:
     """Operator identities for the radius, sphere-area and ball-volume functions.
 
@@ -487,7 +484,8 @@ def geometric_operator_report(
     names the checks to compute (None for all three).
     """
     wanted = selector(only)
-    chain = wanted("operator_chain_rule")
+    chain_check, area_check, volume_check = GROUP_ROWS["operators"]
+    chain = wanted(chain_check)
     r_squared = ex.power(ex.R, 2)
     functions = (
         ex.R,
@@ -496,10 +494,10 @@ def geometric_operator_report(
     )
     slopes = (ex.ONE, ex.mul(ex.const(2.0 * FOUR_PI), ex.R), ex.mul(ex.const(FOUR_PI), r_squared))
     ops = [prequantum_operator(g, model, potential) for g in functions]
-    # name, index of the function, prefactor of r-hat, multiplier of D_r
+    # check, index of the function, prefactor of r-hat, multiplier of D_r
     printed = (
-        ("operator_printed_area_relation", 1, ex.mul(ex.const(FOUR_PI), ex.R), 1.0),
-        ("operator_printed_volume_relation", 2, ex.mul(ex.const(FOUR_PI / 3.0), r_squared), 2.0),
+        (area_check, 1, ex.mul(ex.const(FOUR_PI), ex.R), 1.0),
+        (volume_check, 2, ex.mul(ex.const(FOUR_PI / 3.0), r_squared), 2.0),
     )
     printed = [row for row in printed if wanted(row[0])]
 
@@ -524,27 +522,18 @@ def geometric_operator_report(
         # chain-rule parts: residual and left side of each function in turn
         worst, at = worst_point(list(itertools.chain.from_iterable(magnitudes[0:6:2])), points)
         scale = peak(itertools.chain.from_iterable(magnitudes[1:6:2]))
-        reports.append(
-            CheckResult.judged(
-                "operator_chain_rule",
-                chain_threshold,
-                worst / max(scale, 1e-300),
-                at,
-                seed,
-                details={"scale": scale},
-            )
-        )
+        relative, details = worst / max(scale, 1e-300), {"scale": scale}
+        reports.append(chain_check.judged(relative, at, seed, chain_threshold, details=details))
         magnitudes = magnitudes[6:]
-    for (name, *_), residual, lhs in zip(printed, magnitudes[0::2], magnitudes[1::2]):
+    # report-only: the chain threshold is shown beside them, as a yardstick
+    for (check, *_), residual, lhs in zip(printed, magnitudes[0::2], magnitudes[1::2]):
         worst, scale = peak(residual), peak(lhs)
         reports.append(
-            CheckResult(
-                name,
-                True,
-                chain_threshold,
+            check.judged(
                 worst / max(scale, 1e-300),
                 worst_point(residual, points)[1],
                 seed,
+                chain_threshold,
                 assertable=False,
                 details={"expected_nonzero": True, "scale": scale},
             )
@@ -682,13 +671,5 @@ def integrality_report(model, spec: QuadratureSpec | None = None, seed=None) -> 
             "integer": is_integer(weil_scaled),
         },
     }
-    return CheckResult(
-        "integrality_class",
-        True,
-        1e-10,
-        abs(integral - model.mass),
-        None,
-        seed,
-        assertable=False,
-        details=details,
-    )
+    (check,) = GROUP_ROWS["integrality"]
+    return check.judged(abs(integral - model.mass), None, seed, assertable=False, details=details)

@@ -1,14 +1,20 @@
-"""Check-result records and worst-case residual helpers.
+"""The check catalogue, check-result records and worst-case residual helpers.
 
 Every verification in the package reduces to a CheckResult: a named
 pass/fail with its threshold, the worst sampled error, the point where it
 occurred, and the seed that generated the sample.  Reports serialise to
 plain dictionaries so the whole suite output is stable JSON.
+
+``GROUP_ROWS`` is the catalogue: every check's name, default tolerance and
+verdict rule, under its group's key, in report order.  Each check name of
+the package is written there and nowhere else; the group functions read
+their rows by group key, and judge each result by its row.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .expressions import evaluate_many
 
@@ -37,12 +43,6 @@ class CheckResult:
             details={} if details is None else details,
         )
 
-    @classmethod
-    def judged(cls, name, threshold, worst_error, worst_point=None, seed=None, **kwargs):
-        """A BELOW check whose verdict is ``passes(worst_error, threshold)``."""
-        verdict = passes(worst_error, threshold)
-        return cls(name, verdict, threshold, worst_error, worst_point, seed, **kwargs)
-
     def to_dict(self) -> dict:
         return {
             "check_name": self.name,
@@ -56,12 +56,90 @@ class CheckResult:
         }
 
 
+class Check(namedtuple("Check", ("name", "tolerance", "rule"), defaults=(BELOW,))):
+    """A check's name, its default tolerance and its verdict rule: one row
+    of the catalogue."""
+
+    __slots__ = ()
+
+    def judged(self, worst, point=None, seed=None, threshold=None, verdict=True, **kwargs):
+        """This check's result for the worst value ``worst``, judged by the
+        row's rule against ``threshold``, or against the row's tolerance when
+        that is None.  A FIXED check's verdict is ``verdict``: its group's
+        structural finding, or True for a report-only number."""
+        if threshold is None:
+            threshold = self.tolerance
+        if self.rule != FIXED:
+            verdict = passes(worst, threshold, self.rule)
+        return CheckResult(self.name, verdict, threshold, worst, point, seed, **kwargs)
+
+
+# The catalogue: group key -> the checks the group emits, in report order.
+GROUP_ROWS = {
+    "gradient": (Check("gradient_relation", 1e-11),),
+    "observer": (Check("observer_unit_norm", 1e-12), Check("observer_orthogonality", 1e-12)),
+    "omega": (
+        Check("flux_wedge_square", 1e-12),
+        Check("flux_closure_relation", 1e-11),
+        Check("flux_volume_identity", 1e-11),
+    ),
+    "foliation": (
+        Check("foliation_leaf_pfaffian", 1e-6, ABOVE),
+        Check("foliation_volume_form", 1e-10, ABOVE),
+        Check("foliation_leaf_closedness", 0.0, FIXED),
+    ),
+    "symplectic": (
+        Check("closed_rescaled_flux", 1e-11),
+        Check("dual_flux_potential", 1e-12),
+        Check("dual_flux_square", 1e-12),
+        Check("symplectic_square_identity", 1e-11),
+        Check("symplectic_nondegeneracy", 0.0, FIXED),
+    ),
+    # one check per coordinate, in the order of COORDINATE_NAMES
+    "hamiltonian": (
+        Check("hamiltonian_u", 1e-10),
+        Check("hamiltonian_v", 1e-10),
+        Check("hamiltonian_r", 1e-10),
+        Check("hamiltonian_t", 1e-10),
+    ),
+    "bracket": (
+        Check("bracket_uv", 1e-10),
+        Check("bracket_rt", 1e-10),
+        Check("bracket_cross_zeros", 1e-10),
+        Check("bracket_antisymmetry", 1e-10),
+        Check("jacobi_identity", 1e-9),
+    ),
+    "sphere_integral": (
+        Check("sphere_integral_mass", 1e-10),
+        Check("sphere_integral_dual_zero", 1e-12),
+    ),
+    "curvature_potential": (Check("connection_curvature_potential", 1e-11),),
+    "curvature_sections": (Check("connection_curvature_sections", 1e-9),),
+    # one check per coordinate pair, in the order of itertools.combinations
+    "commutators": (
+        Check("commutator_uv", 1e-9),
+        Check("commutator_ur", 1e-9),
+        Check("commutator_ut", 1e-9),
+        Check("commutator_vr", 1e-9),
+        Check("commutator_vt", 1e-9),
+        Check("commutator_rt", 1e-9),
+    ),
+    "operators": (
+        Check("operator_chain_rule", 1e-9),
+        Check("operator_printed_area_relation", 1e-9, FIXED),
+        Check("operator_printed_volume_relation", 1e-9, FIXED),
+    ),
+    "integrality": (Check("integrality_class", 1e-10, FIXED),),
+}
+
+
 def selector(only):
-    """The test of whether a group function computes a check: every name
-    when ``only`` is None, else the names in the collection ``only``."""
+    """The test of whether a group function computes a check (a row): every
+    row when ``only`` is None, else the rows named in the collection ``only``."""
     if only is None:
-        return lambda name: True
-    return frozenset(only).__contains__
+        return lambda check: True
+    names = frozenset(only)
+    return lambda check: check.name in names
 
 
 def _nan_free(magnitudes) -> list:

@@ -90,8 +90,9 @@ def sample_points(
     low = (math.log(r_low), window.u_margin, window.v_margin, -t_half)
     high = (math.log(r_high), math.pi - window.u_margin, 2.0 * math.pi - window.v_margin, t_half)
     units = unit_draws(seed, 4 * count)
+    spans = [(a, b - a) for a, b in zip(low, high)]
     log_radius, colatitude, azimuth, time = (
-        [a + (b - a) * x for x in units[k::4]] for k, (a, b) in enumerate(zip(low, high))
+        [a + width * x for x in units[k::4]] for k, (a, width) in enumerate(spans)
     )
     radius = [math.exp(x) for x in log_radius]
     return PointSet(colatitude, azimuth, radius, time, mass)

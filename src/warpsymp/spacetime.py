@@ -37,10 +37,10 @@ from .exterior import (
     wedge,
 )
 from .reports import (
-    ABOVE,
+    GROUP_ROWS,
+    Check,
     CheckResult,
     least_point,
-    passes,
     selector,
     worst_expression_error,
     worst_form_error,
@@ -196,10 +196,10 @@ def generalized_static(
     points = sample_points(model.mass, check_samples, check_seed)
     worst, worst_point = worst_form_error(residual, points)
     square_magnitudes = wedge(symplectic, symplectic).max_abs(points)
-    closure_check = CheckResult.judged(
-        "flux_closure_hypothesis", closure_threshold, worst, worst_point, check_seed,
-        assertable=False,
-        details={"symplectic_square_min": float(min(square_magnitudes, default=0.0))},
+    # the model's own record, not a catalogue check: the suite runs Schwarzschild
+    details = {"symplectic_square_min": float(min(square_magnitudes, default=0.0))}
+    closure_check = Check("flux_closure_hypothesis", closure_threshold).judged(
+        worst, worst_point, check_seed, assertable=False, details=details
     )
     return model._replace(closure_check=closure_check)
 
@@ -209,21 +209,27 @@ def generalized_static(
 # ---------------------------------------------------------------------------
 
 
-def _form_check(name, form, points, threshold, seed) -> CheckResult:
-    """The BELOW check of a form's largest coefficient magnitude."""
+def _form_check(check, form, points, threshold, seed) -> CheckResult:
+    """The result of ``check`` on a form's largest coefficient magnitude."""
     worst, worst_point = worst_form_error(form, points)
-    return CheckResult.judged(name, threshold, worst, worst_point, seed)
+    return check.judged(worst, worst_point, seed, threshold)
 
 
-def verify_gradient_relation(model, points, threshold=1e-11, seed=None) -> CheckResult:
+# The group functions below judge each result by its catalogue row.  A
+# threshold left at None is each check's own tolerance; one given applies to
+# every check its parameter names.
+
+
+def verify_gradient_relation(model, points, threshold=None, seed=None) -> CheckResult:
     """Check i_R g + d(warp) = 0 at the sampled points."""
+    (check,) = GROUP_ROWS["gradient"]
     residual = flat(model.gravitational_field, model.metric) + exterior_derivative(
         KForm.scalar(model.warp)
     )
-    return _form_check("gradient_relation", residual, points, threshold, seed)
+    return _form_check(check, residual, points, threshold, seed)
 
 
-def verify_observer(model, points, threshold=1e-12, seed=None, only=None) -> list:
+def verify_observer(model, points, threshold=None, seed=None, only=None) -> list:
     """Check g(X, X) = -1 and g(R, X) = 0 at the sampled points; ``only``
     names the checks to compute (None for both)."""
     wanted = selector(only)
@@ -231,10 +237,10 @@ def verify_observer(model, points, threshold=1e-12, seed=None, only=None) -> lis
     unit = metric_inner(x, x, model.metric) + ex.ONE
     orthogonal = metric_inner(model.gravitational_field, x, model.metric)
     results = []
-    for name, expression in (("observer_unit_norm", unit), ("observer_orthogonality", orthogonal)):
-        if wanted(name):
+    for check, expression in zip(GROUP_ROWS["observer"], (unit, orthogonal)):
+        if wanted(check):
             worst, worst_point = worst_expression_error(expression, points)
-            results.append(CheckResult.judged(name, threshold, worst, worst_point, seed))
+            results.append(check.judged(worst, worst_point, seed, threshold))
     return results
 
 
@@ -251,25 +257,25 @@ def _flux_volume_reference(model) -> KForm:
 
 
 def verify_omega_identities(
-    model, points, threshold=1e-11, square_threshold=1e-12, seed=None, only=None
+    model, points, threshold=None, square_threshold=None, seed=None, only=None
 ) -> list:
     """Check the three structural identities of the flux 2-form; ``only``
-    names the checks to compute (None for all three)."""
+    names the checks to compute (None for all three).  ``threshold`` serves
+    the closure relation and the volume identity."""
     wanted = selector(only)
+    square_check, closure_check, volume_check = GROUP_ROWS["omega"]
     flux = model.flux_form
     results = []
-    if wanted("flux_wedge_square"):
+    if wanted(square_check):
         square = wedge(flux, flux)
-        results.append(_form_check("flux_wedge_square", square, points, square_threshold, seed))
-    if wanted("flux_closure_relation"):
+        results.append(_form_check(square_check, square, points, square_threshold, seed))
+    if wanted(closure_check):
         warp_differential = exterior_derivative(KForm.scalar(model.warp))
         closure = exterior_derivative(flux) + wedge(warp_differential, flux)
-        results.append(_form_check("flux_closure_relation", closure, points, threshold, seed))
-    if wanted("flux_volume_identity"):
+        results.append(_form_check(closure_check, closure, points, threshold, seed))
+    if wanted(volume_check):
         volume_identity = exterior_derivative(flux) - _flux_volume_reference(model)
-        results.append(
-            _form_check("flux_volume_identity", volume_identity, points, threshold, seed)
-        )
+        results.append(_form_check(volume_check, volume_identity, points, threshold, seed))
     return results
 
 
@@ -279,62 +285,46 @@ def dual_flux_potential(model) -> KForm:
 
 
 def verify_symplectic(
-    model, points, threshold=1e-11, potential_threshold=1e-12, seed=None, only=None
+    model, points, threshold=None, potential_threshold=None, seed=None, only=None
 ) -> list:
     """Check the identities behind nondegeneracy and closedness of the
-    symplectic form; ``only`` names the checks to compute (None for all)."""
+    symplectic form; ``only`` names the checks to compute (None for all).
+    ``threshold`` serves the closedness and the square identity,
+    ``potential_threshold`` the dual flux's potential and square."""
     wanted = selector(only)
+    closed, potential, dual_square, square_identity, nondegeneracy = GROUP_ROWS["symplectic"]
     results = []
-    if wanted("closed_rescaled_flux"):
+    if wanted(closed):
         rescaled = exterior_derivative(model.flux_form.scaled(model.lapse))
-        results.append(_form_check("closed_rescaled_flux", rescaled, points, threshold, seed))
-    if wanted("dual_flux_potential"):
+        results.append(_form_check(closed, rescaled, points, threshold, seed))
+    if wanted(potential):
         exactness = model.dual_flux_form - exterior_derivative(dual_flux_potential(model))
-        results.append(
-            _form_check("dual_flux_potential", exactness, points, potential_threshold, seed)
-        )
-    if wanted("dual_flux_square"):
-        dual_square = wedge(model.dual_flux_form, model.dual_flux_form)
-        results.append(
-            _form_check("dual_flux_square", dual_square, points, potential_threshold, seed)
-        )
+        results.append(_form_check(potential, exactness, points, potential_threshold, seed))
+    if wanted(dual_square):
+        form = wedge(model.dual_flux_form, model.dual_flux_form)
+        results.append(_form_check(dual_square, form, points, potential_threshold, seed))
 
     square = wedge(model.symplectic_form, model.symplectic_form)
-    if wanted("symplectic_square_identity"):
+    if wanted(square_identity):
         r_norm = metric_inner(model.gravitational_field, model.gravitational_field, model.metric)
         scale = ex.mul(ex.const(2.0 / FOUR_PI**2), model.lapse, r_norm)
         identity = square - model.volume_form.scaled(scale)
-        results.append(
-            _form_check("symplectic_square_identity", identity, points, threshold, seed)
-        )
+        results.append(_form_check(square_identity, identity, points, threshold, seed))
 
-    if wanted("symplectic_nondegeneracy"):
+    if wanted(nondegeneracy):
         (values,) = ex.evaluate_many([square.coefficient((0, 1, 2, 3))], points)
         minimum, at = least_point(list(map(abs, values)), points)
         if at is None:
             minimum = 0.0
         same_sign = all(x > 0 for x in values) or all(x < 0 for x in values)
-        results.append(
-            CheckResult(
-                "symplectic_nondegeneracy",
-                len(values) > 0 and same_sign and minimum > 0.0,
-                0.0,
-                minimum,
-                at,
-                seed,
-                details={"single_sign": same_sign, "min_magnitude": minimum},
-            )
-        )
+        verdict = len(values) > 0 and same_sign and minimum > 0.0
+        details = {"single_sign": same_sign, "min_magnitude": minimum}
+        results.append(nondegeneracy.judged(minimum, at, seed, verdict=verdict, details=details))
     return results
 
 
 def foliation_report(
-    model,
-    points,
-    pfaffian_threshold=1e-6,
-    volume_threshold=1e-10,
-    seed=None,
-    only=None,
+    model, points, pfaffian_threshold=None, volume_threshold=None, seed=None, only=None
 ) -> list:
     """Sampled nondegeneracy checks for the spatial foliation by spheres.
 
@@ -350,22 +340,23 @@ def foliation_report(
     ``only`` names the checks to compute (None for all three).
     """
     wanted = selector(only)
+    pfaffian_check, volume_check, closedness = GROUP_ROWS["foliation"]
     pfaffian = model.flux_form.coefficient((0, 1))
     warp_differential = exterior_derivative(KForm.scalar(model.warp))
     volume3 = wedge(warp_differential.scaled(ex.NEG_ONE), model.flux_form)
-    # name, coefficient, what its magnitude is divided by, threshold, bound
+    # check, coefficient, what its magnitude is divided by, threshold, bound
     lower_bounds = [
         bound
         for bound in (
             (
-                "foliation_leaf_pfaffian",
+                pfaffian_check,
                 pfaffian,
                 model.mass,
                 pfaffian_threshold,
                 "minimum |pfaffian|/mass over samples",
             ),
             (
-                "foliation_volume_form",
+                volume_check,
                 volume3.coefficient((0, 1, 2)),
                 1.0,
                 volume_threshold,
@@ -378,21 +369,12 @@ def foliation_report(
     results = []
     if lower_bounds:
         columns = ex.evaluate_many([bound[1] for bound in lower_bounds], points)
-        for (name, _, unit, threshold, bound), column in zip(lower_bounds, columns):
+        for (check, _, unit, threshold, bound), column in zip(lower_bounds, columns):
             minimum, at = least_point([abs(x) / unit for x in column], points)
-            results.append(
-                CheckResult(
-                    name,
-                    passes(minimum, threshold, ABOVE),
-                    threshold,
-                    minimum if math.isfinite(minimum) else 0.0,
-                    at,
-                    seed,
-                    details={"bound": bound},
-                )
-            )
+            worst = minimum if math.isfinite(minimum) else 0.0
+            results.append(check.judged(worst, at, seed, threshold, details={"bound": bound}))
 
-    if wanted("foliation_leaf_closedness"):
+    if wanted(closedness):
         # Pfaffian / sin(u) must not depend on u if the pole degeneracy is a
         # pure coordinate effect; compare at two colatitudes, same radius.
         probe_points = [
@@ -402,18 +384,9 @@ def foliation_report(
         (values,) = ex.evaluate_many([pfaffian], probe_points)
         probe = [value / math.sin(point.u) for value, point in zip(values, probe_points)]
         artifact = abs(probe[0] - probe[1]) <= 1e-9 * max(abs(probe[0]), abs(probe[1]))
-        results.append(
-            CheckResult(
-                "foliation_leaf_closedness",
-                True,
-                0.0,
-                0.0,
-                None,
-                seed,
-                details={
-                    "structural": "2-forms on 2-dimensional leaves are closed",
-                    "pole_degeneracy_is_coordinate_artifact": artifact,
-                },
-            )
-        )
+        details = {
+            "structural": "2-forms on 2-dimensional leaves are closed",
+            "pole_degeneracy_is_coordinate_artifact": artifact,
+        }
+        results.append(closedness.judged(0.0, None, seed, details=details))
     return results

@@ -10,10 +10,10 @@ report.  Checks marked non-assertable (the deliberately inconsistent
 printed operator relations and the integrality numbers) never affect the
 exit code.
 
-The catalogue is one ordered table, ``CHECK_GROUPS``: each row is a check
-group with the checks it emits, their default tolerances and how each
-verdict is judged.  ``CHECK_CATALOGUE`` and ``DEFAULT_TOLERANCES`` are views
-of it.
+The catalogue's rows, each check's name, default tolerance and verdict
+rule under its group's key, are ``reports.GROUP_ROWS``; this module adds
+each group's runner to make ``CHECK_GROUPS``.  ``CHECK_CATALOGUE``,
+``DEFAULT_TOLERANCES`` and ``GROUP_CHECKS`` are views of it.
 
 Reports are deterministic: identical configuration gives a byte-identical
 body; wall time lives outside the body.
@@ -52,7 +52,7 @@ from .prequantum import (
     separable_radial_residual,
     verify_curvature_potential,
 )
-from .reports import ABOVE, BELOW, FIXED, CheckResult, passes
+from .reports import FIXED, GROUP_ROWS, Check, passes  # Check is re-exported
 from .sampling import OPERATOR_WINDOW, SampleWindow, sample_points
 from .spacetime import (
     foliation_report,
@@ -111,12 +111,9 @@ class GroupInputs:
 
 
 def _sphere_integral_checks(g: GroupInputs, only) -> list:
-    def judged(name, worst, details):
-        tolerance = DEFAULT_TOLERANCES[name]
-        return CheckResult.judged(name, tolerance, worst, None, g.seed, details=details)
-
+    mass_check, dual_check = GROUP_ROWS["sphere_integral"]
     results = []
-    if "sphere_integral_mass" in only:
+    if mass_check.name in only:
         mass_integral = surface_integral(g.model.symplectic_form, g.quadrature, g.model)
         details = {
             "value": mass_integral.value,
@@ -124,33 +121,29 @@ def _sphere_integral_checks(g: GroupInputs, only) -> list:
             "r0": g.quadrature.r0,
         }
         worst = abs(mass_integral.value - g.model.mass)
-        results.append(judged("sphere_integral_mass", worst, details))
-    if "sphere_integral_dual_zero" in only:
+        results.append(mass_check.judged(worst, None, g.seed, details=details))
+    if dual_check.name in only:
         dual_integral = surface_integral(g.model.dual_flux_form, g.quadrature, g.model)
         details = {"value": dual_integral.value}
-        results.append(judged("sphere_integral_dual_zero", abs(dual_integral.value), details))
+        results.append(dual_check.judged(abs(dual_integral.value), None, g.seed, details=details))
     return results
 
 
 def _bracket_checks(g: GroupInputs, only) -> list:
     # each point set is drawn only for the checks that read it
-    table_points = g.identity_points if only - {"jacobi_identity"} else None
-    jacobi_points = g.operator_points if "jacobi_identity" in only else None
+    jacobi = GROUP_ROWS["bracket"][-1].name
+    table_points = g.identity_points if only - {jacobi} else None
+    jacobi_points = g.operator_points if jacobi in only else None
     checks, _ = bracket_table(
         g.model, table_points, seed=g.seed, jacobi_points=jacobi_points, only=only
     )
     return checks
 
 
-class Check(namedtuple("Check", ("name", "tolerance", "rule"), defaults=(BELOW,))):
-    """A check's name, its default tolerance and its verdict rule."""
-
-    __slots__ = ()
-
-
 class CheckGroup(namedtuple("CheckGroup", ("key", "run", "checks"))):
-    """One row of the catalogue: a group's key, the runner that computes
-    it, and the tuple of Checks it emits in report order.
+    """One group of the catalogue: its key, the runner that computes it,
+    and the tuple of Checks it emits in report order, its row of
+    ``reports.GROUP_ROWS``.
 
     A runner takes the group inputs and the set of the group's check names
     to compute, and returns their results; it computes no other check of
@@ -158,130 +151,46 @@ class CheckGroup(namedtuple("CheckGroup", ("key", "run", "checks"))):
     runner calls its group function through this module's global name at
     call time, so a rebinding of that name (a test double, a tracer) is
     what the suite runs.  Runners leave thresholds at the group functions'
-    defaults: ``run_suite`` gives each result its own configured threshold
-    and re-judges it afterwards.
+    defaults, each check's own tolerance: ``run_suite`` gives each result
+    its own configured threshold and re-judges it afterwards.
     """
 
     __slots__ = ()
 
 
-CHECK_GROUPS = (
-    CheckGroup(
-        "gradient",
-        lambda g, only: [verify_gradient_relation(g.model, g.identity_points, seed=g.seed)],
-        (Check("gradient_relation", 1e-11),),
+# group key -> runner
+_RUNNERS = {
+    "gradient": lambda g, only: [verify_gradient_relation(g.model, g.identity_points, seed=g.seed)],
+    "observer": lambda g, only: verify_observer(g.model, g.identity_points, seed=g.seed, only=only),
+    "omega": lambda g, only: verify_omega_identities(
+        g.model, g.identity_points, seed=g.seed, only=only
     ),
-    CheckGroup(
-        "observer",
-        lambda g, only: verify_observer(g.model, g.identity_points, seed=g.seed, only=only),
-        (Check("observer_unit_norm", 1e-12), Check("observer_orthogonality", 1e-12)),
+    "foliation": lambda g, only: foliation_report(
+        g.model, g.identity_points, seed=g.seed, only=only
     ),
-    CheckGroup(
-        "omega",
-        lambda g, only: verify_omega_identities(
-            g.model, g.identity_points, seed=g.seed, only=only
-        ),
-        (
-            Check("flux_wedge_square", 1e-12),
-            Check("flux_closure_relation", 1e-11),
-            Check("flux_volume_identity", 1e-11),
-        ),
+    "symplectic": lambda g, only: verify_symplectic(
+        g.model, g.identity_points, seed=g.seed, only=only
     ),
-    CheckGroup(
-        "foliation",
-        lambda g, only: foliation_report(g.model, g.identity_points, seed=g.seed, only=only),
-        (
-            Check("foliation_leaf_pfaffian", 1e-6, ABOVE),
-            Check("foliation_volume_form", 1e-10, ABOVE),
-            Check("foliation_leaf_closedness", 0.0, FIXED),
-        ),
+    "hamiltonian": lambda g, only: verify_hamiltonian_fields(
+        g.model, g.identity_points, seed=g.seed, only=only
     ),
-    CheckGroup(
-        "symplectic",
-        lambda g, only: verify_symplectic(g.model, g.identity_points, seed=g.seed, only=only),
-        (
-            Check("closed_rescaled_flux", 1e-11),
-            Check("dual_flux_potential", 1e-12),
-            Check("dual_flux_square", 1e-12),
-            Check("symplectic_square_identity", 1e-11),
-            Check("symplectic_nondegeneracy", 0.0, FIXED),
-        ),
+    "bracket": _bracket_checks,
+    "sphere_integral": _sphere_integral_checks,
+    "curvature_potential": lambda g, only: [
+        verify_curvature_potential(g.model, g.potential, g.identity_points, seed=g.seed)
+    ],
+    "curvature_sections": lambda g, only: [
+        curvature_section_check(g.model, g.potential, g.sections, g.operator_points, seed=g.seed)
+    ],
+    "commutators": lambda g, only: commutator_suite(
+        g.model, g.potential, g.sections, g.operator_points, seed=g.seed, only=only
     ),
-    CheckGroup(
-        "hamiltonian",
-        lambda g, only: verify_hamiltonian_fields(
-            g.model, g.identity_points, seed=g.seed, only=only
-        ),
-        (
-            Check("hamiltonian_u", 1e-10),
-            Check("hamiltonian_v", 1e-10),
-            Check("hamiltonian_r", 1e-10),
-            Check("hamiltonian_t", 1e-10),
-        ),
+    "operators": lambda g, only: geometric_operator_report(
+        g.model, g.potential, g.sections, g.operator_points, seed=g.seed, only=only
     ),
-    CheckGroup(
-        "bracket",
-        _bracket_checks,
-        (
-            Check("bracket_uv", 1e-10),
-            Check("bracket_rt", 1e-10),
-            Check("bracket_cross_zeros", 1e-10),
-            Check("bracket_antisymmetry", 1e-10),
-            Check("jacobi_identity", 1e-9),
-        ),
-    ),
-    CheckGroup(
-        "sphere_integral",
-        _sphere_integral_checks,
-        (Check("sphere_integral_mass", 1e-10), Check("sphere_integral_dual_zero", 1e-12)),
-    ),
-    CheckGroup(
-        "curvature_potential",
-        lambda g, only: [
-            verify_curvature_potential(g.model, g.potential, g.identity_points, seed=g.seed)
-        ],
-        (Check("connection_curvature_potential", 1e-11),),
-    ),
-    CheckGroup(
-        "curvature_sections",
-        lambda g, only: [
-            curvature_section_check(
-                g.model, g.potential, g.sections, g.operator_points, seed=g.seed
-            )
-        ],
-        (Check("connection_curvature_sections", 1e-9),),
-    ),
-    CheckGroup(
-        "commutators",
-        lambda g, only: commutator_suite(
-            g.model, g.potential, g.sections, g.operator_points, seed=g.seed, only=only
-        ),
-        (
-            Check("commutator_uv", 1e-9),
-            Check("commutator_ur", 1e-9),
-            Check("commutator_ut", 1e-9),
-            Check("commutator_vr", 1e-9),
-            Check("commutator_vt", 1e-9),
-            Check("commutator_rt", 1e-9),
-        ),
-    ),
-    CheckGroup(
-        "operators",
-        lambda g, only: geometric_operator_report(
-            g.model, g.potential, g.sections, g.operator_points, seed=g.seed, only=only
-        ),
-        (
-            Check("operator_chain_rule", 1e-9),
-            Check("operator_printed_area_relation", 1e-9, FIXED),
-            Check("operator_printed_volume_relation", 1e-9, FIXED),
-        ),
-    ),
-    CheckGroup(
-        "integrality",
-        lambda g, only: [integrality_report(g.model, g.quadrature, seed=g.seed)],
-        (Check("integrality_class", 1e-10, FIXED),),
-    ),
-)
+    "integrality": lambda g, only: [integrality_report(g.model, g.quadrature, seed=g.seed)],
+}
+CHECK_GROUPS = tuple(CheckGroup(key, _RUNNERS[key], checks) for key, checks in GROUP_ROWS.items())
 
 _CHECKS = {check.name: check for group in CHECK_GROUPS for check in group.checks}
 CHECK_CATALOGUE = tuple(_CHECKS)

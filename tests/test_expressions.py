@@ -538,6 +538,38 @@ class TestInterning:
         with pytest.raises(TypeError, match="^a constant takes an int or a float, not "):
             ex.Constant(value)
 
+    MALFORMED = [
+        (lambda: ex.Sum((ex.U, 2.0)), "Sum takes Expression terms, not float"),
+        (lambda: ex.Product((ex.const(3.0), "u")), "Product takes Expression factors, not str"),
+        (lambda: ex.Sum(ex.U), "Sum takes tuple terms, not Coordinate"),
+        (lambda: ex.Quotient(ex.U, 2), "Quotient takes Expression denominator, not int"),
+        (lambda: ex.Power(ex.U, 2), "Power takes Rational exponent, not int"),
+        (lambda: ex.Power(2.0, ex.Rational(1, 2)), "Power takes Expression base, not float"),
+        (lambda: ex.Sin(1.0), "Sin takes Expression arg, not float"),
+        (lambda: ex.Coordinate(0), "Coordinate takes str name, not int"),
+    ]
+
+    @pytest.mark.parametrize(
+        "build, message", MALFORMED, ids=[message.split(",")[0] for _, message in MALFORMED]
+    )
+    def test_malformed_node_is_refused(self, build, message):
+        """A field value of the wrong type is refused where the node is
+        built, naming its type, rather than failing later in evaluate_many,
+        diff or str."""
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            build()
+
+    def test_hand_built_nodes_are_the_folded_ones(self):
+        assert ex.Power(ex.U, ex.Rational(2, 1)) is ex.power(ex.U, 2)
+        assert ex.Sum((ex.U, ex.V)) is ex.add(ex.U, ex.V)
+
+    def test_field_types_are_checked_only_where_a_node_is_built(self, monkeypatch):
+        built = ex.Sum((ex.U, ex.R))
+        monkeypatch.setattr(ex.Sum, "_kinds", (int,))
+        assert ex.Sum((ex.U, ex.R)) is built
+        with pytest.raises(TypeError, match="^Sum takes int terms, not tuple$"):
+            ex.Sum((ex.U, ex.T, ex.R))
+
     def test_models_share_their_nodes_and_derivatives(self):
         first, second = schwarzschild(1.0), schwarzschild(1.0)
         pairs = list(zip(first.symplectic_form.terms, second.symplectic_form.terms))
