@@ -114,7 +114,9 @@ def parse_args(argv):
 def _config_from_args(args) -> RunConfig:
     overrides = dict(args.values)
     path = overrides.pop("config", None)
-    return config_from_sources(load_config_file(path) if path else {}, overrides)
+    if path == "":
+        raise ConfigError("--config expects a file path, got an empty value")
+    return config_from_sources(load_config_file(path) if path is not None else {}, overrides)
 
 
 def _selection(args):

@@ -145,6 +145,7 @@ def _interned(cls, key, values):
     """The node under ``key``, built from the field ``values`` if there is
     none; ``setdefault`` keeps one node when two threads build it at once.
     A value of the wrong type for its field (``cls._kinds``) is a TypeError,
+    and a coordinate not named in COORDINATE_NAMES a ValueError, both
     checked only where a node is built."""
     node = _NODES.get(key)
     if node is None:
@@ -157,6 +158,8 @@ def _interned(cls, key, values):
                     raise TypeError(
                         f"{cls.__name__} takes {kind.__name__} {name}, not {type(item).__name__}"
                     )
+        if cls is Coordinate and values[0] not in COORDINATE_NAMES:
+            raise ValueError(f"unknown coordinate {values[0]!r}")
         node = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(node, name, value)
@@ -228,37 +231,19 @@ class Expression:
     def __str__(self):
         return self.to_prefix()
 
-    # Arithmetic sugar; every operator routes through the folding
-    # constructors below.
+    # Arithmetic sugar: x + y, x - y, x * y and x / y, with an expression on
+    # the left; each routes through the folding constructors below.
     def __add__(self, other):
         return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
 
     def __sub__(self, other):
         return add(self, mul(NEG_ONE, _coerce(other)))
 
-    def __rsub__(self, other):
-        return add(_coerce(other), mul(NEG_ONE, self))
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
     def __truediv__(self, other):
         return quotient(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return quotient(_coerce(other), self)
-
-    def __neg__(self):
-        return mul(NEG_ONE, self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 class Constant(Expression):

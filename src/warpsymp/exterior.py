@@ -149,9 +149,6 @@ class KForm(namedtuple("KForm", ("degree", "terms"))):
             return NotImplemented
         return self + other.scaled(NEG_ONE)
 
-    def __neg__(self):
-        return self.scaled(NEG_ONE)
-
     def evaluate_at(self, point: ChartPoint) -> dict:
         values = evaluate_many([coefficient for _, coefficient in self.terms], point.as_dict())
         return {index: value for (index, _), (value,) in zip(self.terms, values)}
@@ -182,17 +179,6 @@ class VectorField(namedtuple("VectorField", ("components",))):
                 for component, name in zip(self.components, COORDINATE_NAMES)
             ]
         )
-
-    def scaled(self, factor) -> "VectorField":
-        return VectorField(tuple(mul(factor, c) for c in self.components))
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(tuple(add(a, b) for a, b in zip(self.components, other.components)))
-
-    def __neg__(self):
-        return self.scaled(NEG_ONE)
 
     def evaluate_at(self, point: ChartPoint) -> tuple:
         return tuple(value for (value,) in evaluate_many(self.components, point.as_dict()))
@@ -226,9 +212,6 @@ class MetricTensor:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a MetricTensor is immutable")
-
-    def entry(self, i: int, j: int) -> Expression:
-        return self.diagonal[i] if i == j else ZERO
 
     @cached_property
     def inverse(self) -> tuple:

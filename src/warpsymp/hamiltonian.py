@@ -33,7 +33,7 @@ from itertools import repeat
 
 from . import expressions as ex
 from .expressions import ChartPoint, Expression
-from .exterior import DIM, KForm, VectorField
+from .exterior import KForm, VectorField
 from .reports import GROUP_ROWS, selector, worst_point
 from .spacetime import SpacetimeModel, darboux_chart
 
@@ -44,15 +44,6 @@ class SingularSymplecticError(ValueError):
 
 class BlockStructureError(ValueError):
     """The symplectic form lacks the du^dv + dr^dt block layout."""
-
-
-def symplectic_matrix(model: SpacetimeModel):
-    """Matrix P[i][j] = sympl(e_i, e_j) of coefficient expressions."""
-    matrix = [[ex.ZERO for _ in range(DIM)] for _ in range(DIM)]
-    for (i, j), coefficient in model.symplectic_form.terms:
-        matrix[i][j] = coefficient
-        matrix[j][i] = ex.mul(ex.NEG_ONE, coefficient)
-    return matrix
 
 
 def _block_coefficients(model: SpacetimeModel):

@@ -140,9 +140,6 @@ class Section(namedtuple("Section", ("re", "im"))):
             ex.add(self.im, ex.mul(ex.NEG_ONE, other.im)),
         )
 
-    def __neg__(self):
-        return Section(ex.mul(ex.NEG_ONE, self.re), ex.mul(ex.NEG_ONE, self.im))
-
     def scaled_real(self, factor) -> "Section":
         """Multiply by a real scalar field (or number)."""
         return Section(ex.mul(factor, self.re), ex.mul(factor, self.im))
@@ -150,12 +147,6 @@ class Section(namedtuple("Section", ("re", "im"))):
     def times_i_scaled(self, factor) -> "Section":
         """Multiply by i times a real scalar field."""
         return Section(ex.mul(ex.NEG_ONE, factor, self.im), ex.mul(factor, self.re))
-
-    def times_complex(self, re_factor, im_factor) -> "Section":
-        return Section(
-            ex.add(ex.mul(re_factor, self.re), ex.mul(ex.NEG_ONE, im_factor, self.im)),
-            ex.add(ex.mul(re_factor, self.im), ex.mul(im_factor, self.re)),
-        )
 
     def evaluate_at(self, point: ChartPoint) -> complex:
         (re,), (im,) = ex.evaluate_many([self.re, self.im], point.as_dict())
@@ -166,7 +157,6 @@ class Section(namedtuple("Section", ("re", "im"))):
 
 
 ZERO_SECTION = Section(ex.ZERO, ex.ZERO)
-ONE_SECTION = Section(ex.ONE, ex.ZERO)
 
 
 def _scan(parts, family, points) -> list:
@@ -262,9 +252,9 @@ class SectionFamily:
     """Test sections of one shape that differ only in drawn numbers.
 
     ``draws`` holds one tuple of floats per member; ``build(row)`` makes the
-    section whose numbers are the expressions of ``row``.  ``family[k]`` is
-    member k, built over constants; ``family[a:b]`` is a sub-family.
-    Families are immutable and compare by identity.
+    section whose numbers are the expressions of ``row``, so member k over
+    constants is ``build([ex.const(x) for x in draws[k]])``.  Families are
+    immutable and compare by identity.
     """
 
     __slots__ = ("build", "draws")
@@ -276,14 +266,6 @@ class SectionFamily:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a SectionFamily is immutable")
-
-    def __len__(self):
-        return len(self.draws)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return SectionFamily(self.build, self.draws[key])
-        return self.build([ex.const(x) for x in self.draws[key]])
 
 
 def random_sections(mass: float, count: int, seed: int) -> SectionFamily:

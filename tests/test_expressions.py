@@ -559,6 +559,14 @@ class TestInterning:
         with pytest.raises(TypeError, match=f"^{message}$"):
             build()
 
+    @pytest.mark.parametrize("name", ["x", "m", "U", ""])
+    def test_coordinate_refuses_a_name_outside_the_chart(self, name):
+        """Only u, v, r and t are coordinates: another name is refused where
+        the node is built, not folded to 0 by diff or left to a bare
+        KeyError in evaluate_many."""
+        with pytest.raises(ValueError, match=f"^unknown coordinate {name!r}$"):
+            ex.Coordinate(name)
+
     def test_hand_built_nodes_are_the_folded_ones(self):
         assert ex.Power(ex.U, ex.Rational(2, 1)) is ex.power(ex.U, 2)
         assert ex.Sum((ex.U, ex.V)) is ex.add(ex.U, ex.V)

@@ -15,7 +15,6 @@ from warpsymp.prequantum import (
     Box,
     ConnectionPotential,
     CurvatureScale,
-    ONE_SECTION,
     Section,
     SectionFamily,
     ZERO_SECTION,
@@ -84,7 +83,7 @@ class TestConnectionPotential:
 class TestCovariantDerivative:
     def test_time_direction_on_unit_section(self, model, potential, equator_point):
         """nabla_(d/dt) 1 = -i theta(d/dt) = -i lapse/(4 pi m)."""
-        derivative = covariant_derivative(basis_vector(3), ONE_SECTION, potential)
+        derivative = covariant_derivative(basis_vector(3), Section(ex.ONE, ex.ZERO), potential)
         got = derivative.evaluate_at(equator_point)
         expected = -1j * math.sqrt(1.0 - 2.0 / 3.0) / FOUR_PI
         assert got == pytest.approx(expected, rel=1e-13)
@@ -102,19 +101,18 @@ class TestCovariantDerivative:
 
     def test_complex_linearity(self, model, potential, points, sections):
         x = basis_vector(2)
-        psi = sections[0]
-        rotated = psi.times_complex(ex.const(0.5), ex.const(-1.25))
+        psi = sections.build([ex.const(x) for x in sections.draws[0]])
+        rotated = psi.scaled_real(ex.const(0.5)) + psi.times_i_scaled(ex.const(-1.25))
+        gradient = covariant_derivative(x, psi, potential)
         lhs = covariant_derivative(x, rotated, potential)
-        rhs = covariant_derivative(x, psi, potential).times_complex(
-            ex.const(0.5), ex.const(-1.25)
-        )
+        rhs = gradient.scaled_real(ex.const(0.5)) + gradient.times_i_scaled(ex.const(-1.25))
         for point in points[:5]:
             assert (lhs - rhs).magnitude_at(point) < 1e-12
 
     def test_leibniz_over_scalar_multiplication(self, model, potential, points, sections):
         x = basis_vector(2)
         scalar = ex.sin(ex.U) + ex.quotient(ex.R, ex.const(4.0))
-        psi = sections[1]
+        psi = sections.build([ex.const(x) for x in sections.draws[1]])
         lhs = covariant_derivative(x, psi.scaled_real(scalar), potential)
         rhs = covariant_derivative(x, psi, potential).scaled_real(scalar) + psi.scaled_real(
             x.apply(scalar)
@@ -132,9 +130,10 @@ class TestCovariantDerivative:
 class TestOperators:
     def test_constant_function_acts_as_scalar(self, model, potential, sections, points):
         """c-hat psi = -c psi in either convention (H_c = 0)."""
+        psi = sections.build([ex.const(x) for x in sections.draws[0]])
         for hermitian in (True, False):
-            applied = apply_operator(ex.const(2.5), sections[0], model, potential, hermitian)
-            expected = sections[0].scaled_real(ex.const(-2.5))
+            applied = apply_operator(ex.const(2.5), psi, model, potential, hermitian)
+            expected = psi.scaled_real(ex.const(-2.5))
             for point in points[:4]:
                 assert (applied - expected).magnitude_at(point) < 1e-13
 
@@ -142,17 +141,17 @@ class TestOperators:
         """The variant without i gives r-hat 1 = -i r^2 e^(2 warp)/m - r,
         which is -3-3i at (m=1, r=3)."""
         point = ChartPoint(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
-        applied = apply_operator(ex.R, ONE_SECTION, model, potential, hermitian=False)
+        applied = apply_operator(ex.R, Section(ex.ONE, ex.ZERO), model, potential, hermitian=False)
         assert applied.evaluate_at(point) == pytest.approx(-3.0 - 3.0j, rel=1e-13)
 
     def test_radius_on_unit_section_hermitian(self, model, potential):
         """The bracket-compatible operator gives r-hat 1 = r^2 e^(2 warp)/m - r,
         real-valued; it vanishes at r = 3m."""
         point = ChartPoint(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
-        applied = apply_operator(ex.R, ONE_SECTION, model, potential, hermitian=True)
+        applied = apply_operator(ex.R, Section(ex.ONE, ex.ZERO), model, potential, hermitian=True)
         assert applied.evaluate_at(point) == pytest.approx(0.0, abs=1e-13)
         far = ChartPoint(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
-        assert apply_operator(ex.R, ONE_SECTION, model, potential).evaluate_at(
+        assert apply_operator(ex.R, Section(ex.ONE, ex.ZERO), model, potential).evaluate_at(
             far
         ) == pytest.approx(16.0 * 0.5 - 4.0, rel=1e-13)
 
@@ -174,7 +173,7 @@ class TestOperators:
         """(f+h)-hat = f-hat + h-hat and (c f)-hat = c f-hat on sections."""
         f = ex.sin(ex.U)
         h = ex.quotient(ex.R, ex.const(2.0))
-        psi = sections[2]
+        psi = sections.build([ex.const(x) for x in sections.draws[2]])
         combined = apply_operator(ex.add(f, h), psi, model, potential)
         split = apply_operator(f, psi, model, potential) + apply_operator(
             h, psi, model, potential
@@ -188,7 +187,7 @@ class TestOperators:
 
     def test_derivative_part_split(self, model, potential, sections, points):
         operator = prequantum_operator(ex.R, model, potential)
-        psi = sections[3]
+        psi = sections.build([ex.const(x) for x in sections.draws[3]])
         recombined = operator.derivative_part(psi) - psi.scaled_real(ex.R)
         applied = operator.apply(psi)
         for point in points[:4]:
@@ -220,7 +219,8 @@ class TestCommutators:
     def test_nonhermitian_variant_breaks_relation(self, model, potential, sections, operator_points):
         """Dropping the imaginary unit destroys the bracket-commutator
         correspondence by an order-one relative error."""
-        results = commutator_suite(model, potential, sections[:2], operator_points[:5], seed=902)
+        first = random_sections(model.mass, 2, seed=414)
+        results = commutator_suite(model, potential, first, operator_points[:5], seed=902)
         result = {r.name: r for r in results}["commutator_uv"]
         assert result.passed
         assert result.details["nonhermitian_residual"] > 1e-2
@@ -231,14 +231,16 @@ class TestCommutators:
         """Where the bracket folds to zero both sides of the relation vanish
         for either variant, so the nonhermitian one is built for uv and rt
         alone."""
-        results = commutator_suite(model, potential, sections[:2], operator_points[:5])
+        first = random_sections(model.mass, 2, seed=414)
+        results = commutator_suite(model, potential, first, operator_points[:5])
         carrying = [r.name for r in results if "nonhermitian_residual" in r.details]
         assert carrying == ["commutator_uv", "commutator_rt"]
 
     def test_display_closed_forms(self, model, potential, sections, operator_points):
         """[u-hat, v-hat] = 4 pi i (1/sin u)-hat and
         [r-hat, t-hat] = 4 pi i (r^2 (1-2m/r)^(1/2))-hat."""
-        results = commutator_suite(model, potential, sections[:3], operator_points[:6])
+        first = random_sections(model.mass, 3, seed=414)
+        results = commutator_suite(model, potential, first, operator_points[:6])
         by_name = {r.name: r for r in results}
         assert by_name["commutator_uv"].details["display_residual"] < 1e-11
         assert by_name["commutator_rt"].details["display_residual"] < 1e-11
@@ -248,8 +250,9 @@ class TestCommutators:
         magnitudes of the commutator relation are unchanged pointwise."""
         chi = ex.mul(ex.sin(ex.U), ex.quotient(ex.T, ex.const(3.0)))
         shifted = potential.gauge_shifted(chi)
-        psi = random_sections(model.mass, 1, seed=77)[0]
-        transformed = psi.times_complex(ex.cos(chi), ex.sin(chi))
+        family = random_sections(model.mass, 1, seed=77)
+        psi = family.build([ex.const(x) for x in family.draws[0]])
+        transformed = psi.scaled_real(ex.cos(chi)) + psi.times_i_scaled(ex.sin(chi))
 
         def relation_residual(pot, section):
             lhs = apply_operator(
@@ -330,7 +333,7 @@ class TestGeometricOperators:
     def test_radius_reduces_to_itself(self, model, potential, sections, points):
         """g(r) = r collapses the chain rule to r-hat = r-hat."""
         operator = prequantum_operator(ex.R, model, potential)
-        psi = sections[0]
+        psi = sections.build([ex.const(x) for x in sections.draws[0]])
         lhs = operator.apply(psi)
         rhs = operator.derivative_part(psi) - psi.scaled_real(ex.R)
         for point in points[:4]:
@@ -340,14 +343,15 @@ class TestGeometricOperators:
 def scan_array(scanned, sections, points):
     """A ``_scan`` result, one flat (member, point) list per part, as an
     array shaped (part, member, point)."""
-    return np.array(scanned).reshape(len(scanned), len(sections), len(points))
+    return np.array(scanned).reshape(len(scanned), len(sections.draws), len(points))
 
 
 def per_section_scan(parts, sections, points):
     """``_scan`` without parameters: the concrete trees of each member,
     built and evaluated one member at a time; shape (part, member, point)."""
     magnitudes = []
-    for psi in sections:
+    for draw in sections.draws:
+        psi = sections.build([ex.const(x) for x in draw])
         values = ex.evaluate_many([x for built in parts(psi) for x in (built.re, built.im)], points)
         magnitudes.append(np.hypot(values[0::2], values[1::2]))
     return np.stack(magnitudes, axis=1)
@@ -389,16 +393,11 @@ SEED_414_SECTIONS = (
 class TestSectionFamily:
     def test_members_keep_their_trees(self):
         family = random_sections(1.0, 3, 414)
-        assert len(family) == 3 and np.shape(family.draws) == (3, 8)
-        for k, re in enumerate(SEED_414_SECTIONS):
-            assert family[k].re.to_prefix() == re
-            assert family[k].im.to_prefix() == re.replace("(cos ", "(sin ")
-
-    def test_slice_is_a_subfamily(self):
-        family = random_sections(1.0, 3, 414)
-        tail = family[1:]
-        assert len(tail) == 2
-        assert tail[0] == family[1] and tail[1] == family[2]
+        assert np.shape(family.draws) == (3, 8)
+        for draw, re in zip(family.draws, SEED_414_SECTIONS):
+            psi = family.build([ex.const(x) for x in draw])
+            assert psi.re.to_prefix() == re
+            assert psi.im.to_prefix() == re.replace("(cos ", "(sin ")
 
 
 class TestFamilyScan:
@@ -487,8 +486,9 @@ class TestFamilyScan:
         def parts(psi):
             return [covariant_derivative(basis_vector(3), psi, potential)]
 
-        scanned = prequantum._scan(parts, poles[:1], operator_points)
-        assert scan_array(scanned, poles[:1], operator_points).shape == (1, 1, len(operator_points))
+        first = SectionFamily(poles.build, poles.draws[:1])
+        scanned = prequantum._scan(parts, first, operator_points)
+        assert scan_array(scanned, first, operator_points).shape == (1, 1, len(operator_points))
         with pytest.raises(EvaluationError):
             prequantum._scan(parts, poles, operator_points)
 
@@ -552,7 +552,8 @@ class TestRadialResiduals:
         """A sequential sum of 6^4 positive terms, so the batched (pairwise)
         sum agrees to within 6^4 ulp of the squared norm."""
         box = Box(u=(0.8, 2.2), v=(1.0, 5.0), r=(2.6, 6.0), t=(-0.8, 0.8))
-        psi = random_sections(model.mass, 1, seed=77)[0]
+        family = random_sections(model.mass, 1, seed=77)
+        psi = family.build([ex.const(x) for x in family.draws[0]])
         density = wedge(model.symplectic_form, model.symplectic_form).coefficient((0, 1, 2, 3))
         rule = tuple(map(np.array, gauss_legendre(6)))
         rules = [

@@ -105,6 +105,27 @@ class TestStream:
             expected.append((*coefficients, winding, kappa / mass))
         assert random_sections(mass, count, seed).draws == tuple(expected)
 
+    @pytest.mark.parametrize("seed", [0, 414, 2**40 + 3])
+    def test_section_draws_are_prefix_stable(self, seed):
+        """A family's first k members do not depend on how many are drawn,
+        so a smaller family is the same seed drawn with a smaller count."""
+        longer = random_sections(2.5, 12, seed).draws
+        for k in (0, 1, 5, 12):
+            assert random_sections(2.5, k, seed).draws == longer[:k]
+
+    @pytest.mark.parametrize(
+        "window", [SampleWindow(), OPERATOR_WINDOW], ids=["identity", "operator"]
+    )
+    @pytest.mark.parametrize("seed", [0, 901, 2**40 + 3])
+    def test_points_are_prefix_stable(self, seed, window):
+        """The first k points do not depend on how many are drawn."""
+        longer = sample_points(2.5, 12, seed, window)
+        for k in (0, 1, 5, 12):
+            shorter = sample_points(2.5, k, seed, window)
+            assert [shorter.u, shorter.v, shorter.r, shorter.t] == [
+                longer.u[:k], longer.v[:k], longer.r[:k], longer.t[:k]
+            ]
+
     def test_every_winding_is_drawn(self):
         windings = [draw[6] for draw in random_sections(1.0, 100, 3).draws]
         assert set(windings) == {-2.0, -1.0, 0.0, 1.0, 2.0}

@@ -920,6 +920,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", [["--config="], ["--config", ""]], ids=["joined", "split"])
+    def test_empty_config_path_is_a_config_error(self, flag, tmp_path, capsys):
+        """An empty --config is refused, not read as no file."""
+        assert main(["verify", *flag, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --config expects a file path, got an empty value\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "command", [["verify", "--samples", "10", "--sections", "1"], ["emit-csv", "bracket_grid"]]
     )
