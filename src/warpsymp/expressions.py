@@ -18,9 +18,10 @@ So structurally equal nodes are one object, identity is equality, and
 nodes are safe to share between threads.  A constant keys by its sign too,
 so 0.0 and -0.0 are two nodes, and a NaN constant by its float object.  The
 table keeps every node for the life of the process.  ``vars(node)`` holds
-exactly the fields.  Each node caches its partial derivatives in a slot
-outside the fields, so differentiating a node twice, from any builder,
-returns the same tree and derivative DAGs stay shared.
+exactly the fields.  Each node keeps its operand nodes, read off the fields
+once, and caches its partial derivatives, in slots outside the fields, so
+differentiating a node twice, from any builder, returns the same tree and
+derivative DAGs stay shared.
 
 Evaluation has one path, ``evaluate_many``: it orders the DAG under several
 roots topologically and computes each node once over a flat batch of
@@ -57,7 +58,19 @@ class EvaluationError(ArithmeticError):
     """Raised when a closed form hits a branch cut or a zero denominator."""
 
 
-class ChartPoint:
+class Immutable:
+    """Base of the package's immutable value classes: assigning any
+    attribute raises.  A constructor sets its fields with
+    ``object.__setattr__``, or through ``vars(self)`` in a class with a
+    ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+
+class ChartPoint(Immutable):
     """A point of the cut chart: colatitude u, azimuth v, areal radius r,
     static time t, and the mass parameter m of the ambient model.
 
@@ -86,9 +99,6 @@ class ChartPoint:
                 f"r >= 2m(1+{HORIZON_MARGIN}) for m={m}"
             )
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a ChartPoint is immutable")
-
     def __repr__(self):
         return "ChartPoint(" + ", ".join(f"{k}={x!r}" for k, x in self.as_dict().items()) + ")"
 
@@ -96,7 +106,7 @@ class ChartPoint:
         return {"u": self.u, "v": self.v, "r": self.r, "t": self.t, "m": self.m}
 
 
-class PointSet:
+class PointSet(Immutable):
     """Chart points sharing one mass, held as one tuple of floats per
     coordinate.  The ChartPoint guards are applied to every point; a
     violation raises the error of the ChartPoint at the first bad index.
@@ -122,9 +132,6 @@ class PointSet:
             ):
                 self[k]  # raises that point's ChartDomainError
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a PointSet is immutable")
-
     def __len__(self):
         return len(self.u)
 
@@ -146,9 +153,11 @@ def _interned(cls, key, values):
     none; ``setdefault`` keeps one node when two threads build it at once.
     A value of the wrong type for its field (``cls._kinds``) is a TypeError,
     and a coordinate not named in COORDINATE_NAMES a ValueError, both
-    checked only where a node is built."""
+    checked only where a node is built, which also sets the node's
+    ``children``: its operand fields' nodes, in field order."""
     node = _NODES.get(key)
     if node is None:
+        children = ()
         for name, value, kind in zip(cls._fields, values, cls._kinds):
             items = (value,)
             if kind is tuple and isinstance(value, tuple):  # a tuple of operand nodes
@@ -158,39 +167,41 @@ def _interned(cls, key, values):
                     raise TypeError(
                         f"{cls.__name__} takes {kind.__name__} {name}, not {type(item).__name__}"
                     )
+            if kind is Expression:
+                children += items
         if cls is Coordinate and values[0] not in COORDINATE_NAMES:
             raise ValueError(f"unknown coordinate {values[0]!r}")
         node = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(node, name, value)
+        object.__setattr__(node, "children", children)
         node = _NODES.setdefault(key, node)
     return node
 
 
-class Expression:
+class Expression(Immutable):
     """Base class of all expression-tree nodes.
 
     ``_fields`` names a node class's fields in order and ``_kinds`` gives
     each one's type (``tuple`` for a tuple of operand nodes); the
     constructor takes them positionally and returns the interned node, and
     repr reads them.
-    Equality and hash are identity's.  ``children`` are the operand nodes;
-    ``_apply`` computes the node from their values (each a float or a list
-    of one float per point of the batch) and the chart inputs, and
-    ``_rule`` is the node's differentiation rule.
+    Equality and hash are identity's.  ``children`` are the operand nodes,
+    read off the fields when the node is built: one per ``Expression``
+    field and each node of a ``tuple`` field, in field order.  ``_apply``
+    computes the node from their values (each a float or a list of one
+    float per point of the batch) and the chart inputs, and ``_rule`` is
+    the node's differentiation rule; every node class defines both.  An
+    operator node prints as ``(SYMBOL CHILD...)`` with its ``_symbol``.
     """
 
-    __slots__ = ("_derivatives",)
+    __slots__ = ("_derivatives", "children")
     _fields = _kinds = ()
-    children = ()
 
     def __new__(cls, *values):
         if len(values) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
         return _interned(cls, (cls, *values), values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: expression nodes are immutable")
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
@@ -199,9 +210,6 @@ class Expression:
     def evaluate(self, point: ChartPoint) -> float:
         """Evaluate at one chart point (a one-point ``evaluate_many``)."""
         return evaluate_many([self], point.as_dict())[0][0]
-
-    def _apply(self, values: list, inputs: dict):
-        raise NotImplementedError
 
     def diff(self, coordinate: str) -> "Expression":
         """Exact partial derivative with respect to a chart coordinate."""
@@ -221,12 +229,9 @@ class Expression:
             derivative = cache[coordinate] = self._rule(coordinate)
         return derivative
 
-    def _rule(self, coordinate: str) -> "Expression":
-        raise NotImplementedError
-
     def to_prefix(self) -> str:
         """Stable prefix-notation serialisation, as error messages print it."""
-        raise NotImplementedError
+        return f"({self._symbol} {' '.join(child.to_prefix() for child in self.children)})"
 
     def __str__(self):
         return self.to_prefix()
@@ -311,11 +316,7 @@ class Parameter(Expression):
 
 
 class Sum(Expression):
-    _fields, _kinds = ("terms",), (tuple,)
-
-    @property
-    def children(self):
-        return self.terms
+    _fields, _kinds, _symbol = ("terms",), (tuple,), "+"
 
     def _apply(self, values, inputs):
         if not any(map(_is_batch, values)):
@@ -339,16 +340,9 @@ class Sum(Expression):
     def _rule(self, coordinate):
         return add(*[term._diff(coordinate) for term in self.terms])
 
-    def to_prefix(self):
-        return "(+ " + " ".join(t.to_prefix() for t in self.terms) + ")"
-
 
 class Product(Expression):
-    _fields, _kinds = ("factors",), (tuple,)
-
-    @property
-    def children(self):
-        return self.factors
+    _fields, _kinds, _symbol = ("factors",), (tuple,), "*"
 
     def _apply(self, values, inputs):
         out = values[0]
@@ -364,16 +358,9 @@ class Product(Expression):
                 pieces.append(mul(*self.factors[:i], derivative, *self.factors[i + 1 :]))
         return add(*pieces)
 
-    def to_prefix(self):
-        return "(* " + " ".join(f.to_prefix() for f in self.factors) + ")"
-
 
 class Quotient(Expression):
-    _fields, _kinds = ("numerator", "denominator"), (Expression, Expression)
-
-    @property
-    def children(self):
-        return (self.numerator, self.denominator)
+    _fields, _kinds, _symbol = ("numerator", "denominator"), (Expression, Expression), "/"
 
     def _apply(self, values, inputs):
         numerator, denominator = values
@@ -387,9 +374,6 @@ class Quotient(Expression):
         keeps the derivative in range wherever the quotient is."""
         a, b = self.numerator, self.denominator
         return quotient(add(a._diff(coordinate), mul(NEG_ONE, self, b._diff(coordinate))), b)
-
-    def to_prefix(self):
-        return f"(/ {self.numerator.to_prefix()} {self.denominator.to_prefix()})"
 
 
 class Rational(namedtuple("Rational", ("numerator", "denominator"))):
@@ -431,10 +415,6 @@ class Power(Expression):
 
     _fields, _kinds = ("base", "exponent"), (Expression, Rational)
 
-    @property
-    def children(self):
-        return (self.base,)
-
     def _apply(self, values, inputs):
         (base,) = values
         q = self.exponent
@@ -456,11 +436,7 @@ class Power(Expression):
 
 
 class Exp(Expression):
-    _fields, _kinds = ("arg",), (Expression,)
-
-    @property
-    def children(self):
-        return (self.arg,)
+    _fields, _kinds, _symbol = ("arg",), (Expression,), "exp"
 
     def _apply(self, values, inputs):
         try:
@@ -471,16 +447,9 @@ class Exp(Expression):
     def _rule(self, coordinate):
         return mul(exp(self.arg), self.arg._diff(coordinate))
 
-    def to_prefix(self):
-        return f"(exp {self.arg.to_prefix()})"
-
 
 class Log(Expression):
-    _fields, _kinds = ("arg",), (Expression,)
-
-    @property
-    def children(self):
-        return (self.arg,)
+    _fields, _kinds, _symbol = ("arg",), (Expression,), "ln"
 
     def _apply(self, values, inputs):
         (arg,) = values
@@ -491,16 +460,9 @@ class Log(Expression):
     def _rule(self, coordinate):
         return quotient(self.arg._diff(coordinate), self.arg)
 
-    def to_prefix(self):
-        return f"(ln {self.arg.to_prefix()})"
-
 
 class Sin(Expression):
-    _fields, _kinds = ("arg",), (Expression,)
-
-    @property
-    def children(self):
-        return (self.arg,)
+    _fields, _kinds, _symbol = ("arg",), (Expression,), "sin"
 
     def _apply(self, values, inputs):
         return _periodic(math.sin, values[0])
@@ -508,25 +470,15 @@ class Sin(Expression):
     def _rule(self, coordinate):
         return mul(cos(self.arg), self.arg._diff(coordinate))
 
-    def to_prefix(self):
-        return f"(sin {self.arg.to_prefix()})"
-
 
 class Cos(Expression):
-    _fields, _kinds = ("arg",), (Expression,)
-
-    @property
-    def children(self):
-        return (self.arg,)
+    _fields, _kinds, _symbol = ("arg",), (Expression,), "cos"
 
     def _apply(self, values, inputs):
         return _periodic(math.cos, values[0])
 
     def _rule(self, coordinate):
         return mul(NEG_ONE, sin(self.arg), self.arg._diff(coordinate))
-
-    def to_prefix(self):
-        return f"(cos {self.arg.to_prefix()})"
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .expressions import (
     COORDINATE_NAMES,
     ChartPoint,
     Expression,
+    Immutable,
     NEG_ONE,
     ONE,
     ZERO,
@@ -199,7 +200,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     )
 
 
-class MetricTensor:
+class MetricTensor(Immutable):
     """A diagonal metric: ``diagonal`` holds (g_uu, g_vv, g_rr, g_tt).
 
     Every model the package builds is static and diagonal in (u, v, r, t).
@@ -209,9 +210,6 @@ class MetricTensor:
 
     def __init__(self, diagonal: tuple):
         vars(self)["diagonal"] = diagonal
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a MetricTensor is immutable")
 
     @cached_property
     def inverse(self) -> tuple:

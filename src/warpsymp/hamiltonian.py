@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import repeat
 
 from . import expressions as ex
-from .expressions import ChartPoint, Expression
+from .expressions import ChartPoint, Expression, Immutable
 from .exterior import KForm, VectorField
 from .reports import GROUP_ROWS, selector, worst_point
 from .spacetime import SpacetimeModel, darboux_chart
@@ -280,7 +280,7 @@ def bracket_table(
 # ---------------------------------------------------------------------------
 
 
-class QuadratureSpec:
+class QuadratureSpec(Immutable):
     """Node counts and sphere location for surface integrals.
 
     ``n_u`` Gauss-Legendre nodes on the colatitude interval (0, pi) and
@@ -302,10 +302,6 @@ class QuadratureSpec:
             raise ValueError("sphere radius must be positive and finite")
         for name, value in zip(self.__slots__, (n_u, n_v, r0, t0)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a QuadratureSpec is immutable")
-
 
 # Bounds of the refinement.  From Tricomi's guesses every rule of 1 to 400
 # nodes, and those sampled up to 2048, certifies each node in one recurrence

@@ -37,7 +37,7 @@ from collections.abc import Callable
 from enum import Enum
 
 from . import expressions as ex
-from .expressions import ChartPoint, Expression
+from .expressions import ChartPoint, Expression, Immutable
 from .exterior import (
     KForm,
     VectorField,
@@ -79,7 +79,7 @@ class CurvatureScale(str, Enum):
         return ex.quotient(ex.ONE, self.hbar())
 
 
-class ConnectionPotential:
+class ConnectionPotential(Immutable):
     """A real connection 1-form theta on the cut chart with its scaling;
     immutable."""
 
@@ -90,9 +90,6 @@ class ConnectionPotential:
             raise ValueError("the connection potential must be a 1-form")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a ConnectionPotential is immutable")
 
     @staticmethod
     def monopole(model: SpacetimeModel, scale: CurvatureScale = CurvatureScale.PLAIN):
@@ -248,7 +245,7 @@ def apply_operator(
 # ---------------------------------------------------------------------------
 
 
-class SectionFamily:
+class SectionFamily(Immutable):
     """Test sections of one shape that differ only in drawn numbers.
 
     ``draws`` holds one tuple of floats per member; ``build(row)`` makes the
@@ -263,10 +260,6 @@ class SectionFamily:
         draws = tuple(tuple(map(float, draw)) for draw in draws)
         object.__setattr__(self, "build", build)
         object.__setattr__(self, "draws", draws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a SectionFamily is immutable")
-
 
 def random_sections(mass: float, count: int, seed: int) -> SectionFamily:
     """Deterministic polynomial-times-phase test sections.

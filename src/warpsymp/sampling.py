@@ -11,7 +11,7 @@ import math
 import operator
 import random
 
-from .expressions import PointSet
+from .expressions import Immutable, PointSet
 
 
 def unit_draws(seed: int, count: int) -> list:
@@ -24,7 +24,7 @@ def unit_draws(seed: int, count: int) -> list:
     return [draw() for _ in range(count)]
 
 
-class SampleWindow:
+class SampleWindow(Immutable):
     """Coordinate window for random sampling, in units tied to the mass.
 
     Radii are drawn log-uniformly from (2m(1 + r_margin), r_max_factor * m),
@@ -61,10 +61,6 @@ class SampleWindow:
             raise ValueError("v margin must lie in (0, pi)")
         if t_half_width_factor < 0:
             raise ValueError("time half-width must be non-negative")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a SampleWindow is immutable")
-
 
 # Sampling window for prequantum-operator checks.  Operator compositions
 # stack one more derivative layer than the pointwise identities, so the

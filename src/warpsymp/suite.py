@@ -11,9 +11,10 @@ printed operator relations and the integrality numbers) never affect the
 exit code.
 
 The catalogue's rows, each check's name, default tolerance and verdict
-rule under its group's key, are ``reports.GROUP_ROWS``; this module adds
-each group's runner to make ``CHECK_GROUPS``.  ``CHECK_CATALOGUE``,
-``DEFAULT_TOLERANCES`` and ``GROUP_CHECKS`` are views of it.
+rule under its group's key, are ``reports.GROUP_ROWS``; this module keeps
+each group's runner under the same key, in ``_RUNNERS``.
+``CHECK_CATALOGUE``, ``DEFAULT_TOLERANCES`` and ``GROUP_CHECKS`` are views
+of the rows.
 
 Reports are deterministic: identical configuration gives a byte-identical
 body; wall time lives outside the body.
@@ -68,7 +69,7 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad value, unknown key, unknown check)."""
 
 
-class GroupInputs:
+class GroupInputs(ex.Immutable):
     """What every check group of one suite run draws on, all derived from
     the run's configuration; immutable.
 
@@ -79,9 +80,6 @@ class GroupInputs:
 
     def __init__(self, config: RunConfig):
         vars(self).update(config=config, model=schwarzschild(config.mass))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: GroupInputs are immutable")
 
     @property
     def seed(self) -> int:
@@ -102,7 +100,7 @@ class GroupInputs:
 
     @cached_property
     def operator_points(self) -> ex.PointSet:
-        count = max(10, self.config.n_samples // 5)
+        count = self.config.operator_samples()
         return sample_points(self.config.mass, count, self.seed + 1, OPERATOR_WINDOW)
 
     @cached_property
@@ -140,25 +138,15 @@ def _bracket_checks(g: GroupInputs, only) -> list:
     return checks
 
 
-class CheckGroup(namedtuple("CheckGroup", ("key", "run", "checks"))):
-    """One group of the catalogue: its key, the runner that computes it,
-    and the tuple of Checks it emits in report order, its row of
-    ``reports.GROUP_ROWS``.
-
-    A runner takes the group inputs and the set of the group's check names
-    to compute, and returns their results; it computes no other check of
-    the group, so a full group is the selection of all its names.  Each
-    runner calls its group function through this module's global name at
-    call time, so a rebinding of that name (a test double, a tracer) is
-    what the suite runs.  Runners leave thresholds at the group functions'
-    defaults, each check's own tolerance: ``run_suite`` gives each result
-    its own configured threshold and re-judges it afterwards.
-    """
-
-    __slots__ = ()
-
-
-# group key -> runner
+# Group key -> runner, in the order of ``reports.GROUP_ROWS``.  A runner
+# takes the group inputs and the set of the group's check names to compute,
+# and returns their results; it computes no other check of the group, so a
+# full group is the selection of all its names.  Each runner calls its
+# group function through this module's global name at call time, so a
+# rebinding of that name (a test double, a tracer) is what the suite runs.
+# Runners leave thresholds at the group functions' defaults, each check's
+# own tolerance: ``run_suite`` gives each result its own configured
+# threshold and re-judges it afterwards.
 _RUNNERS = {
     "gradient": lambda g, only: [verify_gradient_relation(g.model, g.identity_points, seed=g.seed)],
     "observer": lambda g, only: verify_observer(g.model, g.identity_points, seed=g.seed, only=only),
@@ -190,18 +178,20 @@ _RUNNERS = {
     ),
     "integrality": lambda g, only: [integrality_report(g.model, g.quadrature, seed=g.seed)],
 }
-CHECK_GROUPS = tuple(CheckGroup(key, _RUNNERS[key], checks) for key, checks in GROUP_ROWS.items())
 
-_CHECKS = {check.name: check for group in CHECK_GROUPS for check in group.checks}
+_CHECKS = {check.name: check for checks in GROUP_ROWS.values() for check in checks}
 CHECK_CATALOGUE = tuple(_CHECKS)
 DEFAULT_TOLERANCES = {name: check.tolerance for name, check in _CHECKS.items()}
-GROUP_CHECKS = {group.key: tuple(c.name for c in group.checks) for group in CHECK_GROUPS}
+GROUP_CHECKS = {key: tuple(check.name for check in checks) for key, checks in GROUP_ROWS.items()}
 
 # Sphere quadrature bounds.  The fine pass doubles both counts: its
 # Gauss-Legendre rule costs O((2 n_u)^2) recurrence work, and an integrand
 # that depends on v is evaluated on a grid of 4 n_u n_v floats (a
 # v-independent one on a column of 2 n_u, summed without building the grid).
 MAX_N_U, MAX_N_V, MAX_SPHERE_NODES = 1024, 4096, 1 << 20
+# Operator-scan bound: the section scans evaluate every test section at
+# every operator point, one float per (section, point) pair and node.
+MAX_SECTION_POINTS = 1 << 17
 
 
 def _finite(value) -> bool:
@@ -251,6 +241,12 @@ class RunConfig:
             raise ConfigError("n_samples must be at least 10")
         if self.n_sections < 1:
             raise ConfigError("n_sections must be at least 1")
+        if self.n_sections * self.operator_samples() > MAX_SECTION_POINTS:
+            raise ConfigError(
+                f"n_sections * max(10, n_samples // 5) must be at most {MAX_SECTION_POINTS} "
+                f"(section, point) pairs, got n_sections={self.n_sections} "
+                f"and n_samples={self.n_samples}"
+            )
         n_u, n_v = self.n_u, self.n_v
         if not (2 <= n_u <= MAX_N_U and 4 <= n_v <= MAX_N_V and n_u * n_v <= MAX_SPHERE_NODES):
             raise ConfigError(
@@ -274,6 +270,10 @@ class RunConfig:
             raise ConfigError(f"sphere radius r0={self.r0} must be finite and exceed {horizon}")
         if not _finite(self.t0):
             raise ConfigError(f"sphere time t0 must be finite, got {self.t0!r}")
+
+    def operator_samples(self) -> int:
+        """The operator window's point count: a fifth of n_samples, at least 10."""
+        return max(10, self.n_samples // 5)
 
     def resolved_r0(self) -> float:
         return 3.0 * self.mass if self.r0 is None else self.r0
@@ -405,12 +405,12 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
     inputs = GroupInputs(config)
 
     ordered = []
-    for group in CHECK_GROUPS:
-        wanted = [c for c in group.checks if selected is None or c.name in selected]
+    for key, checks in GROUP_ROWS.items():
+        wanted = [c for c in checks if selected is None or c.name in selected]
         if not wanted:
             continue
         names = frozenset(check.name for check in wanted)
-        results = {result.name: result for result in group.run(inputs, names)}
+        results = {result.name: result for result in _RUNNERS[key](inputs, names)}
         for check in wanted:
             result = results[check.name]
             result.threshold = config.tolerance(check.name)

@@ -111,8 +111,7 @@ class TestDeclaredOnce:
         assert numeric == set(NUMERIC_DEFAULTS)
 
     def test_views_follow_the_rows(self):
-        assert [group.key for group in suite.CHECK_GROUPS] == list(GROUP_ROWS)
-        assert all(group.checks is GROUP_ROWS[group.key] for group in suite.CHECK_GROUPS)
+        assert list(suite._RUNNERS) == list(GROUP_ROWS)
         assert CHECK_CATALOGUE == tuple(ROWS)
         assert suite.DEFAULT_TOLERANCES == {name: row.tolerance for name, row in ROWS.items()}
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from warpsymp import expressions as ex
-from warpsymp import suite
 from warpsymp.expressions import (
     ChartDomainError,
     ChartPoint,
@@ -741,7 +740,7 @@ IMMUTABLE = [
     (lambda model: ex.sin(ex.U), "arg"),
     (lambda model: KForm.zero(1), "degree"),
     (lambda model: basis_vector(0), "components"),
-    (lambda model: model.metric, "upper"),
+    (lambda model: model.metric, "diagonal"),
     (lambda model: IntegralResult(1.0, 0.0, 2, 4), "value"),
     (lambda model: QuadratureSpec(), "n_u"),
     (lambda model: SampleWindow(), "r_margin"),
@@ -751,7 +750,6 @@ IMMUTABLE = [
     (lambda model: prequantum_operator(ex.R, model, ConnectionPotential.monopole(model)), "hbar"),
     (lambda model: random_sections(1.0, 2, 0), "draws"),
     (lambda model: Box.default(1.0), "r"),
-    (lambda model: suite.CHECK_GROUPS[0], "key"),
     (_group_inputs, "model"),
 ]
 
@@ -886,7 +884,36 @@ class TestDerivativeProperty:
         assert abs(exact - approx) <= 1e-7 * scale
 
 
+# One node of each class: its prefix text and its operand fields, in order.
+PREFIX_FORMS = [
+    (ex.add(ex.U, ex.T), "(+ u t)", (ex.U, ex.T)),
+    (ex.mul(2.0, ex.R), "(* 2.0 r)", (ex.const(2.0), ex.R)),
+    (ex.quotient(ex.M, ex.R), "(/ m r)", (ex.M, ex.R)),
+    (ex.exp(ex.U), "(exp u)", (ex.U,)),
+    (ex.log(ex.U), "(ln u)", (ex.U,)),
+    (ex.sin(ex.U), "(sin u)", (ex.U,)),
+    (ex.cos(ex.V), "(cos v)", (ex.V,)),
+    (ex.power(ex.R, Fraction(1, 2)), "(pow r 1/2)", (ex.R,)),
+    (Parameter("p0"), "(param p0)", ()),
+    (ex.const(-0.0), "-0.0", ()),
+    (ex.M, "m", ()),
+    (ex.T, "t", ()),
+]
+
+
 class TestPrefixForm:
+    @pytest.mark.parametrize(
+        "node, text, operands", PREFIX_FORMS, ids=[type(node).__name__ for node, *_ in PREFIX_FORMS]
+    )
+    def test_pinned_text_and_operands(self, node, text, operands):
+        assert node.to_prefix() == str(node) == text
+        assert type(node.children) is tuple
+        assert len(node.children) == len(operands)
+        assert all(a is b for a, b in zip(node.children, operands))
+
+    def test_every_node_class_is_pinned(self):
+        assert {type(node) for node, *_ in PREFIX_FORMS} == set(ex.Expression.__subclasses__())
+
     def test_golden_warp(self):
         golden = "(ln (pow (+ (* -1.0 (/ (* 2.0 m) r)) 1.0) 1/2))"
         assert warp_expression().to_prefix() == golden

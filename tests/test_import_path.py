@@ -41,7 +41,7 @@ from warpsymp.exterior import KForm, VectorField
 from warpsymp.hamiltonian import IntegralResult
 from warpsymp.prequantum import Box, PrequantumOperator, Section
 from warpsymp.spacetime import SpacetimeModel
-from warpsymp.suite import Check, CheckGroup, SuiteReport
+from warpsymp.suite import Check, SuiteReport
 
 SRC = Path(warpsymp.__file__).resolve().parents[1]
 
@@ -155,7 +155,6 @@ RECORDS = [
         ),
     ),
     (Check, ("name", "tolerance", "rule")),
-    (CheckGroup, ("key", "run", "checks")),
     (SuiteReport, ("body", "wall_time_seconds")),
 ]
 

@@ -54,7 +54,6 @@ WALK = (
 
 GUARD = "immutability guard: raises on assignment, which no command attempts"
 REPR = "repr, for interactive use and test failures"
-STUB = "interface stub of the node base class; every node class overrides it"
 ERROR_TEXT = "error text: a node prints itself in an EvaluationError message"
 ITEM_3 = "kept for ROADMAP item 3: the models beyond Schwarzschild evaluate exp and ln"
 TRACER = "perfbench/tracer.py wraps it; it goes with the tracer's re-sync (ROADMAP item 2)"
@@ -63,48 +62,31 @@ GATE = "tests/test_acceptance.py, the gate, imports or calls it"
 # "module.qualname" -> why it is kept although no command reaches it.  A
 # lambda is named by its source, inside the scope it is written in.
 ALLOWED = {
-    "expressions.ChartPoint.__setattr__": GUARD,
+    "expressions.Immutable.__setattr__": GUARD,
     "expressions.ChartPoint.__repr__": REPR,
-    "expressions.PointSet.__setattr__": GUARD,
-    "expressions.Expression.__setattr__": GUARD,
     "expressions.Expression.__repr__": REPR,
     "expressions.Expression.evaluate": f"{GATE}; {TRACER}",
-    "expressions.Expression._apply": STUB,
-    "expressions.Expression._rule": STUB,
-    "expressions.Expression.to_prefix": STUB,
     "expressions.Expression.__str__": "str() of a node is its prefix text, as tests print it",
     "expressions.Constant.to_prefix": ERROR_TEXT,
     "expressions.Parameter.to_prefix": ERROR_TEXT,
-    "expressions.Sum.to_prefix": ERROR_TEXT,
-    "expressions.Product.to_prefix": ERROR_TEXT,
-    "expressions.Exp.to_prefix": ERROR_TEXT,
-    "expressions.Log.to_prefix": ERROR_TEXT,
-    "expressions.Sin.to_prefix": ERROR_TEXT,
-    "expressions.Cos.to_prefix": ERROR_TEXT,
     "expressions._overflowing_power": "error path: a power that overflows at some point",
     "expressions._periodic.<locals>.<lambda x: math.nan if math.isinf(x) else function(x)>": (
         "error path: sin or cos of an infinite argument"
     ),
     "expressions._least": "error text: the least argument of a log of a non-positive value",
-    "expressions.Exp.children": ITEM_3,
     "expressions.Exp._apply": ITEM_3,
     "expressions.Exp._rule": ITEM_3,
-    "expressions.Log.children": ITEM_3,
     "expressions.Log._apply": ITEM_3,
     "exterior.KForm.evaluate_at": TRACER,
     "exterior.KForm.max_abs_at": TRACER,
     "exterior.VectorField.evaluate_at": f"{GATE}; {TRACER}",
     "exterior.lie_bracket": "kept for ROADMAP item 8",
-    "exterior.MetricTensor.__setattr__": GUARD,
     "exterior.sharp": "kept for ROADMAP item 3: generalized_static builds its field with it",
     "hamiltonian.hamiltonian_at": f"{GATE}; {TRACER}",
-    "hamiltonian.QuadratureSpec.__setattr__": GUARD,
-    "prequantum.ConnectionPotential.__setattr__": GUARD,
     "prequantum.ConnectionPotential.gauge_shifted": "the gauge-covariance tests shift with it",
     "prequantum.Section.evaluate_at": f"{GATE}; {TRACER}",
     "prequantum.Section.magnitude_at": TRACER,
     "prequantum.apply_operator": GATE,
-    "prequantum.SectionFamily.__setattr__": GUARD,
     "prequantum.Box.intervals": f"{GATE}, through radial_eigen_residual",
     "prequantum.Box.default": GATE,
     "prequantum.box_l2_norm": f"{GATE}, through radial_eigen_residual",
@@ -112,9 +94,7 @@ ALLOWED = {
     "reports.selector.<locals>.<lambda check: True>": (
         f"{GATE}: a group function called without only= computes every check"
     ),
-    "sampling.SampleWindow.__setattr__": GUARD,
     "spacetime.generalized_static": "kept for ROADMAP item 3",
-    "suite.GroupInputs.__setattr__": GUARD,
     "suite.SuiteReport.body_json": f"{GATE} (criterion 12); {TRACER}",
 }
 

@@ -499,6 +499,23 @@ class TestRunConfig:
     def test_quadrature_counts_within_bounds_are_valid(self, n_u, n_v):
         RunConfig(n_u=n_u, n_v=n_v).validate()
 
+    @pytest.mark.parametrize(
+        "samples, sections", [("65540", "10"), ("655365", "1"), ("100", "6554"), ("50000", "14")]
+    )
+    def test_section_point_pairs_are_bounded(self, samples, sections):
+        """Just over suite.MAX_SECTION_POINTS, refused by validation before
+        any point or section is drawn; the error names both values."""
+        overrides = {"samples": samples, "sections": sections}
+        with pytest.raises(ConfigError, match=f"n_sections={sections} and n_samples={samples}"):
+            config_from_sources(overrides=overrides)
+
+    @pytest.mark.parametrize(
+        "samples, sections", [("50000", "10"), ("100", "100"), ("65535", "10"), ("655360", "1")]
+    )
+    def test_section_point_pairs_within_the_bound_are_valid(self, samples, sections):
+        config = config_from_sources(overrides={"samples": samples, "sections": sections})
+        assert config.n_sections * config.operator_samples() <= suite.MAX_SECTION_POINTS
+
     def test_mass_whose_sampling_window_overflows_is_refused(self):
         RunConfig(mass=1.79e306).validate()  # 100 m is still finite
         with pytest.raises(ConfigError, match="sampling window"):
