@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Mapping
 from itertools import repeat
 
 COORDINATE_NAMES = ("u", "v", "r", "t")
@@ -70,49 +69,20 @@ class Immutable:
         raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
 
 
-class ChartPoint(Immutable):
-    """A point of the cut chart: colatitude u, azimuth v, areal radius r,
-    static time t, and the mass parameter m of the ambient model.
-
-    The guard keeps r away from the horizon by the relative margin
-    ``HORIZON_MARGIN``; the warp factor and its inverse powers blow up at
-    r = 2m, so points closer than 2m(1 + margin) are rejected outright
-    rather than silently producing garbage.  Points are immutable.
-    """
-
-    __slots__ = ("u", "v", "r", "t", "m")
-
-    def __init__(self, u: float, v: float, r: float, t: float, m: float):
-        for name, value in zip(self.__slots__, (u, v, r, t, m)):
-            if not math.isfinite(value):
-                raise ChartDomainError(f"coordinate {name} must be finite")
-            object.__setattr__(self, name, value)
-        if m <= 0.0:
-            raise ChartDomainError(f"mass must be positive, got {m}")
-        if not 0.0 < u < math.pi:
-            raise ChartDomainError(f"colatitude u={u} outside (0, pi)")
-        if not 0.0 < v < 2.0 * math.pi:
-            raise ChartDomainError(f"azimuth v={v} outside (0, 2*pi)")
-        if r < 2.0 * m * (1.0 + HORIZON_MARGIN):
-            raise ChartDomainError(
-                f"radius r={r} violates the horizon guard "
-                f"r >= 2m(1+{HORIZON_MARGIN}) for m={m}"
-            )
-
-    def __repr__(self):
-        return "ChartPoint(" + ", ".join(f"{k}={x!r}" for k, x in self.as_dict().items()) + ")"
-
-    def as_dict(self) -> dict:
-        return {"u": self.u, "v": self.v, "r": self.r, "t": self.t, "m": self.m}
+def horizon_radius(mass: float) -> float:
+    """The chart's least radius: the horizon 2m widened by ``HORIZON_MARGIN``."""
+    return 2.0 * mass * (1.0 + HORIZON_MARGIN)
 
 
 class PointSet(Immutable):
-    """Chart points sharing one mass, held as one tuple of floats per
-    coordinate.  The ChartPoint guards are applied to every point; a
-    violation raises the error of the ChartPoint at the first bad index.
-    ``points[k]`` gives a ChartPoint (iteration runs through the indices,
-    up to the IndexError), ``points[a:b]`` a PointSet.  Point sets are
-    immutable.
+    """Chart points (colatitude u, azimuth v, areal radius r, static time t)
+    sharing one mass m, held as one tuple of floats per coordinate.  Each
+    point needs finite values, m > 0, u in (0, pi), v in (0, 2 pi) and
+    r >= ``horizon_radius(m)``, since the warp factor blows up at r = 2m;
+    the first bad point raises the ChartDomainError of the first of these
+    guards it breaks.  ``points[k]`` gives point k as a mapping of u, v, r,
+    t and m to floats (iteration runs through the indices, up to the
+    IndexError), ``points[a:b]`` a PointSet.  Point sets are immutable.
     """
 
     __slots__ = ("u", "v", "r", "t", "m")
@@ -123,14 +93,26 @@ class PointSet(Immutable):
         for name, value in zip(self.__slots__, (*columns, m)):
             object.__setattr__(self, name, value)
         mass_ok = math.isfinite(m) and m > 0.0
-        horizon, two_pi, inf = 2.0 * m * (1.0 + HORIZON_MARGIN), 2.0 * math.pi, math.inf
+        horizon, two_pi, inf = horizon_radius(m), 2.0 * math.pi, math.inf
         # the open ranges exclude NaN and infinities
-        for k, (a, b, c, d) in enumerate(zip(*columns)):
-            if not (
+        for a, b, c, d in zip(*columns):
+            if (
                 mass_ok and 0.0 < a < math.pi and 0.0 < b < two_pi and horizon <= c < inf
                 and -inf < d < inf
             ):
-                self[k]  # raises that point's ChartDomainError
+                continue
+            for name, value in zip(self.__slots__, (a, b, c, d, m)):
+                if not math.isfinite(value):
+                    raise ChartDomainError(f"coordinate {name} must be finite")
+            if m <= 0.0:
+                raise ChartDomainError(f"mass must be positive, got {m}")
+            if not 0.0 < a < math.pi:
+                raise ChartDomainError(f"colatitude u={a} outside (0, pi)")
+            if not 0.0 < b < two_pi:
+                raise ChartDomainError(f"azimuth v={b} outside (0, 2*pi)")
+            raise ChartDomainError(
+                f"radius r={c} violates the horizon guard r >= 2m(1+{HORIZON_MARGIN}) for m={m}"
+            )
 
     def __len__(self):
         return len(self.u)
@@ -138,7 +120,7 @@ class PointSet(Immutable):
     def __getitem__(self, key):
         if isinstance(key, slice):
             return PointSet(self.u[key], self.v[key], self.r[key], self.t[key], self.m)
-        return ChartPoint(self.u[key], self.v[key], self.r[key], self.t[key], self.m)
+        return {"u": self.u[key], "v": self.v[key], "r": self.r[key], "t": self.t[key], "m": self.m}
 
 
 # Every node built, under its class and fields: the table that makes
@@ -207,9 +189,9 @@ class Expression(Immutable):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{type(self).__qualname__}({fields})"
 
-    def evaluate(self, point: ChartPoint) -> float:
-        """Evaluate at one chart point (a one-point ``evaluate_many``)."""
-        return evaluate_many([self], point.as_dict())[0][0]
+    def evaluate(self, point) -> float:
+        """The value at one point, a mapping (a one-point ``evaluate_many``)."""
+        return evaluate_many([self], point)[0][0]
 
     def diff(self, coordinate: str) -> "Expression":
         """Exact partial derivative with respect to a chart coordinate."""
@@ -558,22 +540,16 @@ def _batch_input(value):
 
 
 def chart_inputs(at) -> dict:
-    """Input values by name from an input mapping, a PointSet or a list of
-    ChartPoints: a float, or a tuple with one float per point.
+    """Input values by name from a PointSet or an input mapping: a float,
+    or a tuple with one float per point.
 
-    A mapping is copied, extra keys (parameters) included, with each value
-    made a float or a tuple of floats.  A point set gives its own tuples and
-    mass.  A point list becomes one tuple per coordinate; a mass shared by
-    all the points stays a float.
+    A point set gives its own tuples and mass.  A mapping is copied, extra
+    keys (parameters) included, with each value made a float or a tuple of
+    floats.
     """
-    if isinstance(at, Mapping):
-        return {name: _batch_input(value) for name, value in at.items()}
     if isinstance(at, PointSet):
         return {name: getattr(at, name) for name in PointSet.__slots__}
-    inputs = {name: tuple(getattr(p, name) for p in at) for name in COORDINATE_NAMES}
-    masses = {p.m for p in at}
-    inputs["m"] = float(masses.pop()) if len(masses) == 1 else tuple(p.m for p in at)
-    return inputs
+    return {name: _batch_input(value) for name, value in at.items()}
 
 
 def _schedule(roots):
@@ -610,9 +586,9 @@ def _schedule(roots):
 def evaluate_many(roots, at) -> list:
     """Values of several expressions over a flat batch of chart points.
 
-    ``at`` is a PointSet, a list of ChartPoints or a mapping of the names
-    u, v, r, t and m to numbers or sequences of one number per point (a
-    sphere grid is its nodes listed one by one, with r, t, m numbers).  The
+    ``at`` is a PointSet or a mapping of the names u, v, r, t and m to
+    numbers or sequences of one number per point (a sphere grid is its
+    nodes listed one by one, with r, t, m numbers).  The
     mapping may hold further keys: the ``Parameter`` leaves of the roots,
     with their values in the same form.  The longest sequence sets the
     batch (with none, the batch is one point); each length must divide

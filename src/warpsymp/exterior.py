@@ -24,7 +24,6 @@ from functools import cached_property
 
 from .expressions import (
     COORDINATE_NAMES,
-    ChartPoint,
     Expression,
     Immutable,
     NEG_ONE,
@@ -150,21 +149,21 @@ class KForm(namedtuple("KForm", ("degree", "terms"))):
             return NotImplemented
         return self + other.scaled(NEG_ONE)
 
-    def evaluate_at(self, point: ChartPoint) -> dict:
-        values = evaluate_many([coefficient for _, coefficient in self.terms], point.as_dict())
+    def evaluate_at(self, point) -> dict:
+        values = evaluate_many([coefficient for _, coefficient in self.terms], point)
         return {index: value for (index, _), (value,) in zip(self.terms, values)}
 
     def max_abs(self, at) -> list:
-        """Largest coefficient magnitude at each point of ``at`` (points or
-        an input mapping, as for ``evaluate_many``); 0 for the empty form.
+        """Largest coefficient magnitude at each point of ``at`` (a PointSet
+        or an input mapping, as for ``evaluate_many``); 0 for the empty form.
         A NaN coefficient is passed over."""
         zeros, *values = evaluate_many([ZERO, *(coefficient for _, coefficient in self.terms)], at)
         # max keeps its first argument, 0, against NaN
         return list(map(max, zeros, *(map(abs, column) for column in values))) if values else zeros
 
-    def max_abs_at(self, point: ChartPoint) -> float:
+    def max_abs_at(self, point) -> float:
         """Largest coefficient magnitude at a point (0 for the empty form)."""
-        return self.max_abs(point.as_dict())[0]
+        return self.max_abs(point)[0]
 
 
 class VectorField(namedtuple("VectorField", ("components",))):
@@ -181,8 +180,8 @@ class VectorField(namedtuple("VectorField", ("components",))):
             ]
         )
 
-    def evaluate_at(self, point: ChartPoint) -> tuple:
-        return tuple(value for (value,) in evaluate_many(self.components, point.as_dict()))
+    def evaluate_at(self, point) -> tuple:
+        return tuple(value for (value,) in evaluate_many(self.components, point))
 
 
 def basis_vector(axis: int) -> VectorField:

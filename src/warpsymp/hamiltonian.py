@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import repeat
 
 from . import expressions as ex
-from .expressions import ChartPoint, Expression, Immutable
+from .expressions import Expression, Immutable
 from .exterior import KForm, VectorField
 from .reports import GROUP_ROWS, selector, worst_point
 from .spacetime import SpacetimeModel, darboux_chart
@@ -109,10 +109,10 @@ def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> list:
     return solutions
 
 
-def hamiltonian_at(f: Expression, model: SpacetimeModel, point: ChartPoint) -> tuple:
-    """Numeric route: solve the 4x4 system at one point."""
+def hamiltonian_at(f: Expression, model: SpacetimeModel, point) -> tuple:
+    """Numeric route: solve the 4x4 system at one point, a mapping."""
     try:
-        return hamiltonian_values(f, model, [point])[0]
+        return hamiltonian_values(f, model, point)[0]
     except SingularSymplecticError as err:
         raise SingularSymplecticError(f"symplectic matrix singular at {point}") from err
 
@@ -484,7 +484,7 @@ def surface_integral(form: KForm, spec: QuadratureSpec, model: SpacetimeModel) -
     """
     if form.degree != 2:
         raise ValueError("surface integrals take 2-forms")
-    if spec.r0 < 2.0 * model.mass * (1.0 + ex.HORIZON_MARGIN):
+    if spec.r0 < ex.horizon_radius(model.mass):
         raise ValueError(
             f"sphere radius {spec.r0} is not outside the horizon of mass {model.mass}"
         )

@@ -37,7 +37,7 @@ from collections.abc import Callable
 from enum import Enum
 
 from . import expressions as ex
-from .expressions import ChartPoint, Expression, Immutable
+from .expressions import Expression, Immutable
 from .exterior import (
     KForm,
     VectorField,
@@ -145,11 +145,11 @@ class Section(namedtuple("Section", ("re", "im"))):
         """Multiply by i times a real scalar field."""
         return Section(ex.mul(ex.NEG_ONE, factor, self.im), ex.mul(factor, self.re))
 
-    def evaluate_at(self, point: ChartPoint) -> complex:
-        (re,), (im,) = ex.evaluate_many([self.re, self.im], point.as_dict())
+    def evaluate_at(self, point) -> complex:
+        (re,), (im,) = ex.evaluate_many([self.re, self.im], point)
         return complex(re, im)
 
-    def magnitude_at(self, point: ChartPoint) -> float:
+    def magnitude_at(self, point) -> float:
         return abs(self.evaluate_at(point))
 
 
@@ -220,24 +220,18 @@ class PrequantumOperator(
 
 
 def prequantum_operator(
-    f: Expression,
-    model: SpacetimeModel,
-    potential: ConnectionPotential,
-    hermitian: bool = True,
+    f: Expression, model: SpacetimeModel, potential: ConnectionPotential
 ) -> PrequantumOperator:
+    """The hermitian operator of ``f``; ``_replace(hermitian=False)`` is the other."""
     hbar = potential.scale.ratio * model.mass
     field = hamiltonian_field(f, model)
-    return PrequantumOperator(f, field, pairing(potential.theta, field), potential, hbar, hermitian)
+    return PrequantumOperator(f, field, pairing(potential.theta, field), potential, hbar)
 
 
 def apply_operator(
-    f: Expression,
-    psi: Section,
-    model: SpacetimeModel,
-    potential: ConnectionPotential,
-    hermitian: bool = True,
+    f: Expression, psi: Section, model: SpacetimeModel, potential: ConnectionPotential
 ) -> Section:
-    return prequantum_operator(f, model, potential, hermitian).apply(psi)
+    return prequantum_operator(f, model, potential).apply(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +503,6 @@ def geometric_operator_report(
                 worst_point(residual, points)[1],
                 seed,
                 chain_threshold,
-                assertable=False,
                 details={"expected_nonzero": True, "scale": scale},
             )
         )
@@ -526,9 +519,6 @@ class Box(namedtuple("Box", ("u", "v", "r", "t"))):
 
     __slots__ = ()
 
-    def intervals(self):
-        return (self.u, self.v, self.r, self.t)
-
     @staticmethod
     def default(mass: float) -> "Box":
         return Box(u=(0.6, 2.5), v=(0.5, 5.5), r=(2.5 * mass, 8.0 * mass), t=(-mass, mass))
@@ -540,7 +530,7 @@ def box_l2_norm(section: Section, model, box: Box) -> float:
     density = wedge(model.symplectic_form, model.symplectic_form).coefficient((0, 1, 2, 3))
     rules = []
     nodes, weights = gauss_legendre(6)
-    for low, high in box.intervals():
+    for low, high in box:
         if not low < high:
             raise ValueError("box intervals must be increasing")
         half = 0.5 * (high - low)
@@ -563,17 +553,14 @@ def radial_eigen_residual(psi: Section, eigenvalue: float, model, potential, box
     return residual, box_l2_norm(residual, model, box)
 
 
-def separable_radial_residual(
-    kappa: float, chi: Expression, eigenvalue: float, model, potential, hermitian: bool = True
-):
+def separable_radial_residual(kappa: float, chi: Expression, eigenvalue: float, model, potential):
     """Algebraic residual factor for the ansatz psi = exp(i kappa t) chi(r).
 
-    The radius operator acts on the ansatz by multiplication, so the
-    residual is factor * psi with factor returned as an (re, im) expression
-    pair:
+    The hermitian radius operator acts on the ansatz by multiplication, so
+    the residual is factor * psi with factor returned as an (re, im)
+    expression pair,
 
-        hermitian:     (-hbar h kappa + hbar theta(H_r) - r - eigenvalue,  0)
-        nonhermitian:  (-r - eigenvalue,  hbar h kappa - hbar theta(H_r))
+        (-hbar h kappa + hbar theta(H_r) - r - eigenvalue,  0)
 
     where h is the single component of H_r.
     """
@@ -584,17 +571,13 @@ def separable_radial_residual(
     h = radial.components[3]
     paired = pairing(potential.theta, radial)
     hbar = potential.scale.hbar()
-    if hermitian:
-        re = ex.add(
-            ex.mul(ex.const(-kappa), hbar, h),
-            ex.mul(hbar, paired),
-            ex.mul(ex.NEG_ONE, ex.R),
-            ex.const(-eigenvalue),
-        )
-        return re, ex.ZERO
-    re = ex.add(ex.mul(ex.NEG_ONE, ex.R), ex.const(-eigenvalue))
-    im = ex.add(ex.mul(ex.const(kappa), hbar, h), ex.mul(ex.NEG_ONE, hbar, paired))
-    return re, im
+    re = ex.add(
+        ex.mul(ex.const(-kappa), hbar, h),
+        ex.mul(hbar, paired),
+        ex.mul(ex.NEG_ONE, ex.R),
+        ex.const(-eigenvalue),
+    )
+    return re, ex.ZERO
 
 
 def phase_section(kappa: float, chi: Expression = ex.ONE) -> Section:
@@ -608,7 +591,7 @@ def phase_section(kappa: float, chi: Expression = ex.ONE) -> Section:
 # ---------------------------------------------------------------------------
 
 
-def integrality_report(model, spec: QuadratureSpec | None = None, seed=None) -> CheckResult:
+def integrality_report(model, spec: QuadratureSpec, seed=None) -> CheckResult:
     """Sphere classes of the symplectic form under the candidate curvature
     normalisations, with integrality flags.
 
@@ -619,8 +602,6 @@ def integrality_report(model, spec: QuadratureSpec | None = None, seed=None) -> 
     instead demands the mass itself be an integer multiple of a fundamental
     unit.  All three numbers are reported; nothing here is asserted.
     """
-    if spec is None:
-        spec = QuadratureSpec(n_u=32, n_v=64, r0=3.0 * model.mass)
     integral = surface_integral(model.symplectic_form, spec, model).value
     unit_scaled = integral / model.mass
     weil_scaled = integral / (2.0 * math.pi * model.mass)
@@ -647,4 +628,4 @@ def integrality_report(model, spec: QuadratureSpec | None = None, seed=None) -> 
         },
     }
     (check,) = GROUP_ROWS["integrality"]
-    return check.judged(abs(integral - model.mass), None, seed, assertable=False, details=details)
+    return check.judged(abs(integral - model.mass), None, seed, details=details)

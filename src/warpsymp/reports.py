@@ -1,20 +1,23 @@
 """The check catalogue, check-result records and worst-case residual helpers.
 
-Every verification in the package reduces to a CheckResult: a named
-pass/fail with its threshold, the worst sampled error, the point where it
-occurred, and the seed that generated the sample.  Reports serialise to
-plain dictionaries so the whole suite output is stable JSON.
+Every verification in the package reduces to a CheckResult: a check's
+catalogue row with its threshold, the worst sampled error, the point where
+it occurred, and the seed that generated the sample; its pass/fail follows
+from the row.  Reports serialise to plain dictionaries so the whole suite
+output is stable JSON.
 
-``GROUP_ROWS`` is the catalogue: every check's name, default tolerance and
-verdict rule, under its group's key, in report order.  Each check name of
-the package is written there and nowhere else; the group functions read
-their rows by group key, and judge each result by its row.
+``GROUP_ROWS`` is the catalogue: every check's name, default tolerance,
+verdict rule and assertability, under its group's key, in report order.
+Each check name of the package is written there and nowhere else; the
+group functions read their rows by group key, and each result is judged
+by its row.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from .expressions import evaluate_many
 
@@ -30,18 +33,28 @@ def passes(worst: float, threshold: float, rule: str = BELOW) -> bool:
 
 
 class CheckResult:
-    """One check's outcome; mutable, since the suite re-judges results."""
+    """One check's outcome under its catalogue row ``check``, which gives
+    its name, assertability and verdict: ``passed`` is a FIXED row's
+    ``verdict`` (its group's finding), else the row's rule applied to
+    ``worst_error`` and ``threshold``.  The suite sets ``threshold``."""
 
     def __init__(
-        self, name: str, passed: bool, threshold: float, worst_error: float,
-        worst_point: dict | None = None, seed: int | None = None, assertable: bool = True,
-        details: dict | None = None,
+        self, check, verdict: bool, threshold: float, worst_error: float,
+        worst_point: dict | None = None, seed: int | None = None, details: dict | None = None,
     ):
         vars(self).update(
-            name=name, passed=passed, threshold=threshold, worst_error=worst_error,
-            worst_point=worst_point, seed=seed, assertable=assertable,
-            details={} if details is None else details,
+            check=check, verdict=verdict, threshold=threshold, worst_error=worst_error,
+            worst_point=worst_point, seed=seed, details={} if details is None else details,
         )
+
+    name = property(attrgetter("check.name"))
+    assertable = property(attrgetter("check.assertable"))
+
+    @property
+    def passed(self) -> bool:
+        if self.check.rule == FIXED:
+            return self.verdict
+        return passes(self.worst_error, self.threshold, self.check.rule)
 
     def to_dict(self) -> dict:
         return {
@@ -56,22 +69,20 @@ class CheckResult:
         }
 
 
-class Check(namedtuple("Check", ("name", "tolerance", "rule"), defaults=(BELOW,))):
-    """A check's name, its default tolerance and its verdict rule: one row
-    of the catalogue."""
+class Check(namedtuple("Check", "name tolerance rule assertable", defaults=(BELOW, True))):
+    """A check's name, its default tolerance, its verdict rule and whether
+    its verdict counts toward a run's exit code: one row of the catalogue."""
 
     __slots__ = ()
 
-    def judged(self, worst, point=None, seed=None, threshold=None, verdict=True, **kwargs):
-        """This check's result for the worst value ``worst``, judged by the
-        row's rule against ``threshold``, or against the row's tolerance when
-        that is None.  A FIXED check's verdict is ``verdict``: its group's
-        structural finding, or True for a report-only number."""
+    def judged(self, worst, point=None, seed=None, threshold=None, verdict=True, details=None):
+        """This check's result for the worst value ``worst``, against
+        ``threshold``, or the row's tolerance when that is None.  A FIXED
+        check's verdict is ``verdict``: its group's structural finding, or
+        True for a report-only number."""
         if threshold is None:
             threshold = self.tolerance
-        if self.rule != FIXED:
-            verdict = passes(worst, threshold, self.rule)
-        return CheckResult(self.name, verdict, threshold, worst, point, seed, **kwargs)
+        return CheckResult(self, verdict, threshold, worst, point, seed, details)
 
 
 # The catalogue: group key -> the checks the group emits, in report order.
@@ -126,10 +137,10 @@ GROUP_ROWS = {
     ),
     "operators": (
         Check("operator_chain_rule", 1e-9),
-        Check("operator_printed_area_relation", 1e-9, FIXED),
-        Check("operator_printed_volume_relation", 1e-9, FIXED),
+        Check("operator_printed_area_relation", 1e-9, FIXED, False),
+        Check("operator_printed_volume_relation", 1e-9, FIXED, False),
     ),
-    "integrality": (Check("integrality_class", 1e-10, FIXED),),
+    "integrality": (Check("integrality_class", 1e-10, FIXED, False),),
 }
 
 
@@ -151,10 +162,11 @@ def worst_point(magnitudes, points, start=0.0):
     point where it occurs.
 
     ``magnitudes`` is a flat sequence whose element k belongs to point
-    k mod len(points) of ``points``, a PointSet or a list of ChartPoints:
-    one value per point, or one run of points after another, such as a
-    (section, point) scan read section by section.  NaN is never selected.
-    With nothing above ``start`` the result is (start, None).
+    k mod len(points) of ``points``, a PointSet: one value per point, or
+    one run of points after another, such as a (section, point) scan read
+    section by section.  The point is ``points[k]``, a mapping of the chart
+    coordinates and the mass.  NaN is never selected.  With nothing above
+    ``start`` the result is (start, None).
     """
     # max keeps its first element while that is NaN, and passes over later NaN
     worst = max(magnitudes, default=start)
@@ -162,7 +174,7 @@ def worst_point(magnitudes, points, start=0.0):
         worst = max(_nan_free(magnitudes), default=start)
     if not worst > start:
         return start, None
-    return worst, points[magnitudes.index(worst) % len(points)].as_dict()
+    return worst, points[magnitudes.index(worst) % len(points)]
 
 
 def least_point(magnitudes, points):
@@ -174,7 +186,7 @@ def least_point(magnitudes, points):
         least = min(_nan_free(magnitudes), default=None)
     if least is None:
         return math.inf, None
-    return least, points[magnitudes.index(least) % len(points)].as_dict()
+    return least, points[magnitudes.index(least) % len(points)]
 
 
 def peak(magnitudes) -> float:

@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 
 from . import expressions as ex
-from .expressions import ChartPoint, Expression
+from .expressions import Expression
 from .exterior import (
     KForm,
     MetricTensor,
@@ -37,6 +37,7 @@ from .exterior import (
     wedge,
 )
 from .reports import (
+    BELOW,
     GROUP_ROWS,
     Check,
     CheckResult,
@@ -198,8 +199,8 @@ def generalized_static(
     square_magnitudes = wedge(symplectic, symplectic).max_abs(points)
     # the model's own record, not a catalogue check: the suite runs Schwarzschild
     details = {"symplectic_square_min": float(min(square_magnitudes, default=0.0))}
-    closure_check = Check("flux_closure_hypothesis", closure_threshold).judged(
-        worst, worst_point, check_seed, assertable=False, details=details
+    closure_check = Check("flux_closure_hypothesis", closure_threshold, BELOW, False).judged(
+        worst, worst_point, check_seed, details=details
     )
     return model._replace(closure_check=closure_check)
 
@@ -377,12 +378,11 @@ def foliation_report(
     if wanted(closedness):
         # Pfaffian / sin(u) must not depend on u if the pole degeneracy is a
         # pure coordinate effect; compare at two colatitudes, same radius.
-        probe_points = [
-            ChartPoint(u=colatitude, v=math.pi, r=3.0 * model.mass, t=0.0, m=model.mass)
-            for colatitude in (1e-3, math.pi / 2)
-        ]
+        colatitudes = (1e-3, math.pi / 2)
+        radii = [3.0 * model.mass] * 2
+        probe_points = ex.PointSet(colatitudes, [math.pi] * 2, radii, [0.0] * 2, model.mass)
         (values,) = ex.evaluate_many([pfaffian], probe_points)
-        probe = [value / math.sin(point.u) for value, point in zip(values, probe_points)]
+        probe = [value / math.sin(u) for value, u in zip(values, colatitudes)]
         artifact = abs(probe[0] - probe[1]) <= 1e-9 * max(abs(probe[0]), abs(probe[1]))
         details = {
             "structural": "2-forms on 2-dimensional leaves are closed",

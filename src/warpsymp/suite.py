@@ -53,7 +53,7 @@ from .prequantum import (
     separable_radial_residual,
     verify_curvature_potential,
 )
-from .reports import FIXED, GROUP_ROWS, Check, passes  # Check is re-exported
+from .reports import FIXED, GROUP_ROWS, Check, selector  # Check is re-exported
 from .sampling import OPERATOR_WINDOW, SampleWindow, sample_points
 from .spacetime import (
     foliation_report,
@@ -146,7 +146,7 @@ def _bracket_checks(g: GroupInputs, only) -> list:
 # rebinding of that name (a test double, a tracer) is what the suite runs.
 # Runners leave thresholds at the group functions' defaults, each check's
 # own tolerance: ``run_suite`` gives each result its own configured
-# threshold and re-judges it afterwards.
+# threshold, by which the result's row judges it.
 _RUNNERS = {
     "gradient": lambda g, only: [verify_gradient_relation(g.model, g.identity_points, seed=g.seed)],
     "observer": lambda g, only: verify_observer(g.model, g.identity_points, seed=g.seed, only=only),
@@ -178,6 +178,10 @@ _RUNNERS = {
     ),
     "integrality": lambda g, only: [integrality_report(g.model, g.quadrature, seed=g.seed)],
 }
+
+# The groups whose runners read ``GroupInputs.sections``: only a selection
+# that holds one of them draws test sections.
+SECTION_GROUPS = frozenset({"curvature_sections", "commutators", "operators"})
 
 _CHECKS = {check.name: check for checks in GROUP_ROWS.values() for check in checks}
 CHECK_CATALOGUE = tuple(_CHECKS)
@@ -241,11 +245,10 @@ class RunConfig:
             raise ConfigError("n_samples must be at least 10")
         if self.n_sections < 1:
             raise ConfigError("n_sections must be at least 1")
-        if self.n_sections * self.operator_samples() > MAX_SECTION_POINTS:
+        if self.operator_samples() > MAX_SECTION_POINTS:
             raise ConfigError(
-                f"n_sections * max(10, n_samples // 5) must be at most {MAX_SECTION_POINTS} "
-                f"(section, point) pairs, got n_sections={self.n_sections} "
-                f"and n_samples={self.n_samples}"
+                f"max(10, n_samples // 5) must be at most {MAX_SECTION_POINTS} operator points, "
+                f"got n_samples={self.n_samples}"
             )
         n_u, n_v = self.n_u, self.n_v
         if not (2 <= n_u <= MAX_N_U and 4 <= n_v <= MAX_N_V and n_u * n_v <= MAX_SPHERE_NODES):
@@ -265,7 +268,7 @@ class RunConfig:
                 raise ConfigError(f"tolerance for {name!r} must be positive and finite")
         if self.scale_mode not in ("plain", "weil"):
             raise ConfigError(f"scale_mode must be 'plain' or 'weil', got {self.scale_mode!r}")
-        horizon = 2.0 * self.mass * (1.0 + ex.HORIZON_MARGIN)
+        horizon = ex.horizon_radius(self.mass)
         if self.r0 is not None and not (_finite(self.r0) and self.r0 > horizon):
             raise ConfigError(f"sphere radius r0={self.r0} must be finite and exceed {horizon}")
         if not _finite(self.t0):
@@ -390,8 +393,10 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
 
     Each group runs at most once per call, and computes only its selected
     checks, by the same code as in a full run.  Every result is then given its
-    own configured threshold and, unless its verdict is fixed, re-judged
-    against it; no group's worst error depends on its threshold.
+    own configured threshold, which its row judges it by; no group's worst
+    error depends on its threshold.  A selection holding a group of
+    ``SECTION_GROUPS`` is refused before any draw past ``MAX_SECTION_POINTS``
+    (section, point) pairs.
     """
     config.validate()
     selected = None
@@ -400,22 +405,27 @@ def run_suite(config: RunConfig, only: str | Iterable[str] | None = None) -> Sui
         unknown = sorted(selected.difference(_CHECKS))
         if unknown:
             raise ConfigError(f"unknown check {', '.join(map(repr, unknown))}")
+    wanted = selector(selected)
+    groups = {key: [c for c in checks if wanted(c)] for key, checks in GROUP_ROWS.items()}
+    groups = {key: checks for key, checks in groups.items() if checks}
+    pairs = config.n_sections * config.operator_samples()
+    if pairs > MAX_SECTION_POINTS and not SECTION_GROUPS.isdisjoint(groups):
+        raise ConfigError(
+            f"n_sections * max(10, n_samples // 5) must be at most {MAX_SECTION_POINTS} "
+            f"(section, point) pairs, got n_sections={config.n_sections} "
+            f"and n_samples={config.n_samples}"
+        )
     started = time.perf_counter()
 
     inputs = GroupInputs(config)
 
     ordered = []
-    for key, checks in GROUP_ROWS.items():
-        wanted = [c for c in checks if selected is None or c.name in selected]
-        if not wanted:
-            continue
-        names = frozenset(check.name for check in wanted)
+    for key, checks in groups.items():
+        names = frozenset(check.name for check in checks)
         results = {result.name: result for result in _RUNNERS[key](inputs, names)}
-        for check in wanted:
+        for check in checks:
             result = results[check.name]
             result.threshold = config.tolerance(check.name)
-            if check.rule != FIXED:
-                result.passed = passes(result.worst_error, result.threshold, check.rule)
             ordered.append(result.to_dict())
     body = {
         "version": __version__,
@@ -448,14 +458,14 @@ def _geomspace(start: float, stop: float, num: int) -> list:
     return [start, *(math.pow(10.0, y) for y in exponents[1:-1]), stop]
 
 
-def emit_csv(what: str, config: RunConfig, path=None) -> Path:
+def emit_csv(what: str, config: RunConfig) -> Path:
     """Write one of the plot-data CSVs and return its path."""
     if what not in CSV_KINDS:
         raise ConfigError(f"unknown CSV selector {what!r}; choose from {CSV_KINDS}")
     config.validate()
     inputs = GroupInputs(config)
     model, mass = inputs.model, config.mass
-    target = Path(path) if path is not None else Path(config.output_dir) / f"{what}.csv"
+    target = Path(config.output_dir) / f"{what}.csv"
     target.parent.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
 

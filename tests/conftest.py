@@ -15,7 +15,6 @@ import pytest
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from warpsymp.expressions import ChartPoint  # noqa: E402
 from warpsymp.sampling import OPERATOR_WINDOW, sample_points  # noqa: E402
 from warpsymp.spacetime import schwarzschild  # noqa: E402
 
@@ -39,7 +38,7 @@ def operator_points(model):
 
 @pytest.fixture
 def equator_point():
-    return ChartPoint(u=math.pi / 2, v=1.0, r=3.0, t=0.5, m=1.0)
+    return dict(u=math.pi / 2, v=1.0, r=3.0, t=0.5, m=1.0)
 
 
 @pytest.fixture(autouse=True)

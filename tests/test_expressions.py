@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 from warpsymp import expressions as ex
 from warpsymp.expressions import (
     ChartDomainError,
-    ChartPoint,
     EvaluationError,
     Parameter,
     PointSet,
@@ -44,9 +43,9 @@ def warp_expression():
 
 def central_difference(expression, point, coordinate, step):
     def shifted(delta):
-        values = point.as_dict()
+        values = dict(point)
         values[coordinate] += delta
-        return expression.evaluate(ChartPoint(**values))
+        return expression.evaluate(values)
 
     return (shifted(step) - shifted(-step)) / (2.0 * step)
 
@@ -60,17 +59,17 @@ def richardson(expression, point, coordinate, step=1e-5):
 class TestEvaluate:
     def test_warp_closed_form(self):
         """phi at (m=1, r=4) equals 0.5*ln(0.5)."""
-        point = ChartPoint(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
         assert warp_expression().evaluate(point) == pytest.approx(
             -0.34657359027997264, abs=1e-15
         )
 
     def test_constant(self):
-        point = ChartPoint(u=0.5, v=0.5, r=10.0, t=3.0, m=1.0)
+        point = dict(u=0.5, v=0.5, r=10.0, t=3.0, m=1.0)
         assert ex.const(3).evaluate(point) == 3.0
 
     def test_sin_at_half_pi(self):
-        point = ChartPoint(u=math.pi / 2, v=1.0, r=5.0, t=0.0, m=1.0)
+        point = dict(u=math.pi / 2, v=1.0, r=5.0, t=0.0, m=1.0)
         assert ex.sin(ex.U).evaluate(point) == 1.0
 
     def test_shared_subtree_evaluated_once(self):
@@ -80,28 +79,28 @@ class TestEvaluate:
         tree = shared
         for _ in range(12):
             tree = tree + tree
-        point = ChartPoint(u=0.7, v=1.0, r=3.0, t=0.0, m=1.0)
+        point = dict(u=0.7, v=1.0, r=3.0, t=0.0, m=1.0)
         assert tree.evaluate(point) == pytest.approx(2**12 * math.sin(0.7) * 3.0)
 
     def test_zero_denominator_raises(self):
         expression = ex.quotient(ex.ONE, ex.T)
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
         with pytest.raises(EvaluationError):
             expression.evaluate(point)
 
     def test_log_of_negative_raises(self):
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=-2.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=3.0, t=-2.0, m=1.0)
         with pytest.raises(EvaluationError):
             ex.log(ex.T).evaluate(point)
 
     def test_fractional_power_of_negative_raises(self):
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=-2.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=3.0, t=-2.0, m=1.0)
         with pytest.raises(EvaluationError):
             ex.power(ex.T, Fraction(1, 2)).evaluate(point)
 
 
 def points_with_time(times):
-    return [ChartPoint(u=1.0, v=1.0, r=3.0, t=t, m=1.0) for t in times]
+    return {"u": 1.0, "v": 1.0, "r": 3.0, "t": times, "m": 1.0}
 
 
 class TestBatchedGuards:
@@ -129,7 +128,7 @@ class TestBatchedGuards:
         assert np.all(np.isfinite(values))
 
     def test_exp_overflow_at_one_point(self):
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=800.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=3.0, t=800.0, m=1.0)
         with pytest.raises(EvaluationError):
             ex.exp(ex.T).evaluate(point)
 
@@ -255,10 +254,10 @@ class TestBatchedEvaluation:
         # the products keep the large constants out of add()'s constant fold
         tree = ex.add(ex.mul(1e16, ex.M), ex.U, ex.mul(-1e16, ex.M))
         assert isinstance(tree, ex.Sum) and len(tree.terms) == 3
-        points = [ChartPoint(u=u, v=1.0, r=3.0, t=0.0, m=1.0) for u in (0.1, 0.7, 1.3, 3.0)]
+        points = PointSet([0.1, 0.7, 1.3, 3.0], [1.0] * 4, [3.0] * 4, [0.0] * 4, 1.0)
         (values,) = evaluate_many([tree], points)
-        assert values == [p.u for p in points]
-        assert [tree.evaluate(p) for p in points] == [p.u for p in points]
+        assert values == list(points.u)
+        assert [tree.evaluate(p) for p in points] == list(points.u)
 
     def test_one_point_matches_batch_bit_for_bit(self, model, points):
         trees = [
@@ -280,7 +279,7 @@ class TestBatchedEvaluation:
         (values,) = evaluate_many([tree], {"u": u, "v": v, "r": 4.0, "t": 0.0, "m": 1.0})
         assert len(values) == 6
         for k, value in enumerate(values):
-            point = ChartPoint(u=u[k], v=v[k % 2], r=4.0, t=0.0, m=1.0)
+            point = dict(u=u[k], v=v[k % 2], r=4.0, t=0.0, m=1.0)
             assert value == tree.evaluate(point)
 
     @pytest.mark.parametrize(
@@ -312,9 +311,9 @@ def scalar_reference(node, point):
     if isinstance(node, ex.Constant):
         return node.value
     if isinstance(node, ex.Coordinate):
-        return getattr(point, node.name)
+        return point[node.name]
     if isinstance(node, ex.MassParameter):
-        return point.m
+        return point["m"]
     if isinstance(node, ex.Sum):
         return math.fsum(scalar_reference(term, point) for term in node.terms)
     if isinstance(node, ex.Product):
@@ -358,18 +357,25 @@ def _positive_combine(children):
 
 positive_trees = st.recursive(_positive_leaf, _positive_combine, max_leaves=10)
 
+# points as mappings, each with its own mass
 positive_points = st.lists(
-    st.builds(
-        ChartPoint,
-        u=st.floats(min_value=0.1, max_value=math.pi - 0.1),
-        v=st.floats(min_value=0.1, max_value=2 * math.pi - 0.1),
-        r=st.floats(min_value=3.5, max_value=40.0),
-        t=st.floats(min_value=0.1, max_value=5.0),
-        m=st.sampled_from([0.5, 1.0, 1.5]),
+    st.fixed_dictionaries(
+        {
+            "u": st.floats(min_value=0.1, max_value=math.pi - 0.1),
+            "v": st.floats(min_value=0.1, max_value=2 * math.pi - 0.1),
+            "r": st.floats(min_value=3.5, max_value=40.0),
+            "t": st.floats(min_value=0.1, max_value=5.0),
+            "m": st.sampled_from([0.5, 1.0, 1.5]),
+        }
     ),
     min_size=1,
     max_size=6,
 )
+
+
+def batch(points) -> dict:
+    """The input mapping of a list of point mappings: one list per name."""
+    return {name: [point[name] for point in points] for name in points[0]}
 
 
 class TestEvaluatorProperty:
@@ -381,7 +387,7 @@ class TestEvaluatorProperty:
         except OverflowError:
             assume(False)
         assume(all(1e-250 < abs(x) < 1e250 for row in expected for x in row))
-        batched = evaluate_many(trees, points)
+        batched = evaluate_many(trees, batch(points))
         for tree, values, row in zip(trees, batched, expected):
             np.testing.assert_allclose(values, row, rtol=1e-12, atol=0.0)
             assert [tree.evaluate(p) for p in points] == values
@@ -393,7 +399,7 @@ class TestEvaluatorProperty:
         children's values: bit for bit for +, -, *, /, sqrt, squares and
         reciprocals, within 1 ulp for exp, log, sin, cos and other powers."""
         nodes = list({id(node): node for node in dag_nodes(trees)}.values())
-        values = dict(zip(map(id, nodes), evaluate_many(nodes, points)))
+        values = dict(zip(map(id, nodes), evaluate_many(nodes, batch(points))))
         for node in nodes:
             if not node.children:
                 continue
@@ -515,10 +521,10 @@ class TestMergedSchedule:
     @settings(max_examples=100, deadline=None)
     def test_merged_values_equal_each_root_alone(self, trees, points):
         try:
-            apart = [evaluate_many([tree], points)[0] for tree in trees]
+            apart = [evaluate_many([tree], batch(points))[0] for tree in trees]
         except (EvaluationError, OverflowError):
             assume(False)
-        assert evaluate_many(trees, points) == apart
+        assert evaluate_many(trees, batch(points)) == apart
 
 
 class TestInterning:
@@ -609,56 +615,70 @@ class TestInterning:
         assert all(node is first for nodes in built for node, first in zip(nodes, built[0]))
 
 
+def one_point(u, v, r, t, m):
+    """The one point of a one-point PointSet: its guards, then its mapping."""
+    return PointSet([u], [v], [r], [t], m)[0]
+
+
 class TestChartPoint:
+    """The guards on one chart point, through a one-point PointSet."""
+
     def test_rejects_radius_inside_horizon(self):
-        with pytest.raises(ChartDomainError):
-            ChartPoint(u=1.0, v=1.0, r=1.9, t=0.0, m=1.0)
+        with pytest.raises(ChartDomainError, match="radius r=1.9 violates"):
+            one_point(u=1.0, v=1.0, r=1.9, t=0.0, m=1.0)
 
     def test_rejects_radius_inside_guard_margin(self):
-        with pytest.raises(ChartDomainError):
-            ChartPoint(u=1.0, v=1.0, r=2.0 * (1.0 + 1e-9), t=0.0, m=1.0)
+        with pytest.raises(ChartDomainError, match="horizon guard"):
+            one_point(u=1.0, v=1.0, r=2.0 * (1.0 + 1e-9), t=0.0, m=1.0)
 
     @pytest.mark.parametrize("u", [0.0, math.pi, -0.1, 4.0])
     def test_rejects_colatitude_outside_open_interval(self, u):
-        with pytest.raises(ChartDomainError):
-            ChartPoint(u=u, v=1.0, r=5.0, t=0.0, m=1.0)
+        with pytest.raises(ChartDomainError, match="^colatitude"):
+            one_point(u=u, v=1.0, r=5.0, t=0.0, m=1.0)
 
     @pytest.mark.parametrize("v", [0.0, 2 * math.pi, -0.5, 7.0])
     def test_rejects_azimuth_outside_open_interval(self, v):
-        with pytest.raises(ChartDomainError):
-            ChartPoint(u=1.0, v=v, r=5.0, t=0.0, m=1.0)
+        with pytest.raises(ChartDomainError, match="^azimuth"):
+            one_point(u=1.0, v=v, r=5.0, t=0.0, m=1.0)
 
     def test_rejects_nonpositive_mass(self):
-        with pytest.raises(ChartDomainError):
-            ChartPoint(u=1.0, v=1.0, r=5.0, t=0.0, m=0.0)
+        with pytest.raises(ChartDomainError, match="^mass must be positive"):
+            one_point(u=1.0, v=1.0, r=5.0, t=0.0, m=0.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ChartDomainError):
-            ChartPoint(u=1.0, v=1.0, r=math.inf, t=0.0, m=1.0)
+        with pytest.raises(ChartDomainError, match="^coordinate r must be finite$"):
+            one_point(u=1.0, v=1.0, r=math.inf, t=0.0, m=1.0)
 
     def test_immutable(self):
-        point = ChartPoint(u=1.0, v=1.0, r=5.0, t=0.0, m=1.0)
-        with pytest.raises(AttributeError):
-            point.r = 6.0
+        """A point is a fresh mapping: editing it leaves its set as it was."""
+        points = PointSet([1.0], [1.0], [5.0], [0.0], 1.0)
+        point = points[0]
+        point["r"] = 6.0
+        assert points[0] == dict(u=1.0, v=1.0, r=5.0, t=0.0, m=1.0) and points.r == (5.0,)
 
 
-# One (u, v, r, t, m) per ChartPoint guard that it breaks.
+# One (u, v, r, t, m) per guard that it breaks, and the guard's message.
+HORIZON = "violates the horizon guard r >= 2m(1+1e-06) for m=1.0"
 OFF_CHART = {
-    "u-nan": (math.nan, 1.0, 5.0, 0.0, 1.0),
-    "u-zero": (0.0, 1.0, 5.0, 0.0, 1.0),
-    "u-pi": (math.pi, 1.0, 5.0, 0.0, 1.0),
-    "v-inf": (1.0, math.inf, 5.0, 0.0, 1.0),
-    "v-zero": (1.0, 0.0, 5.0, 0.0, 1.0),
-    "v-two-pi": (1.0, 2.0 * math.pi, 5.0, 0.0, 1.0),
-    "r-inf": (1.0, 1.0, math.inf, 0.0, 1.0),
-    "r-nan": (1.0, 1.0, math.nan, 0.0, 1.0),
-    "r-inside-horizon": (1.0, 1.0, 1.9, 0.0, 1.0),
-    "r-inside-margin": (1.0, 1.0, 2.0 * (1.0 + 1e-9), 0.0, 1.0),
-    "t-nan": (1.0, 1.0, 5.0, math.nan, 1.0),
-    "t-inf": (1.0, 1.0, 5.0, -math.inf, 1.0),
-    "m-nan": (1.0, 1.0, 5.0, 0.0, math.nan),
-    "m-zero": (1.0, 1.0, 5.0, 0.0, 0.0),
-    "m-negative": (1.0, 1.0, 5.0, 0.0, -1.0),
+    "u-nan": ((math.nan, 1.0, 5.0, 0.0, 1.0), "coordinate u must be finite"),
+    "u-zero": ((0.0, 1.0, 5.0, 0.0, 1.0), "colatitude u=0.0 outside (0, pi)"),
+    "u-pi": ((math.pi, 1.0, 5.0, 0.0, 1.0), "colatitude u=3.141592653589793 outside (0, pi)"),
+    "v-inf": ((1.0, math.inf, 5.0, 0.0, 1.0), "coordinate v must be finite"),
+    "v-zero": ((1.0, 0.0, 5.0, 0.0, 1.0), "azimuth v=0.0 outside (0, 2*pi)"),
+    "v-two-pi": (
+        (1.0, 2.0 * math.pi, 5.0, 0.0, 1.0), "azimuth v=6.283185307179586 outside (0, 2*pi)"
+    ),
+    "r-inf": ((1.0, 1.0, math.inf, 0.0, 1.0), "coordinate r must be finite"),
+    "r-nan": ((1.0, 1.0, math.nan, 0.0, 1.0), "coordinate r must be finite"),
+    "r-inside-horizon": ((1.0, 1.0, 1.9, 0.0, 1.0), f"radius r=1.9 {HORIZON}"),
+    "r-inside-margin": (
+        (1.0, 1.0, 2.0 * (1.0 + 1e-9), 0.0, 1.0), f"radius r=2.000000002 {HORIZON}"
+    ),
+    "t-nan": ((1.0, 1.0, 5.0, math.nan, 1.0), "coordinate t must be finite"),
+    "t-inf": ((1.0, 1.0, 5.0, -math.inf, 1.0), "coordinate t must be finite"),
+    "m-nan": ((1.0, 1.0, 5.0, 0.0, math.nan), "coordinate m must be finite"),
+    "m-zero": ((1.0, 1.0, 5.0, 0.0, 0.0), "mass must be positive, got 0.0"),
+    "m-negative": ((1.0, 1.0, 5.0, 0.0, -1.0), "mass must be positive, got -1.0"),
 }
 
 GOOD = (1.2, 2.0, 4.0, -0.5)
@@ -668,39 +688,54 @@ def point_columns(*rows):
     return [list(column) for column in zip(*rows)]
 
 
+def as_points(rows, mass):
+    """The mappings a PointSet of ``rows`` and ``mass`` should give."""
+    return [dict(zip("uvrtm", (*row, mass))) for row in rows]
+
+
 class TestPointSet:
     def test_guards_hold_at_their_edges(self):
         rows = [(1e-300, 1e-300, 2.0 * (1.0 + 1e-6), 0.0), (math.pi - 1e-15, 6.28, 1e300, -1e300)]
         points = PointSet(*point_columns(*rows), 1.0)
-        assert [p.as_dict() for p in points] == [ChartPoint(*row, 1.0).as_dict() for row in rows]
+        assert list(points) == as_points(rows, 1.0)
 
-    @pytest.mark.parametrize("bad", OFF_CHART.values(), ids=OFF_CHART)
-    def test_guard_raises_the_chart_point_message(self, bad):
-        with pytest.raises(ChartDomainError) as expected:
-            ChartPoint(*bad)
+    @pytest.mark.parametrize("bad, message", OFF_CHART.values(), ids=OFF_CHART)
+    def test_guard_raises_the_chart_point_message(self, bad, message):
         *coordinates, mass = bad
         rows = [GOOD, GOOD, tuple(coordinates), GOOD]
         with pytest.raises(ChartDomainError) as got:
             PointSet(*point_columns(*rows), mass)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == message
 
     def test_first_bad_point_names_the_error(self):
         rows = [GOOD, (1.0, 1.0, 1.9, 0.0), (5.0, 1.0, 5.0, 0.0)]
         with pytest.raises(ChartDomainError, match="radius r=1.9"):
             PointSet(*point_columns(*rows), 1.0)
 
+    def test_first_broken_guard_names_the_error(self):
+        """A point that breaks several guards raises the first one's error,
+        in the order finite, mass, colatitude, azimuth, horizon."""
+        cases = [
+            ((0.0, 9.0, 1.0, math.nan), 1.0, "coordinate t must be finite"),
+            ((0.0, 9.0, 1.0, 0.0), -1.0, "mass must be positive, got -1.0"),
+            ((0.0, 9.0, 1.0, 0.0), 1.0, "colatitude u=0.0 outside (0, pi)"),
+            ((1.0, 9.0, 1.0, 0.0), 1.0, "azimuth v=9.0 outside (0, 2*pi)"),
+        ]
+        for row, mass, message in cases:
+            with pytest.raises(ChartDomainError) as got:
+                PointSet(*point_columns(GOOD, row), mass)
+            assert str(got.value) == message
+
     def test_indexing_slicing_and_iteration(self):
         rows = [(0.5 + 0.1 * k, 1.0 + k, 3.0 + k, 0.25 * k) for k in range(5)]
         points = PointSet(*point_columns(*rows), 2.0 / 3.0)
-        expected = [ChartPoint(*row, 2.0 / 3.0) for row in rows]
-        assert isinstance(points[3], ChartPoint)
-        assert points[3].as_dict() == expected[3].as_dict()
-        assert points[-1].as_dict() == expected[-1].as_dict()
-        assert all(type(x) is float for x in points[0].as_dict().values())
+        expected = as_points(rows, 2.0 / 3.0)
+        assert points[3] == expected[3] and points[-1] == expected[-1]
+        assert all(type(x) is float for x in points[0].values())
         part = points[1:4]
         assert isinstance(part, PointSet)
-        assert [p.as_dict() for p in part] == [p.as_dict() for p in expected[1:4]]
-        assert [p.as_dict() for p in points] == [p.as_dict() for p in expected]
+        assert list(part) == expected[1:4]
+        assert list(points) == expected
 
     def test_integer_mass_is_stored_as_a_float(self):
         points = PointSet([0.5, 1.0], [1.0, 2.0], [3.0, 4.0], [0.0, 0.0], 1)
@@ -726,8 +761,7 @@ class TestPointSet:
         assert inputs["r"] is points.r
         tree = model.symplectic_form.coefficient((2, 3)).diff("r")
         (batched,) = evaluate_many([tree], points)
-        (listed,) = evaluate_many([tree], list(points))
-        assert batched == listed
+        assert batched == [tree.evaluate(point) for point in points]
 
 
 def _group_inputs(model):
@@ -764,7 +798,7 @@ def test_assigning_a_field_raises(build, field, model):
 class TestDifferentiate:
     def test_warp_radial_derivative_value(self):
         """d/dr of the warp at (m=1, r=4) is (m/r^2)/(1-2m/r) = 0.125."""
-        point = ChartPoint(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
         derivative = warp_expression().diff("r")
         assert derivative.evaluate(point) == pytest.approx(0.125, abs=1e-13)
         assert derivative.evaluate(point) == pytest.approx(
@@ -777,7 +811,7 @@ class TestDifferentiate:
         assert ex.is_zero(ex.M.diff("r"))
 
     def test_sin_derivative(self):
-        point = ChartPoint(u=0.3, v=1.0, r=4.0, t=0.0, m=1.0)
+        point = dict(u=0.3, v=1.0, r=4.0, t=0.0, m=1.0)
         derivative = ex.sin(ex.U).diff("u")
         assert derivative.evaluate(point) == pytest.approx(0.955336489125606, abs=1e-14)
 
@@ -788,7 +822,7 @@ class TestDifferentiate:
     def test_quotient_derivative_stays_in_range(self):
         """d/dr (m/r^2) divides twice by r^2 and never forms r^4, which
         overflows at r = 3e80: the derivative is -2m/r^3, not -0."""
-        point = ChartPoint(u=1.0, v=1.0, r=3e80, t=0.0, m=1e80)
+        point = dict(u=1.0, v=1.0, r=3e80, t=0.0, m=1e80)
         value = ex.quotient(ex.M, ex.power(ex.R, 2)).diff("r").evaluate(point)
         assert math.isfinite(value) and value != 0.0
         assert value == pytest.approx(-2.0 * 1e80 / 3e80**3, rel=4 * np.finfo(float).eps)
@@ -829,7 +863,7 @@ class TestDifferentiate:
     @pytest.mark.parametrize("coordinate", ["u", "v", "r", "t"])
     def test_second_order_convergence(self, expression, coordinate):
         """|symbolic - central difference| shrinks at observed order >= 1.9."""
-        point = ChartPoint(u=0.8, v=2.0, r=5.0, t=1.3, m=1.0)
+        point = dict(u=0.8, v=2.0, r=5.0, t=1.3, m=1.0)
         exact = expression.diff(coordinate).evaluate(point)
         errors = []
         for step in (1e-2, 5e-3, 2.5e-3):
@@ -865,7 +899,7 @@ def _combine(children):
 expression_trees = st.recursive(_leaf, _combine, max_leaves=6)
 
 chart_points = st.builds(
-    ChartPoint,
+    dict,
     u=st.floats(min_value=0.3, max_value=math.pi - 0.3),
     v=st.floats(min_value=0.3, max_value=2 * math.pi - 0.3),
     r=st.floats(min_value=2.5, max_value=30.0),

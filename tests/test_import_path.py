@@ -154,7 +154,7 @@ RECORDS = [
             "darboux",
         ),
     ),
-    (Check, ("name", "tolerance", "rule")),
+    (Check, ("name", "tolerance", "rule", "assertable")),
     (SuiteReport, ("body", "wall_time_seconds")),
 ]
 

@@ -8,7 +8,7 @@ import pytest
 
 from warpsymp import expressions as ex
 from warpsymp import prequantum
-from warpsymp.expressions import ChartPoint, EvaluationError
+from warpsymp.expressions import EvaluationError
 from warpsymp.exterior import basis_vector, wedge
 from warpsymp.hamiltonian import QuadratureSpec, gauss_legendre, hamiltonian_field
 from warpsymp.prequantum import (
@@ -36,6 +36,11 @@ from warpsymp.reports import peak
 from warpsymp.spacetime import schwarzschild
 
 FOUR_PI = 4.0 * math.pi
+
+
+def apply_variant(f, psi, model, potential, hermitian):
+    """f-hat psi under either convention: the operator record's variant."""
+    return prequantum_operator(f, model, potential)._replace(hermitian=hermitian).apply(psi)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +101,7 @@ class TestCovariantDerivative:
         derivative = covariant_derivative(basis_vector(0), psi, flat)
         for point in points[:5]:
             assert derivative.evaluate_at(point) == pytest.approx(
-                complex(math.cos(point.u), 0.0), abs=1e-13
+                complex(math.cos(point["u"]), 0.0), abs=1e-13
             )
 
     def test_complex_linearity(self, model, potential, points, sections):
@@ -132,7 +137,7 @@ class TestOperators:
         """c-hat psi = -c psi in either convention (H_c = 0)."""
         psi = sections.build([ex.const(x) for x in sections.draws[0]])
         for hermitian in (True, False):
-            applied = apply_operator(ex.const(2.5), psi, model, potential, hermitian)
+            applied = apply_variant(ex.const(2.5), psi, model, potential, hermitian)
             expected = psi.scaled_real(ex.const(-2.5))
             for point in points[:4]:
                 assert (applied - expected).magnitude_at(point) < 1e-13
@@ -140,17 +145,17 @@ class TestOperators:
     def test_radius_on_unit_section_nonhermitian(self, model, potential):
         """The variant without i gives r-hat 1 = -i r^2 e^(2 warp)/m - r,
         which is -3-3i at (m=1, r=3)."""
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
-        applied = apply_operator(ex.R, Section(ex.ONE, ex.ZERO), model, potential, hermitian=False)
+        point = dict(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
+        applied = apply_variant(ex.R, Section(ex.ONE, ex.ZERO), model, potential, False)
         assert applied.evaluate_at(point) == pytest.approx(-3.0 - 3.0j, rel=1e-13)
 
     def test_radius_on_unit_section_hermitian(self, model, potential):
         """The bracket-compatible operator gives r-hat 1 = r^2 e^(2 warp)/m - r,
         real-valued; it vanishes at r = 3m."""
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
-        applied = apply_operator(ex.R, Section(ex.ONE, ex.ZERO), model, potential, hermitian=True)
+        point = dict(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
+        applied = apply_operator(ex.R, Section(ex.ONE, ex.ZERO), model, potential)
         assert applied.evaluate_at(point) == pytest.approx(0.0, abs=1e-13)
-        far = ChartPoint(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
+        far = dict(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
         assert apply_operator(ex.R, Section(ex.ONE, ex.ZERO), model, potential).evaluate_at(
             far
         ) == pytest.approx(16.0 * 0.5 - 4.0, rel=1e-13)
@@ -158,15 +163,15 @@ class TestOperators:
     def test_colatitude_on_winding_section(self, model, potential):
         """u-hat on exp(iv): hand-composed closed action, both conventions."""
         psi = Section(ex.cos(ex.V), ex.sin(ex.V))
-        point = ChartPoint(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
-        h_u = FOUR_PI / (1.0 * math.sin(point.u))
-        theta_hu = (1.0 - math.cos(point.u)) / math.sin(point.u)
-        base = complex(math.cos(point.v), math.sin(point.v))
-        expected_plain = (h_u * 1j - 1j * theta_hu) * base - point.u * base
-        got_plain = apply_operator(ex.U, psi, model, potential, hermitian=False)
+        point = dict(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
+        h_u = FOUR_PI / (1.0 * math.sin(point["u"]))
+        theta_hu = (1.0 - math.cos(point["u"])) / math.sin(point["u"])
+        base = complex(math.cos(point["v"]), math.sin(point["v"]))
+        expected_plain = (h_u * 1j - 1j * theta_hu) * base - point["u"] * base
+        got_plain = apply_variant(ex.U, psi, model, potential, False)
         assert got_plain.evaluate_at(point) == pytest.approx(expected_plain, rel=1e-13)
-        expected_hermitian = 1j * (h_u * 1j - 1j * theta_hu) * base - point.u * base
-        got_hermitian = apply_operator(ex.U, psi, model, potential, hermitian=True)
+        expected_hermitian = 1j * (h_u * 1j - 1j * theta_hu) * base - point["u"] * base
+        got_hermitian = apply_operator(ex.U, psi, model, potential)
         assert got_hermitian.evaluate_at(point) == pytest.approx(expected_hermitian, rel=1e-13)
 
     def test_linearity(self, model, potential, sections, operator_points):
@@ -301,20 +306,16 @@ class TestScaleModes:
         psi = phase_section(kappa)
         plain, _ = separable_radial_residual(kappa, ex.ONE, ell, model, potential)
         weil = ConnectionPotential.monopole(model, CurvatureScale.WEIL)
-        for hermitian in (True, False):
-            re_f, im_f = separable_radial_residual(kappa, ex.ONE, ell, model, weil, hermitian)
-            direct = apply_operator(ex.R, psi, model, weil, hermitian) - psi.scaled_real(
-                ex.const(ell)
+        re_f, im_f = separable_radial_residual(kappa, ex.ONE, ell, model, weil)
+        direct = apply_operator(ex.R, psi, model, weil) - psi.scaled_real(ex.const(ell))
+        for point in operator_points:
+            factor = complex(re_f.evaluate(point), im_f.evaluate(point))
+            expected = factor * psi.evaluate_at(point)
+            assert abs(direct.evaluate_at(point) - expected) < 1e-9 * max(1.0, abs(expected))
+            shift = re_f.evaluate(point) - plain.evaluate(point)
+            assert shift == pytest.approx(
+                -(2.0 * math.pi - 1.0) * kappa * h.evaluate(point), rel=1e-12
             )
-            for point in operator_points:
-                factor = complex(re_f.evaluate(point), im_f.evaluate(point))
-                expected = factor * psi.evaluate_at(point)
-                assert abs(direct.evaluate_at(point) - expected) < 1e-9 * max(1.0, abs(expected))
-                if hermitian:
-                    shift = re_f.evaluate(point) - plain.evaluate(point)
-                    assert shift == pytest.approx(
-                        -(2.0 * math.pi - 1.0) * kappa * h.evaluate(point), rel=1e-12
-                    )
 
 
 class TestGeometricOperators:
@@ -477,7 +478,7 @@ class TestFamilyScan:
     def test_guard_at_one_point_raises(self, potential, operator_points):
         # 1/(t - p0) has a zero denominator at the one sample point with
         # t = p0 for the second member, and none for the first
-        t = operator_points[4].t
+        t = operator_points[4]["t"]
         poles = SectionFamily(
             lambda row: Section(ex.quotient(ex.ONE, ex.T - row[0]), ex.ZERO),
             np.array([[t + 100.0], [t]]),
@@ -498,37 +499,21 @@ class TestRadialResiduals:
         box = Box.default(model.mass)
         residual, norm = radial_eigen_residual(ZERO_SECTION, 3.7, model, potential, box)
         assert norm == 0.0
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
         assert residual.magnitude_at(point) == 0.0
 
     def test_separable_matches_operator(self, model, potential, operator_points):
-        """The algebraic factor equals the full operator action on the
-        separable ansatz, both conventions, to 1e-10."""
+        """The algebraic factor equals the hermitian operator's action on the
+        separable ansatz to 1e-10."""
         kappa, ell = 0.1, 1.5
         chi = ex.ONE + ex.power(ex.quotient(ex.R, ex.const(10.0)), 2)
         psi = phase_section(kappa, chi)
-        for hermitian in (True, False):
-            re_f, im_f = separable_radial_residual(
-                kappa, chi, ell, model, potential, hermitian
-            )
-            direct = apply_operator(ex.R, psi, model, potential, hermitian) - psi.scaled_real(
-                ex.const(ell)
-            )
-            for point in operator_points:
-                factor = complex(re_f.evaluate(point), im_f.evaluate(point))
-                expected = factor * psi.evaluate_at(point)
-                assert abs(direct.evaluate_at(point) - expected) < 1e-10
-
-    def test_nonhermitian_factor_closed_form(self, model, potential):
-        """Spot value of the variant factor: imaginary part
-        4 pi kappa r^2 e^warp - r^2 e^(2 warp)/m at (m=1, r=3)."""
-        re_f, im_f = separable_radial_residual(
-            0.1, ex.ONE, 1.5, model, potential, hermitian=False
-        )
-        point = ChartPoint(u=1.0, v=1.0, r=3.0, t=0.0, m=1.0)
-        assert re_f.evaluate(point) == pytest.approx(-4.5)
-        expected = FOUR_PI * 0.1 * 9.0 * math.sqrt(1.0 / 3.0) - 3.0
-        assert im_f.evaluate(point) == pytest.approx(expected, rel=1e-13)
+        re_f, im_f = separable_radial_residual(kappa, chi, ell, model, potential)
+        direct = apply_operator(ex.R, psi, model, potential) - psi.scaled_real(ex.const(ell))
+        for point in operator_points:
+            factor = complex(re_f.evaluate(point), im_f.evaluate(point))
+            expected = factor * psi.evaluate_at(point)
+            assert abs(direct.evaluate_at(point) - expected) < 1e-10
 
     def test_rejects_profile_with_angular_dependence(self, model, potential):
         with pytest.raises(ValueError):
@@ -558,13 +543,13 @@ class TestRadialResiduals:
         rule = tuple(map(np.array, gauss_legendre(6)))
         rules = [
             (0.5 * (high - low) * (x + 1.0) + low, 0.5 * (high - low) * w)
-            for (low, high), (x, w) in zip(box.intervals(), [rule] * 4)
+            for (low, high), (x, w) in zip(box, [rule] * 4)
         ]
         total = 0.0
         for (u, wu), (v, wv), (r, wr), (t, wt) in itertools.product(
             *[list(zip(*rule)) for rule in rules]
         ):
-            point = ChartPoint(u=float(u), v=float(v), r=float(r), t=float(t), m=model.mass)
+            point = dict(u=float(u), v=float(v), r=float(r), t=float(t), m=model.mass)
             weight = wu * wv * wr * wt
             total += weight * 0.5 * density.evaluate(point) * psi.magnitude_at(point) ** 2
         got = box_l2_norm(psi, model, box)
@@ -579,7 +564,7 @@ class TestRadialResiduals:
 
 class TestIntegrality:
     def test_unit_mass(self, model):
-        report = integrality_report(model)
+        report = integrality_report(model, QuadratureSpec(n_u=32, n_v=64, r0=3.0))
         assert not report.assertable
         details = report.details
         assert details["surface_class"] == pytest.approx(1.0, abs=1e-10)

@@ -63,7 +63,6 @@ GATE = "tests/test_acceptance.py, the gate, imports or calls it"
 # lambda is named by its source, inside the scope it is written in.
 ALLOWED = {
     "expressions.Immutable.__setattr__": GUARD,
-    "expressions.ChartPoint.__repr__": REPR,
     "expressions.Expression.__repr__": REPR,
     "expressions.Expression.evaluate": f"{GATE}; {TRACER}",
     "expressions.Expression.__str__": "str() of a node is its prefix text, as tests print it",
@@ -87,13 +86,9 @@ ALLOWED = {
     "prequantum.Section.evaluate_at": f"{GATE}; {TRACER}",
     "prequantum.Section.magnitude_at": TRACER,
     "prequantum.apply_operator": GATE,
-    "prequantum.Box.intervals": f"{GATE}, through radial_eigen_residual",
     "prequantum.Box.default": GATE,
     "prequantum.box_l2_norm": f"{GATE}, through radial_eigen_residual",
     "prequantum.radial_eigen_residual": GATE,
-    "reports.selector.<locals>.<lambda check: True>": (
-        f"{GATE}: a group function called without only= computes every check"
-    ),
     "spacetime.generalized_static": "kept for ROADMAP item 3",
     "suite.SuiteReport.body_json": f"{GATE} (criterion 12); {TRACER}",
 }

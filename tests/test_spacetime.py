@@ -7,7 +7,6 @@ import pytest
 
 from warpsymp import expressions as ex
 from warpsymp.exterior import KForm, VectorField, exterior_derivative, wedge
-from warpsymp.expressions import ChartPoint
 from warpsymp.hamiltonian import coordinate_bracket_references, coordinate_field_references
 from warpsymp.prequantum import ConnectionPotential
 from warpsymp.sampling import SampleWindow, sample_points
@@ -32,7 +31,7 @@ class TestConstructor:
             schwarzschild(-2.0)
 
     def test_metric_entries(self, model):
-        point = ChartPoint(u=0.9, v=1.0, r=4.0, t=0.0, m=1.0)
+        point = dict(u=0.9, v=1.0, r=4.0, t=0.0, m=1.0)
         assert model.metric.diagonal[3].evaluate(point) == pytest.approx(-0.5, abs=1e-15)
         assert model.metric.diagonal[2].evaluate(point) == pytest.approx(2.0, abs=1e-14)
         assert model.metric.diagonal[0].evaluate(point) == pytest.approx(16.0)
@@ -41,7 +40,7 @@ class TestConstructor:
         )
 
     def test_asymptotic_flatness_probe(self, model):
-        point = ChartPoint(u=1.0, v=1.0, r=1e6, t=0.0, m=1.0)
+        point = dict(u=1.0, v=1.0, r=1e6, t=0.0, m=1.0)
         assert model.metric.diagonal[2].evaluate(point) == pytest.approx(
             1.0 + 2e-6, rel=1e-11
         )
@@ -181,7 +180,7 @@ class TestFoliation:
         assert pfaffian_check.passed
         assert volume_check.passed
         assert closedness.passed
-        point = ChartPoint(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
+        point = dict(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
         pfaffian = model.flux_form.coefficient((0, 1)).evaluate(point)
         assert pfaffian == pytest.approx(0.13783222385544802, rel=1e-12)
 
@@ -189,8 +188,8 @@ class TestFoliation:
         *_, closedness = foliation_report(model, points)
         assert closedness.details["pole_degeneracy_is_coordinate_artifact"]
         # the Pfaffian itself does vanish like sin(u) toward the pole
-        near_pole = ChartPoint(u=1e-3, v=1.0, r=3.0, t=0.0, m=1.0)
-        equator = ChartPoint(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
+        near_pole = dict(u=1e-3, v=1.0, r=3.0, t=0.0, m=1.0)
+        equator = dict(u=math.pi / 2, v=1.0, r=3.0, t=0.0, m=1.0)
         ratio = model.flux_form.coefficient((0, 1)).evaluate(near_pole) / math.sin(1e-3)
         assert ratio == pytest.approx(
             model.flux_form.coefficient((0, 1)).evaluate(equator), rel=1e-9
@@ -225,7 +224,7 @@ class TestFoliation:
             for point in points:
                 magnitude = abs(coefficient.evaluate(point)) / scale
                 if magnitude < least:
-                    least, where = magnitude, point.as_dict()
+                    least, where = magnitude, point
             assert (check.worst_error, check.worst_point) == (least, where)
         assert closedness.worst_point is None
 
