@@ -153,17 +153,9 @@ class KForm(namedtuple("KForm", ("degree", "terms"))):
         values = evaluate_many([coefficient for _, coefficient in self.terms], point)
         return {index: value for (index, _), (value,) in zip(self.terms, values)}
 
-    def max_abs(self, at) -> list:
-        """Largest coefficient magnitude at each point of ``at`` (a PointSet
-        or an input mapping, as for ``evaluate_many``); 0 for the empty form.
-        A NaN coefficient is passed over."""
-        zeros, *values = evaluate_many([ZERO, *(coefficient for _, coefficient in self.terms)], at)
-        # max keeps its first argument, 0, against NaN
-        return list(map(max, zeros, *(map(abs, column) for column in values))) if values else zeros
-
     def max_abs_at(self, point) -> float:
         """Largest coefficient magnitude at a point (0 for the empty form)."""
-        return self.max_abs(point)[0]
+        return max([0.0, *map(abs, self.evaluate_at(point).values())])
 
 
 class VectorField(namedtuple("VectorField", ("components",))):

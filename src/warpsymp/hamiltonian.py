@@ -34,7 +34,7 @@ from itertools import repeat
 from . import expressions as ex
 from .expressions import Expression, Immutable
 from .exterior import KForm, VectorField
-from .reports import GROUP_ROWS, selector, worst_point
+from .reports import GROUP_ROWS, RELATIVE_FLOOR, residual_results, selector, worst_point
 from .spacetime import SpacetimeModel, darboux_chart
 
 
@@ -181,7 +181,7 @@ def verify_hamiltonian_fields(model, points, threshold=None, seed=None, only=Non
         expected = zip(*ex.evaluate_many(references[name].components, points))
         errors = [
             max(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
-            / max(abs(b0), abs(b1), abs(b2), abs(b3), 1e-300)
+            / max(abs(b0), abs(b1), abs(b2), abs(b3), RELATIVE_FLOOR)
             for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(numeric, expected)
         ]
         worst, at = worst_point(errors, points)
@@ -243,8 +243,8 @@ def bracket_table(
     values = dict(zip(brackets, computed))
 
     checks = []
-    for (pair, check), expected in zip(nonzero.items(), computed[len(brackets) :]):
-        errors = [abs(x - y) / max(abs(y), 1e-300) for x, y in zip(values[pair], expected)]
+    for (pair, check), exact in zip(nonzero.items(), computed[len(brackets) :]):
+        errors = [abs(x - y) / max(abs(y), RELATIVE_FLOOR) for x, y in zip(values[pair], exact)]
         worst, at = worst_point(errors, points)
         checks.append(check.judged(worst, at, seed, relative_threshold))
 
@@ -253,9 +253,9 @@ def bracket_table(
         checks.append(cross_zeros.judged(worst, at, seed, zero_threshold))
 
     if wanted(antisymmetry):
-        # the largest |{a,b} + {b,a}| at each point; max keeps -inf against NaN
+        # the largest |{a,b} + {b,a}| at each point; max keeps 0 against NaN
         sums = ([abs(x + y) for x, y in zip(values[a, b], values[b, a])] for a, b in pairs)
-        worst, at = worst_point(list(map(max, repeat(-math.inf), *sums)), points)
+        worst, at = worst_point(list(map(max, repeat(0.0), *sums)), points)
         checks.append(antisymmetry.judged(worst, at, seed, zero_threshold))
 
     if wanted(jacobi):
@@ -269,9 +269,7 @@ def bracket_table(
                     poisson_bracket(h, poisson_bracket(f, g, model), model),
                 )
             )
-        residuals = [abs(x) for column in ex.evaluate_many(cyclic, jacobi_points) for x in column]
-        worst, at = worst_point(residuals, jacobi_points)
-        checks.append(jacobi.judged(worst, at, seed, jacobi_threshold))
+        checks += residual_results({jacobi: (cyclic, jacobi_threshold)}, jacobi_points, seed)
     return checks, table
 
 

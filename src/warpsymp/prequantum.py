@@ -54,7 +54,9 @@ from .hamiltonian import (
     poisson_bracket,
     surface_integral,
 )
-from .reports import GROUP_ROWS, CheckResult, peak, selector, worst_point
+from .reports import (
+    GROUP_ROWS, RELATIVE_FLOOR, CheckResult, peak, residual_results, selector, worst_point
+)
 from .sampling import unit_draws
 from .spacetime import FOUR_PI, SpacetimeModel, darboux_chart
 
@@ -294,9 +296,9 @@ def verify_curvature_potential(model, potential, points, threshold=None, seed=No
     """Check d(theta) equals the scaled symplectic form at sampled points."""
     (check,) = GROUP_ROWS["curvature_potential"]
     residual = potential.curvature_residual(model)
-    worst, at = worst_point(residual.max_abs(points), points)
-    details = {"scale_mode": potential.scale.value}
-    return check.judged(worst, at, seed, threshold, details=details)
+    (result,) = residual_results({check: (dict(residual.terms).values(), threshold)}, points, seed)
+    result.details["scale_mode"] = potential.scale.value
+    return result
 
 
 def curvature_section_check(
@@ -415,11 +417,11 @@ def commutator_suite(
         worst, at = worst_point(residual, points)
         scale = peak(lhs + rhs)
         if not ex.is_zero(brackets[pair]):
-            worst /= max(scale, 1e-300)
+            worst /= max(scale, RELATIVE_FLOOR)
         measured[hermitian, pair] = (worst, at, scale)
         if hermitian and pair in displays:
             display_residual, display = itertools.islice(magnitudes, 2)
-            display_residuals[pair] = peak(display_residual) / max(peak(display), 1e-300)
+            display_residuals[pair] = peak(display_residual) / max(peak(display), RELATIVE_FLOOR)
 
     results = []
     for pair in pairs:
@@ -491,21 +493,15 @@ def geometric_operator_report(
         # chain-rule parts: residual and left side of each function in turn
         worst, at = worst_point(list(itertools.chain.from_iterable(magnitudes[0:6:2])), points)
         scale = peak(itertools.chain.from_iterable(magnitudes[1:6:2]))
-        relative, details = worst / max(scale, 1e-300), {"scale": scale}
+        relative, details = worst / max(scale, RELATIVE_FLOOR), {"scale": scale}
         reports.append(chain_check.judged(relative, at, seed, chain_threshold, details=details))
         magnitudes = magnitudes[6:]
     # report-only: the chain threshold is shown beside them, as a yardstick
     for (check, *_), residual, lhs in zip(printed, magnitudes[0::2], magnitudes[1::2]):
-        worst, scale = peak(residual), peak(lhs)
-        reports.append(
-            check.judged(
-                worst / max(scale, 1e-300),
-                worst_point(residual, points)[1],
-                seed,
-                chain_threshold,
-                details={"expected_nonzero": True, "scale": scale},
-            )
-        )
+        (worst, at), scale = worst_point(residual, points), peak(lhs)
+        details = {"expected_nonzero": True, "scale": scale}
+        relative = worst / max(scale, RELATIVE_FLOOR)
+        reports.append(check.judged(relative, at, seed, chain_threshold, details=details))
     return reports
 
 

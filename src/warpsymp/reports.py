@@ -11,20 +11,26 @@ verdict rule and assertability, under its group's key, in report order.
 Each check name of the package is written there and nowhere else; the
 group functions read their rows by group key, and each result is judged
 by its row.
+
+Every reduction of sampled magnitudes, with its NaN policy and tie rule,
+is here too: ``worst_point``, ``least_point``, ``peak`` and
+``residual_results``, which judges every absolute residual check.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from operator import attrgetter
 
-from .expressions import evaluate_many
+from .expressions import ZERO, evaluate_many
 
 # How a check's verdict follows from its worst value and threshold.
 BELOW = "below"  # a residual: passes when worst < threshold
 ABOVE = "above"  # a lower bound on a magnitude: passes when worst > threshold
 FIXED = "fixed"  # structural or report-only: the threshold plays no part
+
+# The least scale a relative error is divided by: a zero scale gives a finite error.
+RELATIVE_FLOOR = 1e-300
 
 
 def passes(worst: float, threshold: float, rule: str = BELOW) -> bool:
@@ -153,40 +159,37 @@ def selector(only):
     return lambda check: check.name in names
 
 
-def _nan_free(magnitudes) -> list:
-    return [x for x in magnitudes if x == x]
+def _first_extreme(pick, magnitudes, points):
+    """The first value ``pick`` (max or min) selects from ``magnitudes``,
+    laid out as for ``worst_point``, and its point; (0.0, None) if none."""
+    # pick keeps its first element while that is NaN, and passes over later NaN
+    value = pick(magnitudes, default=None)
+    if value != value:
+        value = pick([x for x in magnitudes if x == x], default=None)
+    if value is None:
+        return 0.0, None
+    return value, points[magnitudes.index(value) % len(points)]
 
 
-def worst_point(magnitudes, points, start=0.0):
-    """The first strict maximum of ``magnitudes`` above ``start`` and the
-    point where it occurs.
+def worst_point(magnitudes, points):
+    """The first maximum of ``magnitudes`` and the point where it occurs.
 
     ``magnitudes`` is a flat sequence whose element k belongs to point
     k mod len(points) of ``points``, a PointSet: one value per point, or
     one run of points after another, such as a (section, point) scan read
     section by section.  The point is ``points[k]``, a mapping of the chart
-    coordinates and the mass.  NaN is never selected.  With nothing above
-    ``start`` the result is (start, None).
+    coordinates and the mass, so a residual that is 0 everywhere names its
+    first point.  NaN is never selected; with no value that is a number the
+    result is (0.0, None).
     """
-    # max keeps its first element while that is NaN, and passes over later NaN
-    worst = max(magnitudes, default=start)
-    if worst != worst:
-        worst = max(_nan_free(magnitudes), default=start)
-    if not worst > start:
-        return start, None
-    return worst, points[magnitudes.index(worst) % len(points)]
+    return _first_extreme(max, magnitudes, points)
 
 
 def least_point(magnitudes, points):
     """The first minimum of ``magnitudes``, laid out as for ``worst_point``,
-    and its point; NaN is never selected.  (inf, None) when every value is
-    NaN or there is none."""
-    least = min(magnitudes, default=None)
-    if least != least:
-        least = min(_nan_free(magnitudes), default=None)
-    if least is None:
-        return math.inf, None
-    return least, points[magnitudes.index(least) % len(points)]
+    and its point; NaN is never selected.  (0.0, None) when no value is a
+    number."""
+    return _first_extreme(min, magnitudes, points)
 
 
 def peak(magnitudes) -> float:
@@ -194,14 +197,23 @@ def peak(magnitudes) -> float:
     return max([0.0, *magnitudes])
 
 
-def worst_expression_error(expression, points):
-    """Max |expression| over points and the point achieving it."""
-    (values,) = evaluate_many([expression], points)
-    worst, at = worst_point(list(map(abs, values)), points, start=-1.0)
-    return max(worst, 0.0), at
-
-
-def worst_form_error(form, points):
-    """Max coefficient magnitude of a form over points, with the point."""
-    worst, at = worst_point(form.max_abs(points), points, start=-1.0)
-    return max(worst, 0.0), at
+def residual_results(residuals, points, seed) -> list:
+    """The results of absolute residual checks, in the order of ``residuals``,
+    which maps each check (a catalogue row) to (roots, threshold): the
+    expressions the residual consists of, such as a form's coefficients, and
+    the threshold to judge it by (None for the row's tolerance).  All roots
+    are evaluated over ``points`` in one batch.  A check's magnitude at a
+    point is the largest of 0 and its roots' |value| there, NaN passed over;
+    its worst error and point are the ``worst_point`` of those magnitudes."""
+    zeros, *columns = evaluate_many(
+        [ZERO, *(root for roots, _ in residuals.values() for root in roots)], points
+    )
+    columns = iter(columns)
+    results = []
+    for check, (roots, threshold) in residuals.items():
+        absolute = [map(abs, next(columns)) for _ in roots]
+        # max keeps its first argument, 0, against NaN
+        magnitudes = list(map(max, zeros, *absolute)) if absolute else zeros
+        worst, at = worst_point(magnitudes, points)
+        results.append(check.judged(worst, at, seed, threshold))
+    return results

@@ -37,14 +37,7 @@ from .exterior import (
     wedge,
 )
 from .reports import (
-    BELOW,
-    GROUP_ROWS,
-    Check,
-    CheckResult,
-    least_point,
-    selector,
-    worst_expression_error,
-    worst_form_error,
+    BELOW, GROUP_ROWS, Check, CheckResult, least_point, residual_results, selector
 )
 from .sampling import sample_points
 
@@ -195,25 +188,19 @@ def generalized_static(
     flux, symplectic = model.flux_form, model.symplectic_form
     residual = exterior_derivative(flux) + wedge(warp_differential, flux)
     points = sample_points(model.mass, check_samples, check_seed)
-    worst, worst_point = worst_form_error(residual, points)
-    square_magnitudes = wedge(symplectic, symplectic).max_abs(points)
     # the model's own record, not a catalogue check: the suite runs Schwarzschild
-    details = {"symplectic_square_min": float(min(square_magnitudes, default=0.0))}
-    closure_check = Check("flux_closure_hypothesis", closure_threshold, BELOW, False).judged(
-        worst, worst_point, check_seed, details=details
+    check = Check("flux_closure_hypothesis", closure_threshold, BELOW, False)
+    (closure_check,) = residual_results(
+        {check: (dict(residual.terms).values(), None)}, points, check_seed
     )
+    (square,) = ex.evaluate_many([wedge(symplectic, symplectic).coefficient((0, 1, 2, 3))], points)
+    closure_check.details["symplectic_square_min"] = float(min(map(abs, square), default=0.0))
     return model._replace(closure_check=closure_check)
 
 
 # ---------------------------------------------------------------------------
 # Verification reports
 # ---------------------------------------------------------------------------
-
-
-def _form_check(check, form, points, threshold, seed) -> CheckResult:
-    """The result of ``check`` on a form's largest coefficient magnitude."""
-    worst, worst_point = worst_form_error(form, points)
-    return check.judged(worst, worst_point, seed, threshold)
 
 
 # The group functions below judge each result by its catalogue row.  A
@@ -227,7 +214,7 @@ def verify_gradient_relation(model, points, threshold=None, seed=None) -> CheckR
     residual = flat(model.gravitational_field, model.metric) + exterior_derivative(
         KForm.scalar(model.warp)
     )
-    return _form_check(check, residual, points, threshold, seed)
+    return residual_results({check: (dict(residual.terms).values(), threshold)}, points, seed)[0]
 
 
 def verify_observer(model, points, threshold=None, seed=None, only=None) -> list:
@@ -237,12 +224,12 @@ def verify_observer(model, points, threshold=None, seed=None, only=None) -> list
     x = model.observer_field
     unit = metric_inner(x, x, model.metric) + ex.ONE
     orthogonal = metric_inner(model.gravitational_field, x, model.metric)
-    results = []
-    for check, expression in zip(GROUP_ROWS["observer"], (unit, orthogonal)):
-        if wanted(check):
-            worst, worst_point = worst_expression_error(expression, points)
-            results.append(check.judged(worst, worst_point, seed, threshold))
-    return results
+    residuals = {
+        check: ([expression], threshold)
+        for check, expression in zip(GROUP_ROWS["observer"], (unit, orthogonal))
+        if wanted(check)
+    }
+    return residual_results(residuals, points, seed)
 
 
 def _flux_volume_reference(model) -> KForm:
@@ -266,18 +253,17 @@ def verify_omega_identities(
     wanted = selector(only)
     square_check, closure_check, volume_check = GROUP_ROWS["omega"]
     flux = model.flux_form
-    results = []
+    residuals = {}
     if wanted(square_check):
-        square = wedge(flux, flux)
-        results.append(_form_check(square_check, square, points, square_threshold, seed))
+        residuals[square_check] = dict(wedge(flux, flux).terms).values(), square_threshold
     if wanted(closure_check):
         warp_differential = exterior_derivative(KForm.scalar(model.warp))
         closure = exterior_derivative(flux) + wedge(warp_differential, flux)
-        results.append(_form_check(closure_check, closure, points, threshold, seed))
+        residuals[closure_check] = dict(closure.terms).values(), threshold
     if wanted(volume_check):
         volume_identity = exterior_derivative(flux) - _flux_volume_reference(model)
-        results.append(_form_check(volume_check, volume_identity, points, threshold, seed))
-    return results
+        residuals[volume_check] = dict(volume_identity.terms).values(), threshold
+    return residual_results(residuals, points, seed)
 
 
 def dual_flux_potential(model) -> KForm:
@@ -294,29 +280,28 @@ def verify_symplectic(
     ``potential_threshold`` the dual flux's potential and square."""
     wanted = selector(only)
     closed, potential, dual_square, square_identity, nondegeneracy = GROUP_ROWS["symplectic"]
-    results = []
+    residuals = {}
     if wanted(closed):
         rescaled = exterior_derivative(model.flux_form.scaled(model.lapse))
-        results.append(_form_check(closed, rescaled, points, threshold, seed))
+        residuals[closed] = dict(rescaled.terms).values(), threshold
     if wanted(potential):
         exactness = model.dual_flux_form - exterior_derivative(dual_flux_potential(model))
-        results.append(_form_check(potential, exactness, points, potential_threshold, seed))
+        residuals[potential] = dict(exactness.terms).values(), potential_threshold
     if wanted(dual_square):
         form = wedge(model.dual_flux_form, model.dual_flux_form)
-        results.append(_form_check(dual_square, form, points, potential_threshold, seed))
+        residuals[dual_square] = dict(form.terms).values(), potential_threshold
 
     square = wedge(model.symplectic_form, model.symplectic_form)
     if wanted(square_identity):
         r_norm = metric_inner(model.gravitational_field, model.gravitational_field, model.metric)
         scale = ex.mul(ex.const(2.0 / FOUR_PI**2), model.lapse, r_norm)
         identity = square - model.volume_form.scaled(scale)
-        results.append(_form_check(square_identity, identity, points, threshold, seed))
+        residuals[square_identity] = dict(identity.terms).values(), threshold
+    results = residual_results(residuals, points, seed) if residuals else []
 
     if wanted(nondegeneracy):
         (values,) = ex.evaluate_many([square.coefficient((0, 1, 2, 3))], points)
         minimum, at = least_point(list(map(abs, values)), points)
-        if at is None:
-            minimum = 0.0
         same_sign = all(x > 0 for x in values) or all(x < 0 for x in values)
         verdict = len(values) > 0 and same_sign and minimum > 0.0
         details = {"single_sign": same_sign, "min_magnitude": minimum}

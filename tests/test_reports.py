@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from warpsymp import expressions as ex
 from warpsymp.expressions import PointSet
-from warpsymp.reports import GROUP_ROWS, least_point, peak, worst_point
+from warpsymp.exterior import wedge
+from warpsymp.reports import GROUP_ROWS, least_point, peak, residual_results, worst_point
+from warpsymp.sampling import sample_points
+from warpsymp.spacetime import schwarzschild
 
 POINTS = [dict(u=0.5 + 0.1 * k, v=1.0, r=3.0 + k, t=0.0, m=1.0) for k in range(4)]
 
@@ -37,10 +41,8 @@ class TestWorstPoint:
         assert worst_point(magnitudes, POINTS) == (5.0, POINTS[3])
 
     def test_all_zero_gives_no_point(self):
-        assert worst_point([0.0] * 12, POINTS) == (0.0, None)
-
-    def test_start_value_below_zero_selects_first_point(self):
-        assert worst_point([0.0] * 4, POINTS, start=-1.0) == (0.0, POINTS[0])
+        # a residual that is 0 everywhere names its first point
+        assert worst_point([0.0] * 12, POINTS) == (0.0, POINTS[0])
 
     def test_nan_never_selected(self):
         magnitudes = [math.nan, 2.0, math.nan, 1.0]
@@ -80,8 +82,8 @@ class TestLeastPoint:
     def test_nan_never_selected(self):
         magnitudes = [math.nan, 2.0, math.nan, 1.5]
         assert least_point(magnitudes, POINTS) == (1.5, POINTS[3])
-        assert least_point([math.nan] * 4, POINTS) == (math.inf, None)
-        assert least_point([], POINTS) == (math.inf, None)
+        assert least_point([math.nan] * 4, POINTS) == (0.0, None)
+        assert least_point([], POINTS) == (0.0, None)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop(self, seed):
@@ -93,6 +95,31 @@ class TestLeastPoint:
             if magnitude < least:
                 least, where = magnitude, POINTS[k % 4]
         assert least_point(magnitudes.tolist(), POINTS) == (least, where)
+
+
+class TestResidualResults:
+    def test_a_rootless_residual_names_the_first_point(self):
+        # flux ^ flux folds to the empty 4-form: a residual with no root
+        flux = schwarzschild(1.0).flux_form
+        square = wedge(flux, flux)
+        assert square.terms == ()
+        points = sample_points(1.0, 10, 5)
+        check = GROUP_ROWS["omega"][0]
+        (result,) = residual_results({check: (dict(square.terms).values(), None)}, points, 5)
+        assert (result.worst_error, result.worst_point) == (0.0, points[0])
+        assert result.passed and result.threshold == check.tolerance and result.seed == 5
+
+    def test_each_check_takes_the_largest_magnitude_of_its_roots(self):
+        points = PointSet([0.9, 1.0, 1.75], [1.0] * 3, [3.0, 4.0, 5.0], [0.0] * 3, 1.0)
+        first, second = GROUP_ROWS["observer"]
+        residuals = {
+            first: ([ex.U - ex.const(1.0), ex.const(0.25)], None),
+            second: ([ex.const(2.0) - ex.R], 10.0),
+        }
+        one, two = residual_results(residuals, points, None)
+        assert (one.check, one.worst_error, one.worst_point) == (first, 0.75, points[2])
+        assert (two.check, two.worst_error, two.worst_point) == (second, 3.0, points[2])
+        assert (one.threshold, two.threshold) == (first.tolerance, 10.0)
 
 
 def test_peak_passes_over_nan_and_floors_at_zero():
