@@ -327,10 +327,24 @@ class Product(Expression):
     _fields, _kinds, _symbol = ("factors",), (tuple,), "*"
 
     def _apply(self, values, inputs):
+        """``_combine(operator.mul, ...)`` folded left to right, lazily: a
+        list is built only where the running product meets a longer factor,
+        and at the end.  ``size`` is None while the product is a float."""
         out = values[0]
+        size = None if out.__class__ is float else len(out)
         for value in values[1:]:
-            out = _combine(operator.mul, out, value)
-        return out
+            if value.__class__ is float:
+                out = out * value if size is None else map(operator.mul, out, repeat(value))
+            elif size is None:
+                out, size = map(operator.mul, repeat(out), value), len(value)
+            else:
+                n = len(value)
+                if n > size:
+                    out, size = list(out) * (n // size), n
+                elif n < size:
+                    value = value * (size // n)
+                out = map(operator.mul, out, value)
+        return out if size is None else list(out)
 
     def _rule(self, coordinate):
         pieces = []

@@ -164,11 +164,15 @@ class VectorField(namedtuple("VectorField", ("components",))):
     __slots__ = ()
 
     def apply(self, scalar: Expression) -> Expression:
-        """Directional derivative of a scalar along the field."""
+        """Directional derivative of a scalar along the field.  As in
+        ``interior_product``, a component that folded to the zero constant
+        is skipped: its term would fold to ZERO, so the scalar is not
+        differentiated along its coordinate."""
         return add(
             *[
                 mul(component, scalar.diff(name))
                 for component, name in zip(self.components, COORDINATE_NAMES)
+                if not is_zero(component)
             ]
         )
 

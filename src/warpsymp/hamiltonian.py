@@ -79,9 +79,11 @@ def hamiltonian_field(f: Expression, model: SpacetimeModel) -> VectorField:
     return _block_field(f, *_block_coefficients(model))
 
 
-def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> list:
+def hamiltonian_values(functions, model: SpacetimeModel, points) -> list:
     """Numeric route over a batch of points: solve the 4x4 system at each
-    one, giving one (H^u, H^v, H^r, H^t) tuple per point.
+    one for each of ``functions``, giving per function one list of
+    (H^u, H^v, H^r, H^t) tuples, one per point.  The six coefficients and
+    every function's gradient are evaluated in one call.
 
     The components satisfy sum_i H^i P[i][j] = -df_j, that is P H = df for
     the antisymmetric matrix P, so H = P^-1 df with the closed-form inverse
@@ -91,28 +93,31 @@ def hamiltonian_values(f: Expression, model: SpacetimeModel, points) -> list:
     """
     pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     upper = [model.symplectic_form.coefficient(pair) for pair in pairs]
-    gradient = [f.diff(name) for name in ex.COORDINATE_NAMES]
-    columns = ex.evaluate_many(upper + gradient, points)
-    solutions = []
-    for p01, p02, p03, p12, p13, p23, f0, f1, f2, f3 in zip(*columns):
-        pfaffian = p01 * p23 - p02 * p13 + p03 * p12
-        if pfaffian == 0.0:
-            raise SingularSymplecticError("symplectic matrix singular at a sample point")
-        solutions.append(
-            (
-                -(p23 * f1 - p13 * f2 + p12 * f3) / pfaffian,
-                -(p03 * f2 - p23 * f0 - p02 * f3) / pfaffian,
-                -(p13 * f0 - p03 * f1 + p01 * f3) / pfaffian,
-                -(p02 * f1 - p12 * f0 - p01 * f2) / pfaffian,
+    gradients = [f.diff(name) for f in functions for name in ex.COORDINATE_NAMES]
+    columns = ex.evaluate_many(upper + gradients, points)
+    results = []
+    for start in range(6, len(columns), 4):
+        solutions, gradient = [], columns[start : start + 4]
+        for p01, p02, p03, p12, p13, p23, f0, f1, f2, f3 in zip(*columns[:6], *gradient):
+            pfaffian = p01 * p23 - p02 * p13 + p03 * p12
+            if pfaffian == 0.0:
+                raise SingularSymplecticError("symplectic matrix singular at a sample point")
+            solutions.append(
+                (
+                    -(p23 * f1 - p13 * f2 + p12 * f3) / pfaffian,
+                    -(p03 * f2 - p23 * f0 - p02 * f3) / pfaffian,
+                    -(p13 * f0 - p03 * f1 + p01 * f3) / pfaffian,
+                    -(p02 * f1 - p12 * f0 - p01 * f2) / pfaffian,
+                )
             )
-        )
-    return solutions
+        results.append(solutions)
+    return results
 
 
 def hamiltonian_at(f: Expression, model: SpacetimeModel, point) -> tuple:
     """Numeric route: solve the 4x4 system at one point, a mapping."""
     try:
-        return hamiltonian_values(f, model, point)[0]
+        return hamiltonian_values([f], model, point)[0][0]
     except SingularSymplecticError as err:
         raise SingularSymplecticError(f"symplectic matrix singular at {point}") from err
 
@@ -173,16 +178,18 @@ def verify_hamiltonian_fields(model, points, threshold=None, seed=None, only=Non
     ``threshold`` left at None is each check's own tolerance."""
     wanted = selector(only)
     references = coordinate_field_references(model)
+    rows = GROUP_ROWS["hamiltonian"]
+    selected = {name: check for name, check in zip(ex.COORDINATE_NAMES, rows) if wanted(check)}
+    solved = hamiltonian_values(list(map(ex.Coordinate, selected)), model, points)
+    components = [c for name in selected for c in references[name].components]
+    expected = ex.evaluate_many(components, points)
     results = []
-    for name, check in zip(ex.COORDINATE_NAMES, GROUP_ROWS["hamiltonian"]):
-        if not wanted(check):
-            continue
-        numeric = hamiltonian_values(ex.Coordinate(name), model, points)
-        expected = zip(*ex.evaluate_many(references[name].components, points))
+    for k, (check, numeric) in enumerate(zip(selected.values(), solved)):
+        reference = zip(*expected[4 * k : 4 * k + 4])
         errors = [
             max(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
             / max(abs(b0), abs(b1), abs(b2), abs(b3), RELATIVE_FLOOR)
-            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(numeric, expected)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(numeric, reference)
         ]
         worst, at = worst_point(errors, points)
         results.append(check.judged(worst, at, seed, threshold))

@@ -4,10 +4,15 @@ The differentiation oracle throughout is a central finite difference with
 Richardson extrapolation, kept independent of the symbolic rules it checks.
 """
 
+import itertools
 import math
+import operator
+import random
+import struct
 import sys
 import threading
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -184,6 +189,33 @@ def two_sum_cascade(terms):
 
 
 class TestBatchedEvaluation:
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_product_chains_match_the_pairwise_fold(self, times):
+        """``Product._apply`` gives the left-to-right fold of
+        ``_combine(operator.mul, ...)`` bit for bit, signs of zeros and NaN
+        included, for factors drawn from three floats, two batches of n (one
+        a tuple, as a PointSet column is) and a batch of ``times`` * n, in
+        every order: leading and trailing floats, a float between batches,
+        and batches meeting shorter and longer ones."""
+        # NaNs of both signs, so that swapped operands would show in the bits
+        special = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 1e200, -1e200, 3.0]
+        column = tuple(special[:6])
+        short = [-math.nan, math.nan, 0.0, -1e200, -0.0, 1e-200]
+        rng = random.Random(times)
+        long = [rng.choice(special) for _ in range(times * len(short))]
+        factors = [1e200, column, long, -0.0, short, -math.nan]
+
+        def bits(value):
+            if isinstance(value, float):
+                return struct.pack("<d", value)
+            return type(value), struct.pack(f"<{len(value)}d", *value)
+
+        for k in range(2, len(factors) + 1):
+            for values in itertools.permutations(factors, k):
+                node = ex.mul(*(Parameter(f"p{i}") for i in range(k)))
+                expected = reduce(lambda a, b: ex._combine(operator.mul, a, b), values)
+                assert bits(node._apply(list(values), {})) == bits(expected), values
+
     @pytest.mark.parametrize(
         "terms",
         [

@@ -352,6 +352,31 @@ class TestHodgeStar:
         assert got == pytest.approx(0.0012187044302190671, rel=1e-12)
 
 
+class TestDirectionalDerivative:
+    @pytest.mark.parametrize(
+        "components",
+        [
+            (ex.ZERO, ex.ONE, ex.ZERO, ex.ZERO),
+            (ex.ZERO, ex.cos(ex.U), ex.ZERO, ex.R),
+            (ex.sin(ex.V), ex.ZERO, ex.ZERO, ex.ZERO),
+        ],
+    )
+    def test_zero_components_are_not_differentiated_along(self, components, request):
+        """A field with zero components gives the node the full four-term
+        sum gives, and leaves the scalar no derivative along the zero
+        components' coordinates."""
+        scalar = ex.mul(
+            ex.Parameter(request.node.name), ex.sin(ex.U), ex.cos(ex.V), ex.R, ex.exp(ex.T)
+        )
+        got = VectorField(components).apply(scalar)
+        names = ex.COORDINATE_NAMES
+        assert set(scalar._derivatives) == {
+            name for name, c in zip(names, components) if not ex.is_zero(c)
+        }
+        full = ex.add(*[ex.mul(c, scalar.diff(name)) for c, name in zip(components, names)])
+        assert got is full
+
+
 class TestLieBracket:
     def test_coordinate_fields_commute(self, points):
         bracket = lie_bracket(basis_vector(0), basis_vector(2))

@@ -96,7 +96,7 @@ class TestHamiltonianField:
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         upper = [model.symplectic_form.coefficient(pair) for pair in pairs]
         for f in random_functions(3, seed=305):
-            batched = hamiltonian_values(f, model, points)
+            (batched,) = hamiltonian_values([f], model, points)
             for point, got in zip(points, batched):
                 numeric = np.zeros((4, 4))
                 for (i, j), entry in zip(pairs, upper):
@@ -141,7 +141,7 @@ class TestHamiltonianField:
         degenerate = model._replace(symplectic_form=KForm.from_terms(2, {(0, 1): ex.ONE}))
         point = dict(u=1.0, v=1.0, r=4.0, t=0.0, m=1.0)
         with pytest.raises(SingularSymplecticError):
-            hamiltonian_values(ex.U, degenerate, point)
+            hamiltonian_values([ex.U], degenerate, point)
 
     def test_numeric_solve_matches_displays(self, model, points):
         results = verify_hamiltonian_fields(model, points, seed=901)

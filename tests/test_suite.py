@@ -380,11 +380,13 @@ class TestRunSuite:
             (spacetime.verify_observer, 1),
             (spacetime.verify_omega_identities, 1),
             (spacetime.verify_symplectic, 2),
+            (hamiltonian.verify_hamiltonian_fields, 2),
         ],
     )
     def test_one_evaluation_batch_per_identity_group(self, group, calls, monkeypatch):
         """An identity group evaluates all its absolute residuals in one
-        batch; the symplectic group evaluates its nondegeneracy apart."""
+        batch; the symplectic group evaluates its nondegeneracy apart, and
+        the Hamiltonian group its solves apart from their references."""
         model = spacetime.schwarzschild(1.0)
         points = sample_points(1.0, 20, 5)
         evaluate_many, batches = ex.evaluate_many, []
@@ -419,9 +421,9 @@ class TestSelection:
         solved = []
         hamiltonian_values = hamiltonian.hamiltonian_values
 
-        def counting(f, model, points):
-            solved.append(f)
-            return hamiltonian_values(f, model, points)
+        def counting(functions, model, points):
+            solved.extend(functions)
+            return hamiltonian_values(functions, model, points)
 
         monkeypatch.setattr(hamiltonian, "hamiltonian_values", counting)
         run_suite(RunConfig(**SMALL), only="hamiltonian_u")
