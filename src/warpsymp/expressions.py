@@ -26,8 +26,11 @@ derivative DAGs stay shared.
 Evaluation has one path, ``evaluate_many``: it orders the DAG under several
 roots topologically and computes each node once over a flat batch of
 points, with the ``math`` module's kernels.  A value that is constant over
-the batch stays a float; any other value is a list with one float per
-point.  ``Expression.evaluate`` is its one-point call.
+the batch stays a float; any other value is a sequence with one float per
+point, or per point of a shorter input, which stands for its floats
+repeated whole.  Every binary kernel folds its operands by that one rule
+(``_fold``), and ``_tile`` is the one place that repeats a batch.
+``Expression.evaluate`` is its one-point call.
 
 Besides the chart coordinates and the mass, a tree may read parameters:
 ``Parameter`` leaves are constant on the chart, so a family of expressions
@@ -306,10 +309,11 @@ class Sum(Expression):
         if len(values) == 2:
             # IEEE a + b is rounded once, as fsum's sum is, but fsum gives
             # 0.0 for -0.0 + -0.0; a batch with a non-finite sum takes _fsum
-            sums = _combine(operator.add, *values)
+            sums = _fold(operator.add, values)
             if math.isfinite(sum(sums)):
                 return [x + 0.0 for x in sums] if 0.0 in sums else sums
-        columns = [value if _is_batch(value) else repeat(value) for value in _tiled(values)]
+        size = max(len(value) for value in values if _is_batch(value))
+        columns = [_tile(value, size) if _is_batch(value) else repeat(value) for value in values]
         if len(values) > 2:
             try:
                 sums = list(map(math.fsum, zip(*columns)))
@@ -327,24 +331,7 @@ class Product(Expression):
     _fields, _kinds, _symbol = ("factors",), (tuple,), "*"
 
     def _apply(self, values, inputs):
-        """``_combine(operator.mul, ...)`` folded left to right, lazily: a
-        list is built only where the running product meets a longer factor,
-        and at the end.  ``size`` is None while the product is a float."""
-        out = values[0]
-        size = None if out.__class__ is float else len(out)
-        for value in values[1:]:
-            if value.__class__ is float:
-                out = out * value if size is None else map(operator.mul, out, repeat(value))
-            elif size is None:
-                out, size = map(operator.mul, repeat(out), value), len(value)
-            else:
-                n = len(value)
-                if n > size:
-                    out, size = list(out) * (n // size), n
-                elif n < size:
-                    value = value * (size // n)
-                out = map(operator.mul, out, value)
-        return out if size is None else list(out)
+        return _fold(operator.mul, values)
 
     def _rule(self, coordinate):
         pieces = []
@@ -359,11 +346,11 @@ class Quotient(Expression):
     _fields, _kinds, _symbol = ("numerator", "denominator"), (Expression, Expression), "/"
 
     def _apply(self, values, inputs):
-        numerator, denominator = values
+        denominator = values[1]
         if 0.0 in denominator if _is_batch(denominator) else denominator == 0.0:
             text = self.to_prefix()  # cut, so that the error stays one short line
             raise EvaluationError(f"zero denominator in {text[:80]}{'…' * (len(text) > 80)}")
-        return _combine(operator.truediv, numerator, denominator)
+        return _fold(operator.truediv, values)
 
     def _rule(self, coordinate):
         """(a/b)' = (a' - (a/b) b')/b: dividing by b twice, never by b^2,
@@ -383,9 +370,9 @@ class Rational(namedtuple("Rational", ("numerator", "denominator"))):
 
 def _powers(base, exponent):
     try:
-        return _combine(math.pow, base, exponent)
+        return _fold(math.pow, (base, exponent))
     except OverflowError:
-        return _combine(_overflowing_power, base, exponent)
+        return _fold(_overflowing_power, (base, exponent))
 
 
 def _overflowing_power(x, exponent):
@@ -400,8 +387,8 @@ def _overflowing_power(x, exponent):
 # Exponents with a correctly rounded kernel (x * x, 1 / x and math.sqrt);
 # the rest go through math.pow.
 _POWER_KERNELS = {
-    Rational(2, 1): lambda base, exponent: _combine(operator.mul, base, base),
-    Rational(-1, 1): lambda base, exponent: _combine(operator.truediv, 1.0, base),
+    Rational(2, 1): lambda base, exponent: _fold(operator.mul, (base, base)),
+    Rational(-1, 1): lambda base, exponent: _fold(operator.truediv, (1.0, base)),
     Rational(1, 2): lambda base, exponent: _elementwise(math.sqrt, base),
 }
 
@@ -484,7 +471,7 @@ class Cos(Expression):
 
 def _is_batch(value) -> bool:
     """True for a value with one float per point, False for a float."""
-    return not isinstance(value, float)
+    return value.__class__ is not float
 
 
 # x < 0 and x <= 0 as C-level predicates; NaN satisfies neither
@@ -512,28 +499,30 @@ def _least(value) -> float:
     return math.nan if any(x != x for x in value) else min(value)
 
 
-def _tiled(values: list) -> list:
-    """``values`` with each list at the length of the longest: a shorter
-    list stands for its floats repeated whole."""
-    sizes = {len(value) for value in values if _is_batch(value)}
-    if len(sizes) < 2:
-        return values
-    size = max(sizes)
-    return [value * (size // len(value)) if _is_batch(value) else value for value in values]
+def _tile(value, size: int):
+    """A batch at ``size`` points: a shorter batch stands for its floats
+    repeated whole."""
+    n = len(value)
+    return value if n == size else value * (size // n)
 
 
-def _combine(operation, a, b):
-    """``operation(a, b)`` at each point; a float stands for itself at
-    every point."""
-    if a.__class__ is float:
-        if b.__class__ is float:
-            return operation(a, b)
-        return list(map(operation, repeat(a), b))
-    if b.__class__ is float:
-        return list(map(operation, a, repeat(b)))
-    if len(a) != len(b):
-        a, b = _tiled([a, b])
-    return list(map(operation, a, b))
+def _fold(operation, values):
+    """``operation`` folded over ``values`` left to right at each point; a
+    float stands for itself at every point.  The fold is lazy: a list is
+    built only where the running value meets a longer batch, and at the
+    end.  ``size`` is None while the running value is a float."""
+    out = values[0]
+    size = None if out.__class__ is float else len(out)
+    for value in values[1:]:
+        if value.__class__ is float:
+            out = operation(out, value) if size is None else map(operation, out, repeat(value))
+        elif size is None:
+            out, size = map(operation, repeat(out), value), len(value)
+        else:
+            if len(value) > size:
+                out, size = _tile(list(out), len(value)), len(value)
+            out = map(operation, out, _tile(value, size))
+    return out if size is None else list(out)
 
 
 def _fsum(terms) -> float:
@@ -610,9 +599,10 @@ def evaluate_many(roots, at) -> list:
     whole, such as a point set repeated
     for each member of a section family.  Each node is computed once, and
     nodes are interned, so structurally equal nodes are one node.  A value
-    constant over the batch stays a float, and an intermediate value is
-    dropped after its last consumer.  Returns
-    one list per root, with one float per point.  Arithmetic follows IEEE
+    constant over the batch stays a float, a value that reads only shorter
+    sequences keeps their length, and an intermediate value is dropped
+    after its last consumer.  Returns one list per root, with one float per
+    point, a shorter value repeated whole.  Arithmetic follows IEEE
     rules: infinities and NaN propagate.  Raises EvaluationError if any
     point hits a guard: a zero denominator, the log of a non-positive value,
     a fractional power of a negative base, a zero base with a negative
@@ -633,14 +623,8 @@ def evaluate_many(roots, at) -> list:
             uses[key] -= 1
             if not uses[key]:
                 values[key] = None
-    return [_as_list(values[at], size) for at in outputs]
-
-
-def _as_list(value, size: int) -> list:
-    if not _is_batch(value):
-        return [value] * size
-    value = value if isinstance(value, list) else list(value)
-    return value * (size // len(value)) if len(value) < size else value
+    batches = [values[at] if _is_batch(values[at]) else [values[at]] for at in outputs]
+    return [_tile(value if value.__class__ is list else list(value), size) for value in batches]
 
 
 # ---------------------------------------------------------------------------

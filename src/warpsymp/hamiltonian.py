@@ -439,9 +439,9 @@ def gauss_legendre(n: int) -> tuple:
     return nodes, tuple(weights + middle_w + weights[::-1])
 
 
-class IntegralResult(namedtuple("IntegralResult", ("value", "error_estimate", "n_u", "n_v"))):
-    """A sphere integral: ``value`` at twice the requested node counts, the ints ``n_u`` x
-    ``n_v``, and as ``error_estimate`` its difference from the pass at those counts."""
+class IntegralResult(namedtuple("IntegralResult", ("value", "error_estimate"))):
+    """A sphere integral: ``value`` at twice the requested node counts, and
+    as ``error_estimate`` its difference from the pass at those counts."""
 
     __slots__ = ()
 
@@ -454,7 +454,9 @@ def sphere_sum(form: KForm, model: SpacetimeModel, n_u: int, n_v: int, r0: float
     both sums are correctly rounded (``math.fsum``).  A coefficient whose v
     derivative folds to zero is evaluated on the colatitude column only, and
     a row sum is then n_v times the row's value, which is what the row's
-    fsum gives.
+    fsum gives.  Any other coefficient is evaluated on the grid, listed row
+    by row, with the azimuth row given once: the evaluator repeats it, so
+    the nodes that read only v are evaluated on n_v points.
     """
     coefficient = form.coefficient((0, 1))
     if ex.is_zero(coefficient):
@@ -469,7 +471,7 @@ def sphere_sum(form: KForm, model: SpacetimeModel, n_u: int, n_v: int, r0: float
         row_sums = [n_v * value for value in column]
     else:
         azimuths = [(j + 0.5) * v_weight for j in range(n_v)]
-        grid.update(u=[u for u in colatitudes for _ in azimuths], v=azimuths * n_u)
+        grid.update(u=[u for u in colatitudes for _ in azimuths], v=azimuths)
         (values,) = ex.evaluate_many([coefficient], grid)
         row_sums = [math.fsum(values[i : i + n_v]) for i in range(0, n_u * n_v, n_v)]
     total = math.fsum(w * s for w, s in zip(u_weights, row_sums)) * v_weight
@@ -495,4 +497,4 @@ def surface_integral(form: KForm, spec: QuadratureSpec, model: SpacetimeModel) -
         )
     coarse = sphere_sum(form, model, spec.n_u, spec.n_v, spec.r0, spec.t0)
     fine = sphere_sum(form, model, 2 * spec.n_u, 2 * spec.n_v, spec.r0, spec.t0)
-    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), n_u=spec.n_u, n_v=spec.n_v)
+    return IntegralResult(value=fine, error_estimate=abs(fine - coarse))

@@ -188,33 +188,123 @@ def two_sum_cascade(terms):
     return total + error
 
 
+def per_point(operation, values):
+    """The reference for the evaluator's binary kernels: ``operation``
+    folded over ``values`` left to right, one point at a time.  A float x
+    reads x at every point and a batch x reads x[k % len(x)] at point k;
+    a float when every value is one."""
+    sizes = [len(x) for x in values if not isinstance(x, float)]
+    if not sizes:
+        return reduce(operation, values)
+    return [
+        reduce(operation, [x if isinstance(x, float) else x[k % len(x)] for x in values])
+        for k in range(max(sizes))
+    ]
+
+
+def bits(value):
+    """A value's type and IEEE bits, so that the signs of zeros and NaN count."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return type(value), struct.pack(f"<{len(value)}d", *value)
+
+
+def fsum_or_nan(x, y):
+    """The sum of two terms under ``math.fsum``; NaN where it is not finite."""
+    try:
+        total = math.fsum((x, y))
+    except (OverflowError, ValueError):
+        return math.nan
+    return total if math.isfinite(total) else math.nan
+
+
+FINITE = [-0.0, 0.0, 1e200, -1e200, 3.0, -0.5, 5e-324, 0.1]
+# NaNs of both signs, so that swapped operands would show in the bits
+SPECIAL = FINITE + [math.nan, -math.nan, math.inf, -math.inf, 1.7976931348623157e308]
+
+
+def operand_pool(times, zeros=True):
+    """Each float of ``SPECIAL``, then an n-tuple (as a PointSet column is)
+    and an n-list of finite floats, and a ``times`` * n list drawn from
+    ``SPECIAL``.  Where ``zeros`` is False, each zero is 1e-300 of its sign."""
+    if zeros:
+        special, finite = SPECIAL, FINITE
+    else:
+        special, finite = ([x or math.copysign(1e-300, x) for x in xs] for xs in (SPECIAL, FINITE))
+    rng = random.Random(times)
+    long = [rng.choice(special) for _ in range(times * len(finite))]
+    return [*special, tuple(finite), finite[::-1], long]
+
+
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("times", [2, 3])
     def test_product_chains_match_the_pairwise_fold(self, times):
-        """``Product._apply`` gives the left-to-right fold of
-        ``_combine(operator.mul, ...)`` bit for bit, signs of zeros and NaN
-        included, for factors drawn from three floats, two batches of n (one
-        a tuple, as a PointSet column is) and a batch of ``times`` * n, in
-        every order: leading and trailing floats, a float between batches,
-        and batches meeting shorter and longer ones."""
-        # NaNs of both signs, so that swapped operands would show in the bits
+        """``Product._apply`` gives the per-point left-to-right fold of its
+        factors bit for bit, signs of zeros and NaN included, for factors
+        drawn from three floats, two batches of n (one a tuple, as a
+        PointSet column is) and a batch of ``times`` * n, in every order:
+        leading and trailing floats, a float between batches, and batches
+        meeting shorter and longer ones."""
         special = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 1e200, -1e200, 3.0]
         column = tuple(special[:6])
         short = [-math.nan, math.nan, 0.0, -1e200, -0.0, 1e-200]
         rng = random.Random(times)
         long = [rng.choice(special) for _ in range(times * len(short))]
         factors = [1e200, column, long, -0.0, short, -math.nan]
-
-        def bits(value):
-            if isinstance(value, float):
-                return struct.pack("<d", value)
-            return type(value), struct.pack(f"<{len(value)}d", *value)
-
         for k in range(2, len(factors) + 1):
             for values in itertools.permutations(factors, k):
                 node = ex.mul(*(Parameter(f"p{i}") for i in range(k)))
-                expected = reduce(lambda a, b: ex._combine(operator.mul, a, b), values)
+                expected = per_point(operator.mul, values)
                 assert bits(node._apply(list(values), {})) == bits(expected), values
+
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_quotients_and_two_term_sums_match_the_per_point_reference(self, times):
+        """A quotient and a two-term sum give the per-point value of their
+        operands bit for bit, the sum as ``math.fsum`` gives it (NaN where
+        that is not finite), for every pair of operands from a float, an
+        n-tuple, an n-list and a ``times`` * n list, in both orders.  No
+        denominator holds a zero, which the guard refuses."""
+        p, q = Parameter("p"), Parameter("q")
+        divided, summed = ex.quotient(p, q), ex.add(p, q)
+        for a, b in itertools.product(operand_pool(times), repeat=2):
+            expected = per_point(fsum_or_nan, [a, b])
+            assert bits(summed._apply([a, b], {})) == bits(expected), (a, b)
+        for a, b in itertools.product(operand_pool(times), operand_pool(times, zeros=False)):
+            expected = per_point(operator.truediv, [a, b])
+            assert bits(divided._apply([a, b], {})) == bits(expected), (a, b)
+
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_powers_match_the_per_point_reference(self, times):
+        """A power gives x * x at the exponent 2, 1 / x at -1 and
+        ``math.pow`` elsewhere, at each point, bit for bit; where a power
+        overflows, infinity, negative for a negative base and an odd
+        exponent.  Bases come from ``operand_pool``, without zeros at the
+        exponent -1, which the guard refuses."""
+
+        def generic(x, exponent):
+            try:
+                return math.pow(x, exponent)
+            except OverflowError:
+                return math.copysign(math.inf, x) if exponent % 2.0 == 1.0 else math.inf
+
+        references = {2: lambda x, _: x * x, -1: lambda x, _: 1.0 / x, 3: generic, 4: generic}
+        for exponent, reference in references.items():
+            node = ex.power(Parameter("p"), exponent)
+            for base in operand_pool(times, zeros=exponent > 0):
+                expected = per_point(reference, [base, float(exponent)])
+                assert bits(node._apply([base], {})) == bits(expected), (exponent, base)
+
+    def test_a_root_reading_a_shorter_input_repeats_it_whole(self):
+        """A root whose value is shorter than the batch, such as one that
+        reads only v when u sets the batch, reads its floats repeated whole,
+        as a list; a root constant over the batch reads its float at every
+        point."""
+        inputs = {"u": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], "v": (1.0, 2.0), "r": 3.0, "t": 0.0,
+                  "m": 1.0}
+        v, scaled, mass = evaluate_many([ex.V, ex.mul(ex.V, ex.R), ex.M], inputs)
+        assert v == [1.0, 2.0] * 3 and type(v) is list
+        assert scaled == [3.0, 6.0] * 3
+        assert mass == [1.0] * 6
 
     @pytest.mark.parametrize(
         "terms",
@@ -258,14 +348,6 @@ class TestBatchedEvaluation:
         column = special + randoms + [-x for x in randoms[:50]]
         a = [x for x in column for _ in column]
         b = column * len(column)
-
-        def reference(x, y):
-            try:
-                total = math.fsum((x, y))
-            except (OverflowError, ValueError):
-                return math.nan
-            return total if math.isfinite(total) else math.nan
-
         p, q = Parameter("p"), Parameter("q")
         tree = ex.add(p, q)
         inputs = {"u": 1.0, "v": 1.0, "r": 3.0, "t": 0.0, "m": 1.0}
@@ -274,13 +356,13 @@ class TestBatchedEvaluation:
             (sums,) = evaluate_many([tree], {**inputs, p: first, q: second})
             return list(map(repr, sums))
 
-        assert summed(a, b) == list(map(repr, map(reference, a, b)))
+        assert summed(a, b) == list(map(repr, map(fsum_or_nan, a, b)))
         for x in special:
-            assert summed(x, column) == [repr(reference(x, y)) for y in column]
+            assert summed(x, column) == [repr(fsum_or_nan(x, y)) for y in column]
         moderate = [(x, y) for x, y in zip(a, b) if abs(x + y) < 1e300]
         first, second = map(list, zip(*moderate))
         monkeypatch.setattr(ex, "_fsum", None)
-        assert summed(first, second) == list(map(repr, map(reference, first, second)))
+        assert summed(first, second) == list(map(repr, map(fsum_or_nan, first, second)))
 
     def test_compensated_sum_recovers_the_small_term(self):
         # the products keep the large constants out of add()'s constant fold
@@ -807,7 +889,7 @@ IMMUTABLE = [
     (lambda model: KForm.zero(1), "degree"),
     (lambda model: basis_vector(0), "components"),
     (lambda model: model.metric, "diagonal"),
-    (lambda model: IntegralResult(1.0, 0.0, 2, 4), "value"),
+    (lambda model: IntegralResult(1.0, 0.0), "value"),
     (lambda model: QuadratureSpec(), "n_u"),
     (lambda model: SampleWindow(), "r_margin"),
     (lambda model: PointSet([1.0], [1.0], [3.0], [0.0], 1.0), "m"),

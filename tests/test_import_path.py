@@ -142,7 +142,7 @@ RECORDS = [
     (ex.Rational, ("numerator", "denominator")),
     (KForm, ("degree", "terms")),
     (VectorField, ("components",)),
-    (IntegralResult, ("value", "error_estimate", "n_u", "n_v")),
+    (IntegralResult, ("value", "error_estimate")),
     (Section, ("re", "im")),
     (PrequantumOperator, ("source", "field", "paired", "potential", "hbar", "hermitian")),
     (Box, ("u", "v", "r", "t")),
